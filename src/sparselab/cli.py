@@ -19,12 +19,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -411,42 +414,38 @@ def probe_endpoint_audit(ctx) -> V.ProbeReport:
     )
 
 
+@dataclass(frozen=True)
+class Probe:
+    fn: Callable[[dict], V.ProbeReport]
+    suite: str
+    primary: tuple[str, str]  # report group and key of the summary column
+
+
 PROBES = {
-    "identity_apply": probe_identity_apply,
-    "identity_norm": probe_identity_norm,
-    "identity_schur": probe_identity_schur,
-    "identity_sparse_form": probe_identity_sparse_form,
-    "sparse_form_ratio": probe_sparse_form_ratio,
-    "pointwise_domination": probe_pointwise_domination,
-    "schur_piece": probe_schur_piece,
-    "norm_scaling": probe_norm_scaling,
-    "kernel_decay": probe_kernel_decay,
-    "kernel_difference": probe_kernel_difference,
-    "sharp_ratio": probe_sharp_ratio,
-    "endpoint_audit": probe_endpoint_audit,
+    "identity_apply": Probe(probe_identity_apply, "identity", ("constants", "sup_error")),
+    "identity_norm": Probe(probe_identity_norm, "identity", ("constants", "norm")),
+    "identity_schur": Probe(probe_identity_schur, "identity", ("constants", "product_bound")),
+    "identity_sparse_form": Probe(probe_identity_sparse_form, "identity", ("constants", "ratio")),
+    "sparse_form_ratio": Probe(probe_sparse_form_ratio, "sparse", ("constants", "ratio")),
+    "pointwise_domination": Probe(probe_pointwise_domination, "sparse", ("constants", "constant")),
+    "schur_piece": Probe(probe_schur_piece, "kernels", ("constants", "min_slack")),
+    "norm_scaling": Probe(probe_norm_scaling, "kernels", ("slopes", "slope")),
+    "kernel_decay": Probe(probe_kernel_decay, "kernels", ("slopes", "slope")),
+    "kernel_difference": Probe(probe_kernel_difference, "kernels", ("slopes", "slope")),
+    "sharp_ratio": Probe(probe_sharp_ratio, "sparse", ("constants", "max_ratio")),
+    "endpoint_audit": Probe(probe_endpoint_audit, "sparse", ("constants", "final_constant")),
 }
 
 SUITES = {
-    "identity": ["identity_apply", "identity_norm", "identity_schur", "identity_sparse_form"],
-    "kernels": ["schur_piece", "norm_scaling", "kernel_decay", "kernel_difference"],
-    "sparse": ["sparse_form_ratio", "pointwise_domination", "sharp_ratio", "endpoint_audit"],
+    suite: [name for name, p in PROBES.items() if p.suite == suite]
+    for suite in ("identity", "kernels", "sparse")
 }
 
-# primary summary column per probe
-_PRIMARY = {
-    "identity_apply": ("constants", "sup_error"),
-    "identity_norm": ("constants", "norm"),
-    "identity_schur": ("constants", "product_bound"),
-    "identity_sparse_form": ("constants", "ratio"),
-    "sparse_form_ratio": ("constants", "ratio"),
-    "pointwise_domination": ("constants", "constant"),
-    "schur_piece": ("constants", "min_slack"),
-    "norm_scaling": ("slopes", "slope"),
-    "kernel_decay": ("slopes", "slope"),
-    "kernel_difference": ("slopes", "slope"),
-    "sharp_ratio": ("constants", "max_ratio"),
-    "endpoint_audit": ("constants", "final_constant"),
-}
+
+def _primary(rep: dict) -> tuple[str, object]:
+    """Summary column name and value of a report."""
+    group, key = PROBES[rep["name"]].primary
+    return key, rep.get(group, {}).get(key, "")
 
 
 def _probe_list(cfg: Config) -> list[str]:
@@ -488,7 +487,7 @@ def _probe_task(payload):
     ctx = _build_context(cfg, seed)
     t0 = time.perf_counter()
     try:
-        rep = PROBES[name](ctx)
+        rep = PROBES[name].fn(ctx)
         out = V.report_dict(rep)
     except Exception as exc:  # probe errors are failures, not crashes
         out = {
@@ -501,6 +500,11 @@ def _probe_task(payload):
     return name, out, time.perf_counter() - t0
 
 
+def _worker_count(jobs: int, cpus: int | None, tasks: int) -> int:
+    """Worker processes for a run: never more than the CPUs or the probes."""
+    return min(jobs, cpus or 1, tasks)
+
+
 def run_probes(
     cfg: Config,
     names: list[str],
@@ -511,8 +515,9 @@ def run_probes(
     data = cfg.as_dict()
     sha = config_sha256(data)
     payloads = [(data, seed, name) for name in names]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, os.cpu_count(), len(names))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_probe_task, payloads))
     else:
         results = [_probe_task(p) for p in payloads]
@@ -534,9 +539,7 @@ def run_probes(
         w = csv.writer(fh)
         w.writerow(["probe", "passed", "primary", "value"])
         for rep in reports:
-            group, key = _PRIMARY.get(rep["name"], ("constants", ""))
-            val = rep.get(group, {}).get(key, "")
-            w.writerow([rep["name"], rep["passed"], key, val])
+            w.writerow([rep["name"], rep["passed"], *_primary(rep)])
 
     with (out_dir / "timings.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -578,6 +581,14 @@ def _cmd_sweep(args) -> int:
         values = [t.strip() for t in args.values.split(",") if t.strip()]
         if not values:
             raise ConfigError(f"{args.config}:1: empty sweep value list")
+        # every swept config is checked before any of them runs
+        swept = []
+        for value in values:
+            data = cfg.as_dict()
+            data.setdefault(section, {})[option] = value
+            vcfg = _config_from_dict(data, path=f"<{args.axis}={value}>")
+            _build_context(vcfg, args.seed)
+            swept.append((value, vcfg))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -585,20 +596,10 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out)
     rows = []
     all_ok = True
-    for value in values:
-        data = cfg.as_dict()
-        data.setdefault(section, {})[option] = value
-        try:
-            swept = _config_from_dict(data, path=f"<{args.axis}={value}>")
-            _build_context(swept, args.seed)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        ok, reports = run_probes(swept, names, out_root / f"{option}={value}", args.seed, args.jobs)
+    for value, vcfg in swept:
+        ok, reports = run_probes(vcfg, names, out_root / f"{option}={value}", args.seed, args.jobs)
         all_ok = all_ok and ok
-        for rep in reports:
-            group, key = _PRIMARY.get(rep["name"], ("constants", ""))
-            rows.append([value, rep["name"], rep["passed"], rep.get(group, {}).get(key, "")])
+        rows += [[value, rep["name"], rep["passed"], _primary(rep)[1]] for rep in reports]
 
     out_root.mkdir(parents=True, exist_ok=True)
     with (out_root / "sweep.csv").open("w", newline="") as fh:
@@ -653,24 +654,30 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return jobs
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="lab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the probes a config requests")
-    p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
+    probes = argparse.ArgumentParser(add_help=False)
+    probes.add_argument("config")
+    probes.add_argument("--seed", type=int, default=None)
+    probes.add_argument("--jobs", type=_jobs, default=1, help="worker processes (at most the CPUs)")
+
+    p_run = sub.add_parser("run", parents=[probes], help="execute the probes a config requests")
     p_run.add_argument("--out", default="reports")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_sw = sub.add_parser("sweep", help="rerun a config across values of one key")
-    p_sw.add_argument("config")
+    p_sw = sub.add_parser("sweep", parents=[probes], help="rerun a config across values of one key")
     p_sw.add_argument("--axis", required=True, help="section.option to vary")
     p_sw.add_argument("--values", required=True, help="comma-separated values")
-    p_sw.add_argument("--seed", type=int, default=None)
     p_sw.add_argument("--out", default="sweep")
-    p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.set_defaults(fn=_cmd_sweep)
 
     p_co = sub.add_parser("corpus", help="dump the deterministic test corpus")

@@ -23,6 +23,7 @@ full operator exact on the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .sample import GridFunction, GridSpec
-from .symbol import LocalizedAmplitude, SymbolClass
+from .symbol import LocalizedAmplitude, SymbolClass, _norm
 
 __all__ = [
     "CutoffFamily",
@@ -41,7 +42,6 @@ __all__ = [
     "default_cutoffs",
     "default_truncation",
     "default_nu",
-    "cutoff_eval",
     "apply",
     "lp_piece_apply",
     "spatial_piece_apply",
@@ -107,15 +107,6 @@ def default_cutoffs() -> CutoffFamily:
     return CutoffFamily()
 
 
-def cutoff_eval(fam: CutoffFamily, j: int, xi) -> np.ndarray:
-    """Band cutoff ``psi_j`` evaluated at frequency points (radial)."""
-    if isinstance(xi, tuple):
-        r = np.sqrt(sum(np.asarray(c, dtype=np.float64) ** 2 for c in xi))
-    else:
-        r = np.abs(np.asarray(xi, dtype=np.float64))
-    return fam.band(j, r)
-
-
 def default_truncation(spec: GridSpec) -> int:
     """Smallest J whose low-pass plateau covers all grid frequencies.
 
@@ -169,7 +160,6 @@ class OperatorHandle:
     apply_fn: Callable[[GridFunction], GridFunction]
     matrix_fn: Callable[[], np.ndarray] | None = None
     local_radius: float | None = None
-    linear: bool = True
 
     def __call__(self, f: GridFunction) -> GridFunction:
         return self.apply_fn(f)
@@ -184,11 +174,20 @@ class OperatorHandle:
 # transforms
 
 
+def _grid_coords(v: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """One copy of the axis samples ``v`` per axis, shaped to broadcast to the grid."""
+    return tuple(v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k in range(n))
+
+
+def _dft(n: int) -> tuple[Callable, Callable]:
+    """Forward and inverse DFT over the last ``n`` axes (the grid axes)."""
+    return (np.fft.fft, np.fft.ifft) if n == 1 else (np.fft.fft2, np.fft.ifft2)
+
+
 def _phase(spec: GridSpec) -> np.ndarray:
-    """exp(-i xi_k c_0) along one axis (samples sit at cell centers)."""
-    xi = spec.freqs()
+    """exp(-i xi . c_0) on the frequency grid (samples sit at cell centers)."""
     c0 = float(spec.center_fraction(0))
-    return np.exp(-1j * xi * c0)
+    return functools.reduce(np.multiply, _grid_coords(np.exp(-1j * spec.freqs() * c0), spec.n))
 
 
 def _guard_support(f: GridFunction) -> None:
@@ -199,53 +198,33 @@ def _guard_support(f: GridFunction) -> None:
 
 def forward_transform(f: GridFunction) -> np.ndarray:
     """Discrete ``(2 pi)**-n integral f exp(-i xi x) dx`` on the frequency grid."""
-    spec = f.spec
-    h = float(spec.h)
-    ph = _phase(spec)
-    if spec.n == 1:
-        return (2.0 * np.pi) ** -1 * h * ph * np.fft.fft(f.values)
-    fh = np.fft.fft2(f.values)
-    return (2.0 * np.pi) ** -2 * h**2 * (ph[:, None] * ph[None, :]) * fh
+    n = f.spec.n
+    return (2.0 * np.pi) ** -n * float(f.spec.h) ** n * _phase(f.spec) * _dft(n)[0](f.values)
 
 
 def inverse_eval(spec: GridSpec, g: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_xi g(xi) exp(i xi x) dxi**n`` at all cell centers."""
-    N = spec.N
+    N, n = spec.N, spec.n
     dxi = 2.0 * np.pi / (N * float(spec.h))
-    ph = _phase(spec)
-    if spec.n == 1:
-        return dxi * N * np.fft.ifft(g * np.conj(ph))
-    return dxi**2 * N**2 * np.fft.ifft2(g * np.conj(ph[:, None] * ph[None, :]))
+    return dxi**n * N**n * _dft(n)[1](g * np.conj(_phase(spec)))
 
 
 def _freq_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    xi = spec.freqs()
-    if spec.n == 1:
-        return (xi,)
-    return (xi[:, None], xi[None, :])
+    return _grid_coords(spec.freqs(), spec.n)
 
 
 def _freq_radius(spec: GridSpec) -> np.ndarray:
-    xi = spec.freqs()
-    if spec.n == 1:
-        return np.abs(xi)
-    return np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+    return _norm(_freq_coords(spec))
 
 
 def _z_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
     """Physical offsets of the periodic z-grid, FFT ordering."""
-    h = float(spec.h)
-    t = np.fft.fftfreq(spec.N, d=1.0 / spec.N) * h  # t*h with wrap to negatives
-    if spec.n == 1:
-        return (t,)
-    return (t[:, None], t[None, :])
+    t = np.fft.fftfreq(spec.N, d=1.0 / spec.N) * float(spec.h)  # t*h with wrap to negatives
+    return _grid_coords(t, spec.n)
 
 
 def _z_radius(spec: GridSpec) -> np.ndarray:
-    z = _z_coords(spec)
-    if spec.n == 1:
-        return np.abs(z[0])
-    return np.sqrt(z[0] ** 2 + z[1] ** 2)
+    return _norm(_z_coords(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +235,10 @@ _DIRECT_BLOCK = 128
 _DENSE_LIMIT = 4096
 
 
-def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    g = forward_transform(f) * mult
-    return f.with_values(inverse_eval(f.spec, g))
-
-
 def _apply_direct(a: SymbolClass, f: GridFunction, mult: np.ndarray | None) -> GridFunction:
     """Blocked literal quadrature; reference path for cross-checks."""
     spec = f.spec
-    if spec.n == 2 and not a.x_independent and spec.N > 64:
+    if spec.n == 2 and a.structure != "multiplier" and spec.N > 64:
         raise ValueError("direct 2D quadrature is limited to 64 cells per axis")
     fh = forward_transform(f)
     if mult is not None:
@@ -293,48 +267,41 @@ def _apply_direct(a: SymbolClass, f: GridFunction, mult: np.ndarray | None) -> G
     return f.with_values(out)
 
 
+def _amplitude(
+    a: SymbolClass, spec: GridSpec, mult: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Frequency amplitude (times ``mult``) and x-factor at the cell centers
+    of a multiplier or separable symbol; the x-factor is None if it has none."""
+    if a.x_independent:
+        amp, xf = a.eval((np.zeros(1),) * spec.n, _freq_coords(spec)), None
+    else:
+        if a.xi_factor is not None:
+            amp = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
+        else:
+            amp = np.ones(spec.shape, dtype=np.complex128)
+        xf = None if a.x_factor is None else a.x_factor(_grid_coords(spec.centers(), spec.n))
+    return (amp if mult is None else amp * mult), xf
+
+
 def _apply_symbol_mult(
     a: SymbolClass, f: GridFunction, mult: np.ndarray | None, method: str
 ) -> GridFunction:
     """Apply ``a(x, D)`` with an optional extra frequency multiplier."""
-    spec = f.spec
     _guard_support(f)
-    if method == "direct":
+    if method == "direct" or a.structure == "general":
         return _apply_direct(a, f, mult)
-    if a.x_independent:
-        amp = a.eval(_coord_zeros(spec), _freq_coords(spec))
-        m = amp if mult is None else amp * mult
-        return _apply_multiplier(f, m)
-    if a.separable:
-        xf = a.x_factor(_center_coords(spec)) if a.x_factor is not None else 1.0
-        if a.xi_factor is not None:
-            base = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
-        else:
-            base = np.ones(spec.shape, dtype=np.complex128)
-        m = base if mult is None else base * mult
-        g = _apply_multiplier(f, m)
-        return f.with_values(np.asarray(xf) * g.values)
-    return _apply_direct(a, f, mult)
-
-
-def _center_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    c = spec.centers()
-    if spec.n == 1:
-        return (c,)
-    return (c[:, None], c[None, :])
-
-
-def _coord_zeros(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    return (np.zeros(1),) * spec.n
+    amp, xf = _amplitude(a, f.spec, mult)
+    out = inverse_eval(f.spec, forward_transform(f) * amp)
+    return f.with_values(out if xf is None else xf * out)
 
 
 def apply(a: SymbolClass, f: GridFunction, method: str = "auto") -> GridFunction:
     """Full operator ``a(x, D) f`` by quadrature over all grid frequencies."""
     if method not in ("auto", "fft", "direct"):
         raise ValueError("method must be auto, fft, or direct")
-    if method == "fft" and not (a.x_independent or a.separable):
+    if method == "fft" and a.structure == "general":
         raise ValueError("fft path requires an x-independent or separable symbol")
-    return _apply_symbol_mult(a, f, None, "direct" if method == "direct" else "auto")
+    return _apply_symbol_mult(a, f, None, method)
 
 
 def lp_piece_apply(
@@ -342,95 +309,88 @@ def lp_piece_apply(
 ) -> GridFunction:
     """Frequency band piece: the symbol is multiplied by ``psi_j``."""
     mult = fam.band(j, _freq_radius(f.spec))
-    return _apply_symbol_mult(a, f, mult, "direct" if method == "direct" else "auto")
+    return _apply_symbol_mult(a, f, mult, method)
 
 
 # ---------------------------------------------------------------------------
 # kernel rows and windowed pieces
 
+# Slices keep their symbol alive, so its id cannot be reused while cached.
+_ROW_CACHE_LIMIT = 256
 _row_cache: dict = {}
 _row_lock = threading.Lock()
 
 
-def _kernel_row(
-    a: SymbolClass, spec: GridSpec, mult: np.ndarray | None, x_index: tuple[int, ...]
-) -> np.ndarray:
-    """Kernel row K(x_i, z) on the periodic z-grid (FFT ordering)."""
-    c = spec.centers()
-    if spec.n == 1:
-        xc = (np.full(spec.N, c[x_index[0]]),)
-        amp = a.eval(xc, _freq_coords(spec))
+def _kernel_rows(
+    a: SymbolClass,
+    spec: GridSpec,
+    mult: np.ndarray | None,
+    cells: tuple[np.ndarray, ...] | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Kernel rows ``K(x, z)`` on the periodic z-grid (FFT ordering) of the
+    cells named by one index array per axis (at most ``_DIRECT_BLOCK``), or
+    with ``cells=None`` the x-free row of a multiplier or separable symbol
+    and its x-factor (None for cell rows, which include it)."""
+    if cells is None:
+        amp, xf = _amplitude(a, spec, mult)
+        amp = amp[None]
     else:
-        x1 = np.full(spec.shape, c[x_index[0]])
-        x2 = np.full(spec.shape, c[x_index[1]])
-        amp = a.eval((x1, x2), _freq_coords(spec))
-    if mult is not None:
-        amp = amp * mult
+        # contiguous x blocks keep each row's arithmetic that of a single row
+        c, shape = spec.centers(), (len(cells[0]),) + spec.shape
+        xs = tuple(np.repeat(c[ix], spec.N**spec.n).reshape(shape) for ix in cells)
+        amp, xf = a.eval(xs, _freq_coords(spec)), None
+        if mult is not None:
+            amp = amp * mult
     N = spec.N
     dxi = 2.0 * np.pi / (N * float(spec.h))
     scale = (dxi / (2.0 * np.pi)) ** spec.n * N**spec.n
-    if spec.n == 1:
-        return scale * np.fft.ifft(amp)
-    return scale * np.fft.ifft2(amp)
+    return scale * _dft(spec.n)[1](amp), xf
+
+
+def _cell_blocks(spec: GridSpec):
+    """All cells in C order, ``_DIRECT_BLOCK`` at a time, one index array per axis."""
+    cells = np.indices(spec.shape).reshape(spec.n, -1)
+    for lo in range(0, cells.shape[1], _DIRECT_BLOCK):
+        yield tuple(cells[:, lo : lo + _DIRECT_BLOCK])
 
 
 def _window_values(fam: CutoffFamily, idx: PieceIndex, spec: GridSpec) -> np.ndarray:
     return fam.window(idx.j, idx.ell, idx.nu, _z_radius(spec))
 
 
+def _localization_window(spec: GridSpec, ell1: int) -> np.ndarray:
+    return CutoffFamily().psi0(_z_radius(spec) * 2.0**-ell1)
+
+
 def _correlate_rows(
     a: SymbolClass,
     spec: GridSpec,
     mult: np.ndarray | None,
-    window: np.ndarray | None,
+    window: np.ndarray,
     f: GridFunction,
 ) -> GridFunction:
-    """Contract windowed kernel rows against f; fast convolution when the
-    kernel row shape does not depend on x (x-independent or separable)."""
+    """Contract windowed kernel rows against f; one FFT convolution when the
+    kernel row shape does not depend on x (multiplier or separable)."""
     h = float(spec.h)
-    if a.x_independent or a.separable:
-        if a.x_independent:
-            base = a.eval(_coord_zeros(spec), _freq_coords(spec))
-        elif a.xi_factor is not None:
-            base = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
-        else:
-            base = np.ones(spec.shape, dtype=np.complex128)
-        amp = base if mult is None else base * mult
-        N = spec.N
-        dxi = 2.0 * np.pi / (N * h)
-        scale = (dxi / (2.0 * np.pi)) ** spec.n * N**spec.n
-        row = scale * (np.fft.ifft(amp) if spec.n == 1 else np.fft.ifft2(amp))
-        if window is not None:
-            row = row * window
-        if spec.n == 1:
-            out = h * np.fft.ifft(np.fft.fft(row) * np.fft.fft(f.values))
-        else:
-            out = h**2 * np.fft.ifft2(np.fft.fft2(row) * np.fft.fft2(f.values))
-        if not a.x_independent and a.x_factor is not None:
-            out = np.asarray(a.x_factor(_center_coords(spec))) * out
-        return f.with_values(out)
-    N = spec.N
-    out = np.empty(spec.shape, dtype=np.complex128)
-    if spec.n == 1:
-        idx = np.arange(N)
-        fv = f.values
-        for i in range(N):
-            row = _kernel_row(a, spec, mult, (i,))
-            if window is not None:
-                row = row * window
-            out[i] = h * np.dot(row, fv[(i - idx) % N])
-        return f.with_values(out)
-    if N > 64:
-        raise ValueError("x-dependent windowed 2D pieces are limited to 64 cells per axis")
-    i2 = np.arange(N)
     fv = f.values
-    for i in range(N):
-        for j2 in range(N):
-            row = _kernel_row(a, spec, mult, (i, j2))
-            if window is not None:
-                row = row * window
-            shifted = fv[np.ix_((i - i2) % N, (j2 - i2) % N)]
-            out[i, j2] = h**2 * np.sum(row * shifted)
+    if a.structure != "general":
+        (row,), xf = _kernel_rows(a, spec, mult, None)
+        fft, ifft = _dft(spec.n)
+        out = h**spec.n * ifft(fft(row * window) * fft(fv))
+        return f.with_values(out if xf is None else xf * out)
+    N = spec.N
+    if spec.n == 2 and N > 64:
+        raise ValueError("x-dependent windowed 2D pieces are limited to 64 cells per axis")
+    out = np.empty(spec.shape, dtype=np.complex128)
+    i2 = np.arange(N)
+    for cells in _cell_blocks(spec):
+        rows = _kernel_rows(a, spec, mult, cells)[0] * window
+        if spec.n == 1:
+            for row, i in zip(rows, cells[0]):
+                out[i] = h * np.dot(row, fv[(i - i2) % N])
+        else:
+            for row, i, j2 in zip(rows, *cells):
+                out[i, j2] = h**2 * np.sum(row * fv[np.ix_((i - i2) % N, (j2 - i2) % N)])
     return f.with_values(out)
 
 
@@ -452,22 +412,23 @@ def kernel_slice(
     spec: GridSpec,
     windowed: bool = True,
 ) -> KernelSlice:
-    """Windowed kernel row of the (j, ell) piece at the cell center nearest x."""
-    if isinstance(x, tuple):
-        if spec.n != len(x):
-            raise ValueError("point dimension mismatch")
-        xs = x
-    else:
-        xs = (float(x),)
+    """Windowed kernel row of the (j, ell) piece at the cell center nearest x.
+
+    Slices are cached per symbol object (a bounded number of them); a new
+    symbol instance computes its slices afresh.
+    """
+    xs = x if isinstance(x, tuple) else (float(x),)
+    if spec.n != len(xs):
+        raise ValueError("point dimension mismatch")
     c = spec.centers()
     x_index = tuple(int(np.clip(np.argmin(np.abs(c - xi)), 0, spec.N - 1)) for xi in xs)
-    key = ("slice", id(a), fam.name, idx, x_index, spec, windowed)
+    key = (id(a), fam.name, idx, x_index, spec, windowed)
     with _row_lock:
         hit = _row_cache.get(key)
-    if hit is not None:
-        return hit
+    if hit is not None and hit[0] is a:
+        return hit[1]
     mult = fam.band(idx.j, _freq_radius(spec))
-    row = _kernel_row(a, spec, mult, x_index)
+    (row,), _ = _kernel_rows(a, spec, mult, tuple(np.array(x_index)[:, None]))
     if windowed:
         row = row * _window_values(fam, idx, spec)
     if spec.n == 1:
@@ -481,7 +442,9 @@ def kernel_slice(
             x=float(c[x_index[0]]), z=_z_radius(spec), values=row, idx=idx, windowed=windowed
         )
     with _row_lock:
-        _row_cache[key] = sl
+        if len(_row_cache) >= _ROW_CACHE_LIMIT:
+            del _row_cache[next(iter(_row_cache))]
+        _row_cache[key] = (a, sl)
     return sl
 
 
@@ -490,7 +453,7 @@ def full_kernel_row(
 ) -> np.ndarray:
     """Row of the full (all grid frequencies) kernel, optionally windowed by
     ``psi0(z / window_radius`` scale); FFT z-ordering."""
-    row = _kernel_row(a, spec, None, x_index)
+    (row,), _ = _kernel_rows(a, spec, None, tuple(np.array(x_index)[:, None]))
     if window_radius is not None:
         fam = CutoffFamily()
         row = row * fam.psi0(_z_radius(spec) / window_radius)
@@ -507,8 +470,7 @@ def apply_localized(atilde: LocalizedAmplitude, f: GridFunction) -> GridFunction
     spec = f.spec
     if 2.0**atilde.ell1 > float(spec.halfwidth):
         raise ValueError("wraparound risk: the localization radius exceeds half the domain")
-    fam = CutoffFamily()
-    window = fam.psi0(_z_radius(spec) * 2.0**-atilde.ell1)
+    window = _localization_window(spec, atilde.ell1)
     return _correlate_rows(atilde.symbol, spec, None, window, f)
 
 
@@ -530,62 +492,58 @@ def kernel_matrix(
     N = spec.N
     h = float(spec.h)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    if a.x_independent:
-        row = _kernel_row(a, spec, mult, (0,))
+    if a.structure == "multiplier":
+        (row,), _ = _kernel_rows(a, spec, mult, None)
         if window is not None:
             row = row * window
         return h * row[idx]
     M = np.empty((N, N), dtype=np.complex128)
-    for i in range(N):
-        row = _kernel_row(a, spec, mult, (i,))
+    for cells in _cell_blocks(spec):
+        rows = _kernel_rows(a, spec, mult, cells)[0]
         if window is not None:
-            row = row * window
-        M[i] = h * row[idx[i]]
+            rows = rows * window
+        M[cells[0]] = h * np.take_along_axis(rows, idx[cells[0]], axis=1)
     return M
 
 
-def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:
+def _handle(
+    a: SymbolClass,
+    spec: GridSpec,
+    label: str,
+    apply_fn: Callable[[GridFunction], GridFunction],
+    mult: np.ndarray | None = None,
+    window: np.ndarray | None = None,
+    local_radius: float | None = None,
+) -> OperatorHandle:
+    """Handle named after the symbol, with the dense form of the same kernel
+    in dimension one."""
     return OperatorHandle(
-        name=f"{a.family}(m={a.m})",
+        name=f"{a.family}(m={a.m}){label}",
         spec=spec,
-        apply_fn=lambda f: apply(a, f),
-        matrix_fn=(lambda: kernel_matrix(a, spec)) if spec.n == 1 else None,
+        apply_fn=apply_fn,
+        matrix_fn=(lambda: kernel_matrix(a, spec, mult, window)) if spec.n == 1 else None,
+        local_radius=local_radius,
     )
+
+
+def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:
+    return _handle(a, spec, "", lambda f: apply(a, f))
 
 
 def band_operator(a: SymbolClass, fam: CutoffFamily, j: int, spec: GridSpec) -> OperatorHandle:
     mult = fam.band(j, _freq_radius(spec))
-    return OperatorHandle(
-        name=f"{a.family}(m={a.m})^({j})",
-        spec=spec,
-        apply_fn=lambda f: lp_piece_apply(a, fam, j, f),
-        matrix_fn=(lambda: kernel_matrix(a, spec, mult)) if spec.n == 1 else None,
-    )
+    return _handle(a, spec, f"^({j})", lambda f: lp_piece_apply(a, fam, j, f), mult)
 
 
 def piece_operator(
     a: SymbolClass, fam: CutoffFamily, idx: PieceIndex, spec: GridSpec
 ) -> OperatorHandle:
-    mult = fam.band(idx.j, _freq_radius(spec))
-    window = _window_values(fam, idx, spec)
-    outer = 2.0 ** (idx.ell - idx.j * idx.nu + 1) if idx.ell >= 1 else 2.0 ** (1 - idx.j * idx.nu)
-    return OperatorHandle(
-        name=f"{a.family}(m={a.m})^({idx.j},{idx.ell})",
-        spec=spec,
-        apply_fn=lambda f: spatial_piece_apply(a, fam, idx, f),
-        matrix_fn=(lambda: kernel_matrix(a, spec, mult, window)) if spec.n == 1 else None,
-        local_radius=outer,
-    )
+    mult, window = fam.band(idx.j, _freq_radius(spec)), _window_values(fam, idx, spec)
+    return _handle(a, spec, f"^({idx.j},{idx.ell})", lambda f: spatial_piece_apply(a, fam, idx, f),
+                   mult, window, 2.0 ** (idx.ell - idx.j * idx.nu + 1))
 
 
 def localized_operator(atilde: LocalizedAmplitude, spec: GridSpec) -> OperatorHandle:
-    fam = CutoffFamily()
-    window = fam.psi0(_z_radius(spec) * 2.0**-atilde.ell1)
-    a = atilde.symbol
-    return OperatorHandle(
-        name=f"{a.family}(m={a.m})~ell1={atilde.ell1}",
-        spec=spec,
-        apply_fn=lambda f: apply_localized(atilde, f),
-        matrix_fn=(lambda: kernel_matrix(a, spec, None, window)) if spec.n == 1 else None,
-        local_radius=2.0**atilde.ell1,
-    )
+    window = _localization_window(spec, atilde.ell1)
+    return _handle(atilde.symbol, spec, f"~ell1={atilde.ell1}",
+                   lambda f: apply_localized(atilde, f), None, window, 2.0**atilde.ell1)

@@ -67,7 +67,6 @@ class SymbolClass:
     n: int
     fn: Callable[[Coords, Coords], np.ndarray]
     x_independent: bool = False
-    xi_independent: bool = False
     x_factor: Callable[[Coords], np.ndarray] | None = None
     xi_factor: Callable[[Coords], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
@@ -78,8 +77,14 @@ class SymbolClass:
         return np.asarray(self.fn(xc, xic), dtype=np.complex128)
 
     @property
-    def separable(self) -> bool:
-        return self.x_factor is not None or self.xi_factor is not None
+    def structure(self) -> str:
+        """``multiplier`` (x-independent), ``separable`` (x-factor times
+        xi-factor, either may be absent) or ``general``."""
+        if self.x_independent:
+            return "multiplier"
+        if self.x_factor is not None or self.xi_factor is not None:
+            return "separable"
+        return "general"
 
     def describe(self) -> dict:
         return {
@@ -114,6 +119,36 @@ class LocalizedAmplitude:
         return d
 
 
+def _factored(
+    family: str,
+    m: float,
+    rho: float,
+    delta: float,
+    kind: str,
+    n: int,
+    params: dict,
+    x_fact: Callable[[Coords], np.ndarray] | None = None,
+    xi_fact: Callable[[Coords], np.ndarray] | None = None,
+) -> SymbolClass:
+    """Symbol ``x_fact(x) * xi_fact(xi)``; an absent factor stands for 1."""
+
+    def fn(x: Coords, xi: Coords) -> np.ndarray:
+        if x_fact is None:
+            return np.broadcast_arrays(x[0] * 0, xi_fact(xi))[1].astype(np.complex128)
+        if xi_fact is None:
+            return np.broadcast_arrays(x_fact(x), xi[0] * 0)[0].astype(np.complex128)
+        return (x_fact(x) * xi_fact(xi)).astype(np.complex128)
+
+    return SymbolClass(
+        family=family, m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn,
+        x_independent=x_fact is None, x_factor=x_fact, xi_factor=xi_fact, params=params,
+    )
+
+
+def _bessel_factor(m: float) -> Callable[[Coords], np.ndarray]:
+    return lambda xi: (1.0 + sum(c * c for c in xi)) ** (m / 2.0)
+
+
 def bessel(m: float, rho: float = 1.0, delta: float = 0.0, n: int = 1) -> SymbolClass:
     """Smooth x-independent symbol ``(1 + |xi|**2)**(m/2)``.
 
@@ -121,23 +156,7 @@ def bessel(m: float, rho: float = 1.0, delta: float = 0.0, n: int = 1) -> Symbol
     to exercise estimates for rougher classes that this symbol also belongs
     to.
     """
-
-    def xi_fact(xi: Coords) -> np.ndarray:
-        r2 = sum(c * c for c in xi)
-        return (1.0 + r2) ** (m / 2.0)
-
-    return SymbolClass(
-        family="bessel",
-        m=m,
-        rho=rho,
-        delta=delta,
-        kind="smooth",
-        n=n,
-        fn=lambda x, xi: np.broadcast_arrays(x[0] * 0, xi_fact(xi))[1].astype(np.complex128),
-        x_independent=True,
-        xi_factor=xi_fact,
-        params={"m": m},
-    )
+    return _factored("bessel", m, rho, delta, "smooth", n, {"m": m}, xi_fact=_bessel_factor(m))
 
 
 def oscillatory_ct(rho: float, m0: float, n: int = 1) -> SymbolClass:
@@ -148,24 +167,13 @@ def oscillatory_ct(rho: float, m0: float, n: int = 1) -> SymbolClass:
     """
     if not (0 < rho <= 1):
         raise ValueError("oscillation exponent requires 0 < rho <= 1")
+    bessel_m0 = _bessel_factor(m0)
 
     def xi_fact(xi: Coords) -> np.ndarray:
-        r = _norm(xi)
-        r2 = sum(c * c for c in xi)
-        return np.exp(1j * r ** (1.0 - rho)) * (1.0 + r2) ** (m0 / 2.0)
+        return np.exp(1j * _norm(xi) ** (1.0 - rho)) * bessel_m0(xi)
 
-    return SymbolClass(
-        family="oscillatory_ct",
-        m=m0,
-        rho=rho,
-        delta=0.0,
-        kind="smooth",
-        n=n,
-        fn=lambda x, xi: np.broadcast_arrays(x[0] * 0, xi_fact(xi))[1].astype(np.complex128),
-        x_independent=True,
-        xi_factor=xi_fact,
-        params={"rho": rho, "m0": m0},
-    )
+    params = {"rho": rho, "m0": m0}
+    return _factored("oscillatory_ct", m0, rho, 0.0, "smooth", n, params, xi_fact=xi_fact)
 
 
 def rough_bump(m: float, rho: float, n: int = 1) -> SymbolClass:
@@ -180,22 +188,9 @@ def rough_bump(m: float, rho: float, n: int = 1) -> SymbolClass:
         s = np.sin((2**5) * np.pi * x[0])
         return np.where(s >= 0, 1.0, -1.0)
 
-    def xi_fact(xi: Coords) -> np.ndarray:
-        r2 = sum(c * c for c in xi)
-        return (1.0 + r2) ** (m / 2.0)
-
-    return SymbolClass(
-        family="rough_bump",
-        m=m,
-        rho=rho,
-        delta=0.0,
-        kind="rough_symbol",
-        n=n,
-        fn=lambda x, xi: (x_fact(x) * xi_fact(xi)).astype(np.complex128),
-        x_factor=x_fact,
-        xi_factor=xi_fact,
-        params={"m": m, "rho": rho},
-    )
+    params = {"m": m, "rho": rho}
+    return _factored("rough_bump", m, rho, 0.0, "rough_symbol", n, params,
+                     x_fact=x_fact, xi_fact=_bessel_factor(m))
 
 
 _MULT_PRESETS: dict[str, Callable[[Coords], np.ndarray]] = {
@@ -212,19 +207,7 @@ def multiplication(phi: Callable[[Coords], np.ndarray] | str, n: int = 1) -> Sym
     ``phi`` pointwise since the xi-sum is then a plain inverse transform."""
     name = phi if isinstance(phi, str) else getattr(phi, "__name__", "callable")
     fn = _MULT_PRESETS[phi] if isinstance(phi, str) else phi
-
-    return SymbolClass(
-        family="multiplication",
-        m=0.0,
-        rho=1.0,
-        delta=0.0,
-        kind="smooth",
-        n=n,
-        fn=lambda x, xi: np.broadcast_arrays(fn(x), xi[0] * 0)[0].astype(np.complex128),
-        xi_independent=True,
-        x_factor=fn,
-        params={"phi": name},
-    )
+    return _factored("multiplication", 0.0, 1.0, 0.0, "smooth", n, {"phi": name}, x_fact=fn)
 
 
 def custom_symbol(

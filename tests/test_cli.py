@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from sparselab import __version__
-from sparselab.cli import main
+from sparselab.cli import _worker_count, main
 from sparselab.sample import load_grid_function
 
 IDENTITY_INI = """\
@@ -114,6 +114,24 @@ class TestRun:
         ]
 
 
+class TestJobs:
+    def test_worker_count_is_clamped(self):
+        assert _worker_count(10**6, 2, 4) == 2
+        assert _worker_count(8, 16, 3) == 3
+        assert _worker_count(3, None, 4) == 1
+        assert _worker_count(1, 8, 4) == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_jobs_below_one_exits_two(self, tmp_path, capsys, command):
+        ini = write(tmp_path, IDENTITY_INI)
+        sweep = ["--axis", "grid.kappa", "--values", "4"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, ini, *sweep, "--jobs", "0", "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path / "nope.ini")) == 2
@@ -188,11 +206,13 @@ class TestSweep:
         assert run_cli("sweep", ini, "--axis", "grid.kappa", "--values", " , ") == 2
         assert "empty sweep value list" in capsys.readouterr().err
 
-    def test_bad_swept_value(self, tmp_path, capsys):
+    def test_bad_swept_value(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         ini = write(tmp_path, IDENTITY_INI)
         code = run_cli("sweep", ini, "--axis", "grid.kappa", "--values", "4,oops")
         assert code == 2
         assert "cannot parse" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestCorpus:

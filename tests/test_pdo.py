@@ -279,6 +279,16 @@ class TestKernelSlices:
         second = kernel_slice(a, FAM, idx, 1.0, SPEC)
         assert first is second
 
+    def test_cache_never_returns_another_symbols_slice(self):
+        # fresh symbols may reuse a freed symbol's id
+        idx = PieceIndex(4, 1, 0.5)
+        held = {m: bessel(m) for m in (-1.0, 0.5)}
+        want = {m: kernel_slice(a, FAM, idx, 0.0, SPEC).values for m, a in held.items()}
+        assert not np.array_equal(want[-1.0], want[0.5])
+        for k in range(200):
+            m = (-1.0, 0.5)[k % 2]
+            assert np.array_equal(kernel_slice(bessel(m), FAM, idx, 0.0, SPEC).values, want[m])
+
     def test_even_symbol_gives_even_real_row(self):
         idx = PieceIndex(3, 2, 0.0)
         sl = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)

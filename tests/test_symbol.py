@@ -56,7 +56,7 @@ class TestFamilies:
         v1 = a.fn((x,), (np.array([0.0]),))
         v2 = a.fn((x,), (np.array([100.0]),))
         assert v1 == v2
-        assert a.xi_independent
+        assert a.structure == "separable"
 
     def test_localized_amplitude_validation(self):
         with pytest.raises(ValueError):
