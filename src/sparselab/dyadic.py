@@ -116,8 +116,8 @@ class DyadicCube:
     def side(self) -> Fraction:
         return Fraction(2) ** (-self.k)
 
-    def box(self) -> Box:
-        return cube_box(self)
+    def volume(self) -> Fraction:
+        return self.side**self.n
 
 
 def cube_box(c: DyadicCube) -> Box:
@@ -293,15 +293,15 @@ def whitney_decompose(
     # out-of-domain cells never contribute, so cubes poking past the domain
     # can never be selected (the exterior counts as complement).
     counts = {grid.kappa: mask.astype(np.int64)}
-    offsets = {grid.kappa: tuple(grid.cell_origin_index(grid.kappa, omega))}
+    offsets = {grid.kappa: grid.cell_origin_index(omega)}
     k = grid.kappa
-    while k > grid.coarsest_scale(omega):
+    while k > grid.coarsest_scale():
         counts[k - 1], offsets[k - 1] = _coarsen_counts(
             counts[k], offsets[k], k, omega, grid
         )
         k -= 1
 
-    top = grid.coarsest_scale(omega)
+    top = grid.coarsest_scale()
     out: list[DyadicCube] = []
     stack = [
         (top, idx)

@@ -8,19 +8,24 @@ exact, and every cube with ``-K <= k <= kappa`` holds exactly
 ``2**((kappa-k)*n)`` cells per its volume.  Functions are extended by zero
 outside the domain; averages over boxes poking past the boundary integrate
 that extension while normalizing by the full box volume.
+
+In the unit ``2**-(kappa+1) / 3`` both are integers: the center of cell ``i``
+is ``3*(2i+1) - 3N`` and the lower corner of a cube with ``k <= kappa`` is
+``(3m + s*omega) * 2**(kappa+1-k)``.  So a cube's cells come from integer
+arithmetic alone; other boxes go through exact Fraction corners, which are
+also the reference the integer map is tested against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .dyadic import Box, DyadicCube, cube_box, shift_sign, third_dilate
+from .dyadic import Box, DyadicCube, shift_sign
 
 __all__ = [
     "GridSpec",
@@ -106,9 +111,33 @@ class GridSpec:
             count *= max(i1 - i0, 0)
         return count
 
-    def box_flat_cells(self, box: Box) -> np.ndarray:
-        """Flat indices of in-domain cells whose centers lie in ``box``."""
-        ranges = self.box_cell_ranges(box)
+    def cube_cell_ranges(self, c: DyadicCube) -> tuple[tuple[int, int], ...]:
+        """Per-axis ``[i0, i1)`` of the cells a cube holds, in integers only.
+
+        Matches :meth:`box_cell_ranges` on the cube's box, including its
+        clipping; a cube finer than a cell has no integer corners and raises.
+        """
+        if c.n != self.n:
+            raise ValueError("cube dimension does not match the grid")
+        if c.k > self.kappa:
+            raise ValueError("subgrid cube: finer than a grid cell")
+        d = 1 << (self.kappa + 1 - c.k)
+        s = shift_sign(c.k)
+        off = 3 * self.N - 3
+        out = []
+        for m, w in zip(c.m, c.omega):
+            lo = (3 * m + s * w) * d + off
+            i0 = -(-lo // 6)  # ceil
+            i1 = -(-(lo + 3 * d) // 6)
+            out.append((max(i0, 0), min(max(i1, 0), self.N)))
+        return tuple(out)
+
+    def box_flat_cells(self, region: Box | DyadicCube) -> np.ndarray:
+        """Flat indices of in-domain cells whose centers lie in a box or cube."""
+        if isinstance(region, DyadicCube):
+            ranges = self.cube_cell_ranges(region)
+        else:
+            ranges = self.box_cell_ranges(region)
         axes = [np.arange(i0, i1) for i0, i1 in ranges]
         if any(a.size == 0 for a in axes):
             return np.empty(0, dtype=np.int64)
@@ -116,18 +145,12 @@ class GridSpec:
             return axes[0].astype(np.int64)
         return (axes[0][:, None] * self.N + axes[1][None, :]).ravel().astype(np.int64)
 
-    def cell_origin_index(self, k: int, omega: tuple[int, ...]) -> tuple[int, ...]:
-        """Index ``m`` of the scale-``k`` cube holding cell 0, per axis."""
-        if k != self.kappa:
-            raise ValueError("origin index is defined at the cell scale")
-        s = shift_sign(k)
-        out = []
-        for w in omega:
-            t = Fraction(1, 2) - self.N // 2 - Fraction(s * w, 3)
-            out.append(t.numerator // t.denominator)
-        return tuple(out)
+    def cell_origin_index(self, omega: tuple[int, ...]) -> tuple[int, ...]:
+        """Index ``m`` of the cell-scale (``k = kappa``) cube holding cell 0, per axis."""
+        s = shift_sign(self.kappa)
+        return tuple((3 - 3 * self.N - 2 * s * w) // 6 for w in omega)
 
-    def coarsest_scale(self, omega: tuple[int, ...]) -> int:
+    def coarsest_scale(self) -> int:
         return -(self.K + 2)
 
 
@@ -197,12 +220,6 @@ class GridFunction:
         vals[sl] = self.values[sl]
         return GridFunction(self.spec, vals, self.name)
 
-    def restrict_cells(self, flat_cells: np.ndarray) -> "GridFunction":
-        vals = np.zeros(self.spec.N**self.spec.n, dtype=np.complex128)
-        flat = self.values.ravel()
-        vals[flat_cells] = flat[flat_cells]
-        return GridFunction(self.spec, vals.reshape(self.spec.shape), self.name)
-
 
 @dataclass(frozen=True)
 class ExponentPair:
@@ -245,35 +262,29 @@ class ExponentPair:
         return math.inf if inv == 0 else 1.0 / inv
 
 
-def _region_cells_and_volume(
-    f: GridFunction, region: DyadicCube | Box | np.ndarray
-) -> tuple[np.ndarray, float]:
-    spec = f.spec
-    if isinstance(region, DyadicCube):
-        region = cube_box(region)
-    if isinstance(region, Box):
-        if any(s < spec.h for s in region.sides):
-            raise ValueError("subgrid cube")
-        cells = spec.box_flat_cells(region)
-        vol = float(region.volume())
-        return cells, vol
-    cells = np.asarray(region, dtype=np.int64)
-    vol = cells.size * float(spec.h) ** spec.n
-    return cells, vol
-
-
 def average_p(
     f: GridFunction, region: DyadicCube | Box | np.ndarray, p: float
 ) -> float:
     """p-average ``(|Q|**-1 * integral_Q |f|**p)**(1/p)`` over a cube, box,
     or explicit cell set; ``p = inf`` gives the cell max."""
-    cells, vol = _region_cells_and_volume(f, region)
+    spec = f.spec
+    if isinstance(region, DyadicCube):
+        cells = spec.box_flat_cells(region)
+        vol = 2.0 ** (-region.k * spec.n)
+    elif isinstance(region, Box):
+        if any(s < spec.h for s in region.sides):
+            raise ValueError("subgrid cube")
+        cells = spec.box_flat_cells(region)
+        vol = float(region.volume())
+    else:
+        cells = np.asarray(region, dtype=np.int64)
+        vol = cells.size * float(spec.h) ** spec.n
     a = np.abs(f.values.ravel()[cells])
     if math.isinf(p):
         return float(a.max(initial=0.0))
     if vol <= 0:
         raise ValueError("region has no volume")
-    hn = float(f.spec.h) ** f.spec.n
+    hn = 2.0 ** (-spec.kappa * spec.n)  # cell volume, exact
     return float((hn * np.sum(a**p) / vol) ** (1.0 / p))
 
 

@@ -16,7 +16,8 @@ Two constructions:
   ``eta / 3**n``-sparse family.
 
 Volumes and inclusions are exact (Fraction arithmetic via the cube
-geometry); survivor sets are recorded as flat in-grid cell indices.
+geometry); survivor sets are recorded as flat in-grid cell indices, taken
+from the grid's integer cube-to-cell map.
 """
 
 from __future__ import annotations
@@ -92,8 +93,17 @@ class SparseCollection:
         return box if self.flavor == "stopping" else concentric_dilate(box, 3)
 
 
-def _cells(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
-    return spec.box_flat_cells(cube_box(cube))
+def _append_entry(
+    coll: SparseCollection, cube: DyadicCube, rank: int, parent: int, kids: list[DyadicCube]
+) -> int:
+    """Append ``cube`` with its cells minus those of its selected ``kids``
+    as survivor set; return the new entry's index."""
+    survivor = coll.spec.box_flat_cells(cube)
+    if kids:
+        kc = np.concatenate([coll.spec.box_flat_cells(c) for c in kids])
+        survivor = np.setdiff1d(survivor, kc, assume_unique=True)
+    coll.entries.append(SparseEntry(cube, rank, parent, survivor))
+    return len(coll.entries) - 1
 
 
 @dataclass(frozen=True)
@@ -153,17 +163,14 @@ def build_stopping_time(
         for om in omegas:
             roots.extend(enumerate_cubes(k0, tuple(int(t) for t in om), window))
 
-    def avg(fn: GridFunction, cube: DyadicCube, p: float) -> float:
-        return average_p(fn, cube, p)
-
     def select(cube: DyadicCube, tf: float, tg: float) -> list[DyadicCube]:
         """Maximal descendants whose average jumps past tf or tg."""
         out = []
         stack = list(cube_children(cube)) if cube.k < spec.kappa else []
         while stack:
             c = stack.pop()
-            af = avg(f, c, r)
-            ag = avg(g, c, sp)
+            af = average_p(f, c, r)
+            ag = average_p(g, c, sp)
             if af > tf or ag > tg:
                 out.append(c)
             elif (af > 0 or ag > 0) and c.k < spec.kappa:
@@ -171,47 +178,30 @@ def build_stopping_time(
         return out
 
     for root in roots:
-        af = avg(f, root, r)
-        ag = avg(g, root, sp)
+        af = average_p(f, root, r)
+        ag = average_p(g, root, sp)
         if af == 0 and ag == 0:
             continue
         chain = [root]
         for _ in range(config.extend_up):
             chain.append(cube_parent(chain[-1]))
-        # ancestors first, ranks -extend_up .. 0
+        # ancestors first, ranks -extend_up .. -1, each with its one known child
         prev = -1
-        for depth, cube in enumerate(reversed(chain)):
-            rank = depth - config.extend_up
-            kids = (
-                [chain[len(chain) - 2 - depth]] if rank < 0 else None
-            )  # the single known child
-            cells = _cells(spec, cube)
-            if kids is not None:
-                kid_cells = _cells(spec, kids[0])
-                surv = np.setdiff1d(cells, kid_cells, assume_unique=True)
-                coll.entries.append(SparseEntry(cube, rank, prev, surv))
-                prev = len(coll.entries) - 1
+        for depth in range(config.extend_up, 0, -1):
+            prev = _append_entry(coll, chain[depth], -depth, prev, [chain[depth - 1]])
+        # rank 0: run the recursive selection from the root
+        stack = [(root, prev, 0, af, ag)]
+        while stack:
+            q, parent_idx, rank, qaf, qag = stack.pop()
+            if config.max_rank is not None and rank > config.max_rank:
                 continue
-            # rank 0: run the recursive selection from here
-            stack = [(cube, prev, 0, af, ag)]
-            while stack:
-                q, parent_idx, rank0, qaf, qag = stack.pop()
-                if config.max_rank is not None and rank0 > config.max_rank:
-                    continue
-                kids = select(q, jump_f * qaf, jump_g * qag)
-                kids.sort(key=lambda c: (c.k, c.m))
-                q_cells = _cells(spec, q)
-                if kids:
-                    kc = np.concatenate([_cells(spec, c) for c in kids])
-                    surv = np.setdiff1d(q_cells, kc, assume_unique=True)
-                else:
-                    surv = q_cells
-                coll.entries.append(SparseEntry(q, rank0, parent_idx, surv))
-                me = len(coll.entries) - 1
-                if config.max_rank is not None and rank0 == config.max_rank:
-                    continue
-                for c in kids:
-                    stack.append((c, me, rank0 + 1, avg(f, c, r), avg(g, c, sp)))
+            kids = select(q, jump_f * qaf, jump_g * qag)
+            kids.sort(key=lambda c: (c.k, c.m))
+            me = _append_entry(coll, q, rank, parent_idx, kids)
+            if config.max_rank is not None and rank == config.max_rank:
+                continue
+            for c in kids:
+                stack.append((c, me, rank + 1, average_p(f, c, r), average_p(g, c, sp)))
     return coll
 
 
@@ -295,7 +285,7 @@ def build_whitney_sparse(
         qbox = cube_box(q)
         tbox = concentric_dilate(qbox, 3)
         tau_f = cf * average_p(f, tbox, r)
-        tau_g = cg * average_p(g, qbox, sp)
+        tau_g = cg * average_p(g, q, sp)
         mask = level_mask(f.restrict_box(tbox), r, tau_f)
         mask |= level_mask(g.restrict_box(qbox), sp, tau_g)
         kids: list[DyadicCube] = []
@@ -306,14 +296,7 @@ def build_whitney_sparse(
                 if qbox.contains_box(cube_box(w))
             ]
             kids.sort(key=lambda c: (c.k, c.m))
-        q_cells = _cells(spec, q)
-        if kids:
-            kc = np.concatenate([_cells(spec, c) for c in kids])
-            surv = np.setdiff1d(q_cells, kc, assume_unique=True)
-        else:
-            surv = q_cells
-        coll.entries.append(SparseEntry(q, rank, parent_idx, surv))
-        me = len(coll.entries) - 1
+        me = _append_entry(coll, q, rank, parent_idx, kids)
         if config.max_rank is not None and rank >= config.max_rank:
             continue
         for w in reversed(kids):
@@ -372,9 +355,9 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
     failures: list[str] = []
     min_margin = np.inf
     for i, e in enumerate(coll.entries):
-        vol = cube_box(e.cube).volume()
+        vol = e.cube.volume()
         kid_vol = sum(
-            (cube_box(coll.entries[j].cube).volume() for j in coll.children_of(i)),
+            (coll.entries[j].cube.volume() for j in coll.children_of(i)),
             Fraction(0),
         )
         surv_vol = vol - kid_vol

@@ -13,7 +13,6 @@ arrays.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 

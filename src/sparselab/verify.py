@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import CubePoset, concentric_dilate, cube_box
+from .dyadic import Box, CubePoset, DyadicCube
 from .maximal import maximal_p, sharp_maximal
 from .pdo import (
     CutoffFamily,
@@ -392,7 +392,7 @@ def kernel_decay_fit(
     ells: list[int],
     nu: float,
     fam: CutoffFamily | None = None,
-    x: float = 0.0,
+    x: float | tuple[float, ...] = 0.0,
     floor: float = 1e-13,
 ) -> NormFit:
     """Fit log2 of the windowed piece-kernel sup against the shell index.
@@ -400,11 +400,14 @@ def kernel_decay_fit(
     Shells live at distance ~ 2**(ell - j*nu) from the diagonal; repeated
     integration by parts trades each shell step for a fixed decay factor, so
     the fitted slope should be steeply negative.  Shell values below
-    ``floor`` are dropped from the fit (already at quadrature noise).
+    ``floor`` are dropped from the fit (already at quadrature noise).  A
+    scalar ``x`` is the point with that coordinate on every axis.
     """
     if not nu < a.rho:
         raise ValueError("shell decay needs nu below the symbol's rho")
     fam = fam or default_cutoffs()
+    if not isinstance(x, tuple):
+        x = (float(x),) * spec.n
     used, vals, logs = [], [], []
     for ell in ells:
         sl = kernel_slice(a, fam, PieceIndex(j, ell, nu), x, spec)
@@ -584,13 +587,19 @@ class SparseForm:
     per_cube: list[float]
 
 
+def _region(coll: SparseCollection, i: int) -> DyadicCube | Box:
+    """Averaging region of entry i.  A stopping entry's is its cube, passed
+    as a cube so that its cells come from the grid's integer map."""
+    return coll.entries[i].cube if coll.flavor == "stopping" else coll.region(i)
+
+
 def sparse_form(
     coll: SparseCollection, f: GridFunction, g: GridFunction, pair: ExponentPair
 ) -> SparseForm:
     """Sum over the family of |region| <f>_r,region <g>_s',region."""
     per = []
     for i in range(len(coll.entries)):
-        region = coll.region(i)
+        region = _region(coll, i)
         vol = float(region.volume())
         per.append(vol * average_p(f, region, pair.r) * average_p(g, region, pair.s_prime))
     return SparseForm(float(sum(per)), per)
@@ -651,8 +660,8 @@ def pointwise_domination_check(
     D = np.zeros(spec.shape)
     flat = D.reshape(-1)
     for i, e in enumerate(coll.entries):
-        avg = average_p(f, coll.region(i), r)
-        cells = spec.box_flat_cells(cube_box(e.cube))
+        avg = average_p(f, _region(coll, i), r)
+        cells = spec.box_flat_cells(e.cube)
         np.add.at(flat, cells, avg)
     Ta = np.abs(Tf.values)
     covered = D > 0
@@ -796,12 +805,9 @@ def endpoint_audit(
     def pair_with_g(tvals: np.ndarray, cells: np.ndarray) -> float:
         return float(np.sum(tvals.reshape(-1)[cells] * g_abs.reshape(-1)[cells]) * hn)
 
-    def cells_of(box) -> np.ndarray:
-        return spec.box_flat_cells(box)
-
     # reach must fit into a core side, otherwise the identity is not exact
     reach = 2.0**ell1 + 2.0 * ell2
-    sides = {float(cube_box(coll.entries[i].cube).sides[0]) for i in coll.by_rank(0)}
+    sides = {float(coll.entries[i].cube.side) for i in coll.by_rank(0)}
     if sides and min(sides) < reach:
         raise ValueError("core side is below the composed operator reach")
 
@@ -817,10 +823,10 @@ def endpoint_audit(
         tb = coll.region(i)
         Ti = T(f.restrict_box(tb))
         loc_T[i] = Ti
-        loc_pair[i] = pair_with_g(Ti, cells_of(cube_box(e.cube)))
+        loc_pair[i] = pair_with_g(Ti, spec.box_flat_cells(e.cube))
 
     base_lhs = sum(
-        pair_with_g(T_global, cells_of(cube_box(coll.entries[i].cube)))
+        pair_with_g(T_global, spec.box_flat_cells(coll.entries[i].cube))
         for i in by_rank[0]
     )
     base_rhs = sum(loc_pair[i] for i in by_rank[0])
@@ -842,14 +848,11 @@ def endpoint_audit(
         for jdx in coll.children_of(i):
             child = coll.entries[jdx]
             ctb = coll.region(jdx)
-            cbox = cube_box(child.cube)
             if af > DENOM_FLOOR:
                 carved = f.restrict_box(tb).values.copy()
-                carved.reshape(-1)[cells_of(ctb)] = 0.0
-                tv = T(f.with_values(carved))
-                a1 = max(
-                    a1, average_p(f.with_values(tv.astype(np.complex128)), cbox, pair.s) / af
-                )
+                carved.reshape(-1)[spec.box_flat_cells(ctb)] = 0.0
+                tv = T(f.with_values(carved)).astype(np.complex128)
+                a1 = max(a1, average_p(f.with_values(tv), child.cube, pair.s) / af)
             if ag > DENOM_FLOOR:
                 a4 = max(a4, average_p(g, ctb, sp) / ag)
 
@@ -862,7 +865,7 @@ def endpoint_audit(
         for i in by_rank[q]:
             e = coll.entries[i]
             tb = coll.region(i)
-            form += float(cube_box(e.cube).volume()) * average_p(f, tb, r) * average_p(g, tb, sp)
+            form += float(e.cube.volume()) * average_p(f, tb, r) * average_p(g, tb, sp)
         rank_forms.append(form)
     rank_ok, rank_slack = [], []
     for q in ranks:
@@ -876,7 +879,7 @@ def endpoint_audit(
     final_constant = base_lhs / total_form if total_form > DENOM_FLOOR else 0.0
 
     vols = [
-        float(sum((cube_box(coll.entries[i].cube).volume() for i in by_rank[q]), Fraction(0)))
+        float(sum((coll.entries[i].cube.volume() for i in by_rank[q]), Fraction(0)))
         for q in ranks
     ]
     volume_ratios = [vols[q + 1] / vols[q] for q in range(len(vols) - 1) if vols[q] > 0]
@@ -885,7 +888,7 @@ def endpoint_audit(
     sparsity = verify_sparsity(coll)
     # the ordered family is the triples: the central third of a child triple
     # is the child cube itself, which lies inside the parent core
-    triples = [concentric_dilate(cube_box(e.cube), 3) for e in coll.entries]
+    triples = [coll.region(i) for i in range(len(coll))]
     poset = CubePoset(triples, [e.rank for e in coll.entries])
     violations = poset.check_graded()
 

@@ -193,3 +193,58 @@ def test_restrict_box_zeroes_outside():
     g = f.restrict_box(box1(0, 1))
     assert g.lp_norm(1.0) == pytest.approx(1.0, abs=1e-14)
     assert np.all(g.values[: spec.N // 2] == 0)
+
+
+@st.composite
+def grid_and_cube(draw):
+    """A grid and a cube of scale ``-(K+3) .. kappa`` whose index reaches
+    past the domain on both sides."""
+    n = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(-1, 3))
+    kappa = draw(st.integers(max(0, -K), 8))
+    k = draw(st.integers(-(K + 3), kappa))
+    reach = 2 ** max(K + k, 0) + 2
+    m = tuple(draw(st.integers(-reach - 1, reach)) for _ in range(n))
+    omega = tuple(draw(st.sampled_from((0, 1, 2))) for _ in range(n))
+    return GridSpec(n, K, kappa), DyadicCube(k, m, omega)
+
+
+class TestCubeCellMap:
+    """The integer cube-to-cell map against the exact Fraction reference."""
+
+    @given(grid_and_cube())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_ranges(self, spec_cube):
+        spec, c = spec_cube
+        assert spec.cube_cell_ranges(c) == spec.box_cell_ranges(cube_box(c))
+        assert np.array_equal(spec.box_flat_cells(c), spec.box_flat_cells(cube_box(c)))
+
+    @given(grid_and_cube(), st.integers(0, 3), st.sampled_from((1.0, 4 / 3, 2.0, math.inf)))
+    @settings(max_examples=100, deadline=None)
+    def test_cube_average_equals_box_average(self, spec_cube, slot, p):
+        spec, c = spec_cube
+        f = make_corpus(spec, seed=slot, count=slot + 1)[slot]
+        assert average_p(f, c, p) == average_p(f, cube_box(c), p)
+
+    def test_cell_origin_index_matches_fraction_formula(self):
+        for n, K, kappa in [(1, -1, 1), (1, 0, 3), (1, 2, 6), (2, 1, 3), (2, 0, 4), (1, 3, 8)]:
+            spec = GridSpec(n, K, kappa)
+            s = 1 if kappa % 2 else -1
+            for omega in np.ndindex(*(3,) * n):
+                want = []
+                for w in omega:
+                    t = Fr(1, 2) - spec.N // 2 - Fr(s * w, 3)
+                    want.append(t.numerator // t.denominator)
+                assert spec.cell_origin_index(omega) == tuple(want)
+
+    def test_cube_finer_than_a_cell_raises(self):
+        spec = GridSpec(1, 1, 3)
+        c = DyadicCube(spec.kappa + 1, (0,), (1,))
+        with pytest.raises(ValueError, match="subgrid"):
+            spec.cube_cell_ranges(c)
+        with pytest.raises(ValueError, match="subgrid"):
+            average_p(GridFunction.zeros(spec), c, 2.0)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            GridSpec(2, 1, 3).cube_cell_ranges(DyadicCube(0, (0,), (0,)))

@@ -221,6 +221,11 @@ class TestKernelDecayFit:
                 bessel(-1.0), self.SPEC6, j=5, ells=[0, 1, 2], nu=0.5, floor=1e6
             )
 
+    def test_scalar_point_on_a_2d_grid(self):
+        # a scalar x stands for that coordinate on every axis
+        fit = kernel_decay_fit(bessel(-1.0, n=2), GridSpec(2, 1, 3), 5, list(range(6)), 0.95)
+        assert len(fit.indices) >= 2
+
 
 class TestDecayProbeConfig:
     def test_validation(self):
