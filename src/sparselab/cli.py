@@ -469,17 +469,6 @@ def _probe_list(cfg: Config) -> list[str]:
     raise cfg.fail("probes", None, "the [probes] section needs a suite or a run list")
 
 
-def _sanitize(obj):
-    """Make a report JSON-strict: non-finite floats become strings."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _probe_task(payload):
     """Worker entry: rebuild everything deterministically and run one probe."""
     data, seed, name = payload
@@ -530,7 +519,6 @@ def run_probes(
         rep = dict(rep)
         rep["config_sha256"] = sha
         rep["version"] = __version__
-        rep = _sanitize(rep)
         (out_dir / f"{name}.json").write_text(json.dumps(rep, sort_keys=True, indent=2) + "\n")
         reports.append(rep)
         timings.append((name, secs))

@@ -18,6 +18,7 @@ O(N**2) in 1D.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -51,45 +52,47 @@ def _window_max_at_cells(sums: np.ndarray, w: int) -> np.ndarray:
     return _sliding_max(np.concatenate([pad, sums, pad], axis=-1), w)
 
 
-def _uncentred_1d(u: np.ndarray, widths, best: np.ndarray) -> None:
-    P = np.concatenate([[0.0], np.cumsum(u)])
-    for w in widths:
-        sums = P[w:] - P[:-w]
-        np.maximum(best, _window_max_at_cells(sums, w) / w, out=best)
+def _window_max_all_axes(sums: np.ndarray, w: int) -> np.ndarray:
+    """Best window sum among the ``w**n``-cell windows containing each cell."""
+    last_first = (sums.ndim - 1,) + tuple(range(sums.ndim - 1))
+    for _ in range(sums.ndim):
+        sums = _window_max_at_cells(np.ascontiguousarray(sums), w).transpose(last_first)
+    return sums
 
 
-def _centred_1d(u: np.ndarray, widths, best: np.ndarray) -> None:
-    N = u.shape[0]
-    P = np.concatenate([[0.0], np.cumsum(u)])
-    i = np.arange(N)
-    for w in widths:
-        k = (w - 1) // 2
-        sums = P[np.minimum(i + k + 1, N)] - P[np.maximum(i - k, 0)]
-        np.maximum(best, sums / w, out=best)
+def _prefix_sums(u: np.ndarray) -> np.ndarray:
+    """``P[i] = u[:i].sum()`` per axis: cumulative sums with a zero border."""
+    P = np.zeros(tuple(s + 1 for s in u.shape), dtype=u.dtype)
+    for ax in range(u.ndim):
+        u = u.cumsum(axis=ax)
+    P[(slice(1, None),) * u.ndim] = u
+    return P
 
 
-def _uncentred_2d(u: np.ndarray, widths, best: np.ndarray) -> None:
-    N = u.shape[0]
-    P = np.zeros((N + 1, N + 1))
-    P[1:, 1:] = u.cumsum(axis=0).cumsum(axis=1)
-    for w in widths:
-        sums = P[w:, w:] - P[:-w, w:] - P[w:, :-w] + P[:-w, :-w]
-        rows = _window_max_at_cells(sums, w)
-        cols = _window_max_at_cells(np.ascontiguousarray(rows.T), w)
-        np.maximum(best, cols.T / w**2, out=best)
+def _corners(n: int) -> list[tuple[bool, ...]]:
+    """Window corners for inclusion-exclusion, ``True`` marking the upper
+    end of an axis; axis 0 varies fastest, starting from the all-upper
+    corner, which fixes the order the terms are added in."""
+    return [c[::-1] for c in itertools.product((True, False), repeat=n)]
 
 
-def _centred_2d(u: np.ndarray, widths, best: np.ndarray) -> None:
-    N = u.shape[0]
-    P = np.zeros((N + 1, N + 1))
-    P[1:, 1:] = u.cumsum(axis=0).cumsum(axis=1)
-    i = np.arange(N)
-    for w in widths:
-        k = (w - 1) // 2
-        lo = np.maximum(i - k, 0)
-        hi = np.minimum(i + k + 1, N)
-        sums = P[np.ix_(hi, hi)] - P[np.ix_(lo, hi)] - P[np.ix_(hi, lo)] + P[np.ix_(lo, lo)]
-        np.maximum(best, sums / w**2, out=best)
+def _window_sums(P: np.ndarray, corners, lo: tuple, hi: tuple) -> np.ndarray:
+    """Window sums from prefix sums by inclusion-exclusion; ``lo`` and ``hi``
+    index the lower and upper ends of every window, one entry per axis, and
+    a corner is subtracted when it has an odd number of lower ends."""
+    total = None
+    for c in corners:
+        term = P[tuple(b if up else a for a, b, up in zip(lo, hi, c))]
+        if total is None:
+            total = term
+        else:
+            total = total - term if (len(c) - sum(c)) % 2 else total + term
+    return total
+
+
+def _sliding_sums(P: np.ndarray, corners, w: int) -> np.ndarray:
+    """Sums over every window of ``w`` cells per axis that fits in the grid."""
+    return _window_sums(P, corners, (slice(None, -w),) * P.ndim, (slice(w, None),) * P.ndim)
 
 
 def maximal_p(
@@ -129,11 +132,19 @@ def maximal_p(
         cap = total / threshold**p
         widths = [w for w in widths if (w * h) ** spec.n <= cap]
 
+    P = _prefix_sums(u)
+    corners = _corners(spec.n)
+    i = np.arange(N)
     best = np.zeros(spec.shape)
-    if spec.n == 1:
-        (_centred_1d if centred else _uncentred_1d)(u, widths, best)
-    else:
-        (_centred_2d if centred else _uncentred_2d)(u, widths, best)
+    for w in widths:
+        if centred:
+            k = (w - 1) // 2
+            lo = np.ix_(*(np.maximum(i - k, 0),) * spec.n)
+            hi = np.ix_(*(np.minimum(i + k + 1, N),) * spec.n)
+            sums = _window_sums(P, corners, lo, hi)
+        else:
+            sums = _window_max_all_axes(_sliding_sums(P, corners, w), w)
+        np.maximum(best, sums / w**spec.n, out=best)
     return best ** (1.0 / p)
 
 
@@ -153,35 +164,19 @@ def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:
     return out
 
 
-def _osc_1d(vals: np.ndarray, w: int) -> np.ndarray:
-    """Mean |f - window mean| for every length-w window, chunked."""
-    N = vals.shape[0]
-    P = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
-    means = (P[w:] - P[:-w]) / w
-    M = N - w + 1
-    out = np.empty(M)
-    step = max(1, _OSC_CHUNK // w)
-    view = np.lib.stride_tricks.sliding_window_view(vals, w)
+def _osc(vals: np.ndarray, P: np.ndarray, corners, w: int) -> np.ndarray:
+    """Mean ``|f - window mean|`` for every ``w**n``-cell window, chunked;
+    ``P`` holds the prefix sums of ``vals``."""
+    n = vals.ndim
+    means = _sliding_sums(P, corners, w) / w**n
+    M = vals.shape[0] - w + 1
+    out = np.empty((M,) * n)
+    view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
+    step = max(1, _OSC_CHUNK // (w**n * M ** (n - 1)))
     for lo in range(0, M, step):
         hi = min(lo + step, M)
-        dev = np.abs(view[lo:hi] - means[lo:hi, None])
-        out[lo:hi] = dev.mean(axis=1)
-    return out
-
-
-def _osc_2d(vals: np.ndarray, w: int) -> np.ndarray:
-    N = vals.shape[0]
-    P = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    P[1:, 1:] = vals.cumsum(axis=0).cumsum(axis=1)
-    means = (P[w:, w:] - P[:-w, w:] - P[w:, :-w] + P[:-w, :-w]) / w**2
-    M = N - w + 1
-    out = np.empty((M, M))
-    view = np.lib.stride_tricks.sliding_window_view(vals, (w, w))
-    step = max(1, _OSC_CHUNK // (w * w * M))
-    for lo in range(0, M, step):
-        hi = min(lo + step, M)
-        dev = np.abs(view[lo:hi] - means[lo:hi, :, None, None])
-        out[lo:hi] = dev.mean(axis=(2, 3))
+        dev = np.abs(view[lo:hi] - means[lo:hi][(...,) + (None,) * n])
+        out[lo:hi] = dev.mean(axis=tuple(range(n, 2 * n)))
     return out
 
 
@@ -214,13 +209,9 @@ def sharp_maximal(
         if spec.n == 2 and N > 128:
             raise ValueError("2D exhaustive oscillation sweep is limited to 128 cells per axis")
 
+    P = _prefix_sums(f.values)
+    corners = _corners(spec.n)
     best = np.zeros(spec.shape)
     for w in widths:
-        osc = _osc_1d(f.values, w) if spec.n == 1 else _osc_2d(f.values, w)
-        if spec.n == 1:
-            np.maximum(best, _window_max_at_cells(osc, w), out=best)
-        else:
-            rows = _window_max_at_cells(osc, w)
-            cols = _window_max_at_cells(np.ascontiguousarray(rows.T), w)
-            np.maximum(best, cols.T, out=best)
+        np.maximum(best, _window_max_all_axes(_osc(f.values, P, corners, w), w), out=best)
     return best

@@ -153,30 +153,23 @@ class KernelSlice:
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Callable operator with optional dense-matrix access for oracles."""
+    """Callable operator with dense-matrix access for oracles."""
 
     name: str
     spec: GridSpec
     apply_fn: Callable[[GridFunction], GridFunction]
-    matrix_fn: Callable[[], np.ndarray] | None = None
+    matrix_fn: Callable[[], np.ndarray]
     local_radius: float | None = None
 
     def __call__(self, f: GridFunction) -> GridFunction:
         return self.apply_fn(f)
 
     def matrix(self) -> np.ndarray:
-        if self.matrix_fn is None:
-            raise ValueError(f"operator {self.name} has no dense form")
         return self.matrix_fn()
 
 
 # ---------------------------------------------------------------------------
 # transforms
-
-
-def _grid_coords(v: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """One copy of the axis samples ``v`` per axis, shaped to broadcast to the grid."""
-    return tuple(v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k in range(n))
 
 
 def _dft(n: int) -> tuple[Callable, Callable]:
@@ -187,7 +180,7 @@ def _dft(n: int) -> tuple[Callable, Callable]:
 def _phase(spec: GridSpec) -> np.ndarray:
     """exp(-i xi . c_0) on the frequency grid (samples sit at cell centers)."""
     c0 = float(spec.center_fraction(0))
-    return functools.reduce(np.multiply, _grid_coords(np.exp(-1j * spec.freqs() * c0), spec.n))
+    return functools.reduce(np.multiply, spec.grid_coords(np.exp(-1j * spec.freqs() * c0)))
 
 
 def _guard_support(f: GridFunction) -> None:
@@ -210,7 +203,7 @@ def inverse_eval(spec: GridSpec, g: np.ndarray) -> np.ndarray:
 
 
 def _freq_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    return _grid_coords(spec.freqs(), spec.n)
+    return spec.grid_coords(spec.freqs())
 
 
 def _freq_radius(spec: GridSpec) -> np.ndarray:
@@ -220,7 +213,7 @@ def _freq_radius(spec: GridSpec) -> np.ndarray:
 def _z_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
     """Physical offsets of the periodic z-grid, FFT ordering."""
     t = np.fft.fftfreq(spec.N, d=1.0 / spec.N) * float(spec.h)  # t*h with wrap to negatives
-    return _grid_coords(t, spec.n)
+    return spec.grid_coords(t)
 
 
 def _z_radius(spec: GridSpec) -> np.ndarray:
@@ -244,27 +237,19 @@ def _apply_direct(a: SymbolClass, f: GridFunction, mult: np.ndarray | None) -> G
     if mult is not None:
         fh = fh * mult
     dxi = 2.0 * np.pi / (spec.N * float(spec.h))
+    fhd = (fh * dxi**spec.n).ravel()
     c = spec.centers()
-    xi = spec.freqs()
-    out = np.empty(spec.shape, dtype=np.complex128)
-    if spec.n == 1:
-        fhd = fh * dxi
-        for lo in range(0, spec.N, _DIRECT_BLOCK):
-            hi = min(lo + _DIRECT_BLOCK, spec.N)
-            xb = c[lo:hi][:, None]
-            amp = a.eval((np.broadcast_to(xb, (hi - lo, spec.N)),), (xi[None, :],))
-            out[lo:hi] = (amp * np.exp(1j * xi[None, :] * xb)) @ fhd
-        return f.with_values(out)
-    fhd = (fh * dxi**2).ravel()
-    flat_xi1 = np.broadcast_to(xi[:, None], (spec.N, spec.N)).ravel()
-    flat_xi2 = np.broadcast_to(xi[None, :], (spec.N, spec.N)).ravel()
-    for i in range(spec.N):
-        x1 = np.broadcast_to(c[i], (spec.N, flat_xi1.size))
-        x2 = np.broadcast_to(c[:, None], (spec.N, flat_xi1.size))
-        amp = a.eval((x1, x2), (flat_xi1[None, :], flat_xi2[None, :]))
-        phase = np.exp(1j * (flat_xi1[None, :] * c[i] + flat_xi2[None, :] * c[:, None]))
-        out[i] = (amp * phase) @ fhd
-    return f.with_values(out)
+    xi = tuple(x[None] for x in _freq_coords(spec))
+    out = np.empty(spec.N**spec.n, dtype=np.complex128)
+    for lo, cells in _cell_blocks(spec):
+        B = len(cells[0])
+        xb = tuple(c[ix].reshape((B,) + (1,) * spec.n) for ix in cells)
+        amp = a.eval(tuple(np.broadcast_to(x, (B,) + spec.shape) for x in xb), xi)
+        phase = functools.reduce(np.add, (q * x for q, x in zip(xi, xb)))
+        # exp stays inside the product: numpy then multiplies into its
+        # temporary, which fixes the last bits of the result
+        out[lo : lo + B] = (amp * np.exp(1j * phase)).reshape(B, -1) @ fhd
+    return f.with_values(out.reshape(spec.shape))
 
 
 def _amplitude(
@@ -279,7 +264,7 @@ def _amplitude(
             amp = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
         else:
             amp = np.ones(spec.shape, dtype=np.complex128)
-        xf = None if a.x_factor is None else a.x_factor(_grid_coords(spec.centers(), spec.n))
+        xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
     return (amp if mult is None else amp * mult), xf
 
 
@@ -348,10 +333,11 @@ def _kernel_rows(
 
 
 def _cell_blocks(spec: GridSpec):
-    """All cells in C order, ``_DIRECT_BLOCK`` at a time, one index array per axis."""
+    """All cells in C order, ``_DIRECT_BLOCK`` at a time: the flat index of
+    a block's first cell and one index array per axis."""
     cells = np.indices(spec.shape).reshape(spec.n, -1)
     for lo in range(0, cells.shape[1], _DIRECT_BLOCK):
-        yield tuple(cells[:, lo : lo + _DIRECT_BLOCK])
+        yield lo, tuple(cells[:, lo : lo + _DIRECT_BLOCK])
 
 
 def _window_values(fam: CutoffFamily, idx: PieceIndex, spec: GridSpec) -> np.ndarray:
@@ -382,15 +368,14 @@ def _correlate_rows(
     if spec.n == 2 and N > 64:
         raise ValueError("x-dependent windowed 2D pieces are limited to 64 cells per axis")
     out = np.empty(spec.shape, dtype=np.complex128)
-    i2 = np.arange(N)
-    for cells in _cell_blocks(spec):
+    # g(u) = f(-u) on the doubled periodic grid: f(x - z) over all z is one slice of g
+    g = np.tile(fv[np.ix_(*(-np.arange(N) % N,) * spec.n)], (2,) * spec.n)
+    hn = h**spec.n
+    for _, cells in _cell_blocks(spec):
         rows = _kernel_rows(a, spec, mult, cells)[0] * window
-        if spec.n == 1:
-            for row, i in zip(rows, cells[0]):
-                out[i] = h * np.dot(row, fv[(i - i2) % N])
-        else:
-            for row, i, j2 in zip(rows, *cells):
-                out[i, j2] = h**2 * np.sum(row * fv[np.ix_((i - i2) % N, (j2 - i2) % N)])
+        for row, *i in zip(rows, *cells):
+            fy = g[tuple(slice(N - k, 2 * N - k) for k in i)]
+            out[tuple(i)] = hn * np.dot(row.ravel(), fy.ravel())
     return f.with_values(out)
 
 
@@ -484,25 +469,30 @@ def kernel_matrix(
     mult: np.ndarray | None = None,
     window: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dense matrix M with (T f)_i = sum_j M[i, j] f_j; 1D only."""
-    if spec.n != 1:
-        raise ValueError("dense kernels are only materialized in dimension one")
-    if spec.N > _DENSE_LIMIT:
-        raise ValueError("dense kernel too large")
+    """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
+    (C order) cell indices, up to ``_DENSE_LIMIT`` cells."""
     N = spec.N
-    h = float(spec.h)
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    if N**spec.n > _DENSE_LIMIT:
+        raise ValueError("dense kernel too large")
+    hn = float(spec.h) ** spec.n
+    # idx[i, j]: flat index of the periodic offset i - j into a kernel row
+    d = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    idx = d
+    for _ in range(1, spec.n):
+        m = idx.shape[0] * N
+        idx = (idx[:, None, :, None] * N + d[None, :, None, :]).reshape(m, m)
     if a.structure == "multiplier":
         (row,), _ = _kernel_rows(a, spec, mult, None)
         if window is not None:
             row = row * window
-        return h * row[idx]
-    M = np.empty((N, N), dtype=np.complex128)
-    for cells in _cell_blocks(spec):
+        return hn * row.ravel()[idx]
+    M = np.empty(idx.shape, dtype=np.complex128)
+    for lo, cells in _cell_blocks(spec):
         rows = _kernel_rows(a, spec, mult, cells)[0]
         if window is not None:
             rows = rows * window
-        M[cells[0]] = h * np.take_along_axis(rows, idx[cells[0]], axis=1)
+        flat = slice(lo, lo + len(rows))
+        M[flat] = hn * np.take_along_axis(rows.reshape(len(rows), -1), idx[flat], axis=1)
     return M
 
 
@@ -515,13 +505,12 @@ def _handle(
     window: np.ndarray | None = None,
     local_radius: float | None = None,
 ) -> OperatorHandle:
-    """Handle named after the symbol, with the dense form of the same kernel
-    in dimension one."""
+    """Handle named after the symbol, with the dense form of the same kernel."""
     return OperatorHandle(
         name=f"{a.family}(m={a.m}){label}",
         spec=spec,
         apply_fn=apply_fn,
-        matrix_fn=(lambda: kernel_matrix(a, spec, mult, window)) if spec.n == 1 else None,
+        matrix_fn=lambda: kernel_matrix(a, spec, mult, window),
         local_radius=local_radius,
     )
 

@@ -18,6 +18,7 @@ also the reference the integer map is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import Box, DyadicCube, shift_sign
+from .symbol import _norm
 
 __all__ = [
     "GridSpec",
@@ -84,6 +86,11 @@ class GridSpec:
         h = float(self.h)
         return (np.arange(self.N) + 0.5) * h - float(self.halfwidth)
 
+    def grid_coords(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One copy of the axis samples ``v`` per axis, shaped to broadcast to the grid."""
+        n = self.n
+        return tuple(v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k in range(n))
+
     def center_fraction(self, i: int) -> Fraction:
         return (2 * i + 1) * self.h / 2 - self.halfwidth
 
@@ -138,12 +145,10 @@ class GridSpec:
             ranges = self.cube_cell_ranges(region)
         else:
             ranges = self.box_cell_ranges(region)
-        axes = [np.arange(i0, i1) for i0, i1 in ranges]
-        if any(a.size == 0 for a in axes):
-            return np.empty(0, dtype=np.int64)
-        if self.n == 1:
-            return axes[0].astype(np.int64)
-        return (axes[0][:, None] * self.N + axes[1][None, :]).ravel().astype(np.int64)
+        flat = np.arange(*ranges[0])
+        for i0, i1 in ranges[1:]:
+            flat = (flat[:, None] * self.N + np.arange(i0, i1)).ravel()
+        return flat
 
     def cell_origin_index(self, omega: tuple[int, ...]) -> tuple[int, ...]:
         """Index ``m`` of the cell-scale (``k = kappa``) cube holding cell 0, per axis."""
@@ -175,11 +180,9 @@ class GridFunction:
     def from_callable(
         cls, spec: GridSpec, fn: Callable[..., np.ndarray], name: str = ""
     ) -> "GridFunction":
-        c = spec.centers()
-        if spec.n == 1:
-            vals = fn(c)
-        else:
-            vals = fn(c[:, None], c[None, :])
+        """Samples ``fn(x_0, ..., x_{n-1})`` at the cell centers, one
+        coordinate array per axis, shaped to broadcast to the grid."""
+        vals = fn(*spec.grid_coords(spec.centers()))
         return cls(spec, np.broadcast_to(vals, spec.shape), name)
 
     @classmethod
@@ -296,6 +299,12 @@ def _smooth_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_product(xs: tuple[np.ndarray, ...], centre, width) -> np.ndarray:
+    """Product over the axes of ``_smooth_bump((x_k - centre_k) / width_k)``."""
+    bumps = (_smooth_bump((x - c) / w) for x, c, w in zip(xs, centre, width))
+    return functools.reduce(np.multiply, bumps)
+
+
 def make_corpus(spec: GridSpec, seed: int, count: int) -> list[GridFunction]:
     """Deterministic mix of bumps, cube indicators, sign combs, and windowed
     band-limited noise, all supported inside the central half of the domain."""
@@ -309,12 +318,7 @@ def make_corpus(spec: GridSpec, seed: int, count: int) -> list[GridFunction]:
         if kind == "bump":
             c = rng.uniform(-float(spec.halfwidth) / 4, float(spec.halfwidth) / 4, spec.n)
             w = rng.uniform(float(spec.halfwidth) / 8, float(spec.halfwidth) / 4, spec.n)
-            if spec.n == 1:
-                fn = lambda x: amp * _smooth_bump((x - c[0]) / w[0])
-            else:
-                fn = lambda x, y: amp * (
-                    _smooth_bump((x - c[0]) / w[0]) * _smooth_bump((y - c[1]) / w[1])
-                )
+            fn = lambda *xs: amp * _bump_product(xs, c, w)
             gf = GridFunction.from_callable(spec, fn, f"bump_{idx:02d}")
         elif kind == "indicator":
             gf = GridFunction.indicator(
@@ -330,16 +334,8 @@ def make_corpus(spec: GridSpec, seed: int, count: int) -> list[GridFunction]:
         else:
             cutoff = 2 ** int(rng.integers(2, max(3, spec.kappa - 1)))
             vals = _band_noise(rng, spec, cutoff)
-            window = GridFunction.from_callable(
-                spec,
-                (lambda x: _smooth_bump(x / (float(spec.halfwidth) / 2)))
-                if spec.n == 1
-                else (
-                    lambda x, y: _smooth_bump(x / (float(spec.halfwidth) / 2))
-                    * _smooth_bump(y / (float(spec.halfwidth) / 2))
-                ),
-            ).values.real
-            vals = vals * window
+            xs = spec.grid_coords(spec.centers())
+            vals = vals * _bump_product(xs, (0.0,) * spec.n, (float(spec.halfwidth) / 2,) * spec.n)
             peak = np.abs(vals).max()
             if peak > 0:
                 vals = vals * (amp / peak)
@@ -364,19 +360,9 @@ def _random_cell_box(rng: np.random.Generator, spec: GridSpec, within: Box) -> B
 
 
 def _band_noise(rng: np.random.Generator, spec: GridSpec, cutoff: float) -> np.ndarray:
-    xi = spec.freqs()
-    if spec.n == 1:
-        mask = np.abs(xi) <= cutoff
-        coef = (rng.standard_normal(spec.N) + 1j * rng.standard_normal(spec.N)) * mask
-        vals = np.fft.ifft(coef)
-    else:
-        ax = np.abs(xi)
-        mask = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2) <= cutoff
-        coef = (
-            rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        ) * mask
-        vals = np.fft.ifft2(coef)
-    return vals.real
+    mask = _norm(spec.grid_coords(spec.freqs())) <= cutoff
+    coef = (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)) * mask
+    return np.fft.ifftn(coef).real
 
 
 def save_grid_function(path, f: GridFunction) -> None:

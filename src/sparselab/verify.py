@@ -73,11 +73,14 @@ DENOM_FLOOR = 1e-14
 
 
 def report_dict(report) -> dict:
-    """Dataclass report -> JSON-ready dict (floats, lists, strings only)."""
+    """Dataclass report -> strict-JSON dict (floats, lists, strings only);
+    non-finite floats become their ``repr`` strings."""
 
     def clean(v):
         if isinstance(v, (np.floating, np.integer)):
-            return v.item()
+            v = v.item()
+        if isinstance(v, float) and not math.isfinite(v):
+            return repr(v)  # JSON has no inf or nan
         if isinstance(v, Fraction):
             return float(v)
         if isinstance(v, np.ndarray):
@@ -141,10 +144,11 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op)
 
 
-def _lp_h(v: np.ndarray, p: float, h: float, n: int) -> float:
+def _lp_h(v: np.ndarray, p: float, hn: float) -> float:
+    """Grid L^p norm with cell volume ``hn``."""
     if math.isinf(p):
         return float(np.max(np.abs(v))) if v.size else 0.0
-    return float((np.sum(np.abs(v) ** p) * h**n) ** (1.0 / p))
+    return float((np.sum(np.abs(v) ** p) * hn) ** (1.0 / p))
 
 
 def empirical_norm(
@@ -166,18 +170,18 @@ def empirical_norm(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     M = _as_matrix(op)
-    h = float(spec.h)
+    hn = float(spec.h) ** spec.n  # cell volume
     r, s = pair.r, pair.s
-    K = M / h  # kernel values on the grid
+    K = M / hn  # kernel values on the grid
 
     if r == 1 and math.isinf(s):
         return NormEstimate(float(np.max(np.abs(K))), "exact", r, s)
     if math.isinf(s):
         rp = pair.r_prime
-        rows = (np.sum(np.abs(K) ** rp, axis=1) * h) ** (1.0 / rp)
+        rows = (np.sum(np.abs(K) ** rp, axis=1) * hn) ** (1.0 / rp)
         return NormEstimate(float(np.max(rows)), "exact", r, s)
     if r == 1:
-        cols = (np.sum(np.abs(K) ** s, axis=0) * h) ** (1.0 / s)
+        cols = (np.sum(np.abs(K) ** s, axis=0) * hn) ** (1.0 / s)
         return NormEstimate(float(np.max(cols)), "exact", r, s)
     if r == 2 and s == 2:
         rng = np.random.default_rng(seed)
@@ -199,10 +203,10 @@ def empirical_norm(
     # general pair: certified lower bound from test functions
     best = 0.0
     N = M.shape[1]
-    cands = [f.values for f in make_corpus(spec, seed=seed, count=trials)]
+    cands = [f.values.ravel() for f in make_corpus(spec, seed=seed, count=trials)]
     j_star = int(np.argmax(np.sum(np.abs(K), axis=0)))
     delta = np.zeros(N, dtype=np.complex128)
-    delta[j_star] = 1.0 / h
+    delta[j_star] = 1.0 / hn
     cands.append(delta)
     rp = pair.r_prime
     for i in np.argsort(-np.sum(np.abs(K), axis=1))[:4]:
@@ -211,10 +215,10 @@ def empirical_norm(
         if np.max(np.abs(row)) > 0:
             cands.append(np.abs(row) ** (rp - 1.0) * np.exp(-1j * np.angle(row)))
     for v in cands:
-        nf = _lp_h(v, r, h, spec.n)
+        nf = _lp_h(v, r, hn)
         if nf < DENOM_FLOOR:
             continue
-        best = max(best, _lp_h(M @ v, s, h, spec.n) / nf)
+        best = max(best, _lp_h(M @ v, s, hn) / nf)
     return NormEstimate(best, "lower_bound", r, s)
 
 
@@ -247,16 +251,16 @@ def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     and point-mass oracles exactly, the sum overshoots by a factor 2).
     """
     M = _as_matrix(op)
-    h = float(spec.h)
-    K = np.abs(M / h)
+    hn = float(spec.h) ** spec.n  # cell volume
+    K = np.abs(M / hn)
     p = pair.schur_p
     theta = 0.0 if math.isinf(pair.r_prime) else p / pair.r_prime
     if math.isinf(p):
         col = float(np.max(K))
         row = float(np.max(K))
     else:
-        col = float(np.max((np.sum(K**p, axis=0) * h) ** (1.0 / p)))
-        row = float(np.max((np.sum(K**p, axis=1) * h) ** (1.0 / p)))
+        col = float(np.max((np.sum(K**p, axis=0) * hn) ** (1.0 / p)))
+        row = float(np.max((np.sum(K**p, axis=1) * hn) ** (1.0 / p)))
     product = col ** (1.0 - theta) * row**theta
     return SchurReport(
         product_bound=product,

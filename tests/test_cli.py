@@ -1,14 +1,19 @@
 """Config-driven runner: exit codes, determinism, and report layout."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sparselab import __version__
 from sparselab.cli import _worker_count, main
 from sparselab.sample import load_grid_function
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 IDENTITY_INI = """\
 [grid]
@@ -246,10 +251,24 @@ def test_module_entry_point(tmp_path):
     ini = tmp_path / "probes.ini"
     ini.write_text(IDENTITY_INI)
     out = tmp_path / "reports"
+    # pytest's pythonpath setting does not reach a child interpreter
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparselab.cli", "run", str(ini), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "identity_norm: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("suite", [None, "sparse"])
+def test_readme_example_passes(tmp_path, suite):
+    text = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    if suite is not None:
+        text = text.replace("suite = kernels", f"suite = {suite}")
+        assert f"suite = {suite}" in text
+    ini = write(tmp_path, text)
+    assert run_cli("run", ini, "--out", str(tmp_path / "reports")) == 0

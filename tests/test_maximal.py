@@ -1,5 +1,6 @@
 """Windowed maximal averages and the mean-oscillation maximal."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -192,3 +193,40 @@ class TestSharpMaximal:
         big = GridFunction.zeros(GridSpec(2, 2, 5))
         with pytest.raises(ValueError, match="limited"):
             sharp_maximal(big, mode="all")
+
+
+def _brute_force(f: GridFunction, p: float) -> tuple[np.ndarray, ...]:
+    """Uncentred and centred p-maximal and the sharp maximal over every
+    cell-aligned window (side w on every axis), one window at a time."""
+    v = f.values
+    n, N = f.spec.n, f.spec.N
+    u = np.abs(v) ** p
+    unc, cen, osc = np.zeros(v.shape), np.zeros(v.shape), np.zeros(v.shape)
+    for w in range(1, N + 1):
+        for start in itertools.product(range(N - w + 1), repeat=n):
+            box = tuple(slice(a, a + w) for a in start)
+            unc[box] = np.maximum(unc[box], u[box].mean())
+            window = v[box]
+            osc[box] = np.maximum(osc[box], np.abs(window - window.mean()).mean())
+    for w in range(1, 2 * N, 2):
+        k = (w - 1) // 2
+        for cell in itertools.product(range(N), repeat=n):
+            box = tuple(slice(max(i - k, 0), min(i + k + 1, N)) for i in cell)
+            cen[cell] = max(cen[cell], u[box].sum() / w**n)
+    return unc ** (1.0 / p), cen ** (1.0 / p), osc
+
+
+class TestBruteForce:
+    @pytest.mark.parametrize(
+        "spec", [GridSpec(1, 0, 2), GridSpec(1, 1, 2), GridSpec(2, 0, 1), GridSpec(2, 0, 2)]
+    )
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0])
+    def test_every_window(self, spec, p):
+        rng = np.random.default_rng(spec.N + spec.n)
+        vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        vals[rng.random(spec.shape) < 0.3] = 0.0
+        f = GridFunction(spec, vals)
+        unc, cen, osc = _brute_force(f, p)
+        np.testing.assert_allclose(maximal_p(f, p), unc, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(maximal_p(f, p, centred=True), cen, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(sharp_maximal(f, mode="all"), osc, rtol=1e-12, atol=1e-13)

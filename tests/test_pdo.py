@@ -355,8 +355,36 @@ class TestDenseKernels:
         M = handle.matrix_fn()
         assert np.max(np.abs(M @ f.values - handle(f).values)) < 1e-10
 
-    def test_two_dimensional_matrix_refused(self):
-        with pytest.raises(ValueError, match="dimension one"):
+    @pytest.mark.parametrize(
+        "a",
+        [
+            bessel(-1.0, n=2),
+            multiplication("cosine", n=2),
+            custom_symbol(
+                # not symmetric under swapping the axes, in x or in xi
+                lambda x, xi: np.cos(x[0] - 0.5 * x[1])
+                * (1.0 + xi[0] ** 2 + 4.0 * xi[1] ** 2) ** -0.5,
+                m=-1.0,
+                rho=1.0,
+                delta=0.0,
+                n=2,
+            ),
+        ],
+        ids=["multiplier", "separable", "general"],
+    )
+    def test_two_dimensional_matrix_matches_application(self, a):
+        spec = GridSpec(2, 1, 3)
+        f = make_corpus(spec, seed=5, count=4)[3]
+        for handle in (
+            symbol_operator(a, spec),
+            piece_operator(a, FAM, PieceIndex(2, 1, 0.5), spec),
+        ):
+            M = handle.matrix()
+            assert M.shape == (spec.N**2, spec.N**2)
+            assert np.max(np.abs(M @ f.values.ravel() - handle(f).values.ravel())) < 1e-10
+
+    def test_one_dimensional_symbol_on_a_2d_grid_raises(self):
+        with pytest.raises(ValueError):
             kernel_matrix(bessel(-1.0), GridSpec(2, 1, 3))
 
     def test_oversized_matrix_refused(self):

@@ -47,6 +47,7 @@ from sparselab.verify import (
 )
 
 SPEC = GridSpec(1, 1, 4)
+SPEC2D = GridSpec(2, 1, 2)
 PAIR22 = ExponentPair(2.0, 2.0)
 
 
@@ -85,6 +86,15 @@ class TestEmpiricalNorm:
         assert est12.value == pytest.approx(h**-0.5, rel=1e-12)
         est2i = empirical_norm(op, ExponentPair(2.0, math.inf), SPEC)
         assert est2i.value == pytest.approx(h**-0.5, rel=1e-12)
+        # in 2D the powers are of the cell volume h**2; a point mass
+        # realizes the lower bound of the identity exactly
+        op2 = symbol_operator(bessel(0.0, n=2), SPEC2D)
+        hn = float(SPEC2D.h) ** 2
+        est2 = empirical_norm(op2, ExponentPair(1.0, math.inf), SPEC2D)
+        assert est2.value == pytest.approx(1.0 / hn, rel=1e-12)
+        low = empirical_norm(op2, ExponentPair(4.0 / 3.0, 4.0), SPEC2D)
+        assert low.kind == "lower_bound"
+        assert low.value == pytest.approx(hn**-0.5, rel=1e-10)
 
     def test_power_iteration_matches_svd(self):
         op = symbol_operator(bessel(-1.0), SPEC)
@@ -93,8 +103,9 @@ class TestEmpiricalNorm:
         assert est.value == pytest.approx(dense_l2_norm(op, SPEC), rel=1e-6)
 
     def test_identity_l2_norm_is_one(self):
-        est = empirical_norm(symbol_operator(bessel(0.0), SPEC), PAIR22, SPEC)
-        assert est.value == pytest.approx(1.0, rel=1e-8)
+        for spec in (SPEC, SPEC2D):
+            est = empirical_norm(symbol_operator(bessel(0.0, n=spec.n), spec), PAIR22, spec)
+            assert est.value == pytest.approx(1.0, rel=1e-8)
 
     def test_general_pair_lower_bound_is_sharp_for_multipliers(self):
         # a point mass realizes max|phi| times the grid embedding factor
@@ -118,10 +129,11 @@ class TestEmpiricalNorm:
 
 class TestSchurBounds:
     def test_identity_two_two(self):
-        rep = schur_bound(symbol_operator(bessel(0.0), SPEC), PAIR22, SPEC)
-        assert rep.p == 1.0
-        assert rep.theta == pytest.approx(0.5)
-        assert rep.product_bound == pytest.approx(1.0, rel=1e-12)
+        for spec in (SPEC, SPEC2D):
+            rep = schur_bound(symbol_operator(bessel(0.0, n=spec.n), spec), PAIR22, spec)
+            assert rep.p == 1.0
+            assert rep.theta == pytest.approx(0.5)
+            assert rep.product_bound == pytest.approx(1.0, rel=1e-12)
 
     def test_identity_one_inf(self):
         rep = schur_bound(
