@@ -100,8 +100,6 @@ class Config:
             return default
         raw = self.cp.get(section, option)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             if cast is Fraction:
                 return Fraction(raw.strip())
             if cast is float and raw.strip().lower() in ("inf", "infinity"):
@@ -370,7 +368,8 @@ def probe_kernel_decay(ctx) -> V.ProbeReport:
 
 def probe_kernel_difference(ctx) -> V.ProbeReport:
     cfg = V.DecayProbeConfig(tau=ctx["tau"], theta=ctx["theta"], p=ctx["decay_p"])
-    fit = V.kernel_difference_probe(ctx["symbol"], ctx["spec"], 0.0, -ctx["tau"], cfg)
+    x_b = (-ctx["tau"],) + (0.0,) * (ctx["spec"].n - 1)
+    fit = V.kernel_difference_probe(ctx["symbol"], ctx["spec"], 0.0, x_b, cfg)
     passed = fit.predicted_slope is not None and fit.slope <= fit.predicted_slope + 0.5
     return V.ProbeReport(
         "kernel_difference",

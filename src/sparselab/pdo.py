@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -142,13 +141,13 @@ class PieceIndex:
 
 @dataclass(frozen=True)
 class KernelSlice:
-    """One x-row of a piece kernel sampled on the periodic z-grid."""
+    """One x-row of a piece kernel on the periodic z-grid, FFT ordering:
+    ``x`` is the cell centre (one coordinate per axis), ``z`` the offset
+    radius of each value."""
 
-    x: float
+    x: tuple[float, ...]
     z: np.ndarray
     values: np.ndarray
-    idx: PieceIndex | None
-    windowed: bool
 
 
 @dataclass(frozen=True)
@@ -210,14 +209,10 @@ def _freq_radius(spec: GridSpec) -> np.ndarray:
     return _norm(_freq_coords(spec))
 
 
-def _z_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    """Physical offsets of the periodic z-grid, FFT ordering."""
-    t = np.fft.fftfreq(spec.N, d=1.0 / spec.N) * float(spec.h)  # t*h with wrap to negatives
-    return spec.grid_coords(t)
-
-
 def _z_radius(spec: GridSpec) -> np.ndarray:
-    return _norm(_z_coords(spec))
+    """Offset radius of the periodic z-grid, FFT ordering."""
+    t = np.fft.fftfreq(spec.N, d=1.0 / spec.N) * float(spec.h)  # t*h with wrap to negatives
+    return _norm(spec.grid_coords(t))
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +252,13 @@ def _amplitude(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Frequency amplitude (times ``mult``) and x-factor at the cell centers
     of a multiplier or separable symbol; the x-factor is None if it has none."""
-    if a.x_independent:
-        amp, xf = a.eval((np.zeros(1),) * spec.n, _freq_coords(spec)), None
+    if a.n != spec.n:
+        raise ValueError(f"a symbol in dimension {a.n} on a grid in dimension {spec.n}")
+    if a.xi_factor is not None:
+        amp = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
     else:
-        if a.xi_factor is not None:
-            amp = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
-        else:
-            amp = np.ones(spec.shape, dtype=np.complex128)
-        xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
+        amp = np.ones(spec.shape, dtype=np.complex128)
+    xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
     return (amp if mult is None else amp * mult), xf
 
 
@@ -299,11 +293,6 @@ def lp_piece_apply(
 
 # ---------------------------------------------------------------------------
 # kernel rows and windowed pieces
-
-# Slices keep their symbol alive, so its id cannot be reused while cached.
-_ROW_CACHE_LIMIT = 256
-_row_cache: dict = {}
-_row_lock = threading.Lock()
 
 
 def _kernel_rows(
@@ -389,6 +378,20 @@ def spatial_piece_apply(
     return _correlate_rows(a, f.spec, mult, window, f)
 
 
+def _as_point(x: float | tuple[float, ...], spec: GridSpec) -> tuple[float, ...]:
+    """A point with one coordinate per axis; a scalar is that coordinate on every axis."""
+    xs = x if isinstance(x, tuple) else (float(x),) * spec.n
+    if len(xs) != spec.n:
+        raise ValueError("point dimension mismatch")
+    return xs
+
+
+def _nearest_cell(x: tuple[float, ...], spec: GridSpec) -> tuple[int, ...]:
+    """Index per axis of the cell whose centre is nearest ``x``."""
+    c = spec.centers()
+    return tuple(int(np.argmin(np.abs(c - t))) for t in x)
+
+
 def kernel_slice(
     a: SymbolClass,
     fam: CutoffFamily,
@@ -397,40 +400,16 @@ def kernel_slice(
     spec: GridSpec,
     windowed: bool = True,
 ) -> KernelSlice:
-    """Windowed kernel row of the (j, ell) piece at the cell center nearest x.
-
-    Slices are cached per symbol object (a bounded number of them); a new
-    symbol instance computes its slices afresh.
-    """
-    xs = x if isinstance(x, tuple) else (float(x),)
-    if spec.n != len(xs):
-        raise ValueError("point dimension mismatch")
-    c = spec.centers()
-    x_index = tuple(int(np.clip(np.argmin(np.abs(c - xi)), 0, spec.N - 1)) for xi in xs)
-    key = (id(a), fam.name, idx, x_index, spec, windowed)
-    with _row_lock:
-        hit = _row_cache.get(key)
-    if hit is not None and hit[0] is a:
-        return hit[1]
+    """Kernel row of the (j, ell) piece at the cell centre nearest x, times
+    the piece's spatial window unless ``windowed`` is false; a scalar x is
+    that coordinate on every axis."""
+    x_index = _nearest_cell(_as_point(x, spec), spec)
     mult = fam.band(idx.j, _freq_radius(spec))
     (row,), _ = _kernel_rows(a, spec, mult, tuple(np.array(x_index)[:, None]))
     if windowed:
         row = row * _window_values(fam, idx, spec)
-    if spec.n == 1:
-        z = _z_coords(spec)[0]
-        order = np.argsort(z)
-        sl = KernelSlice(
-            x=float(c[x_index[0]]), z=z[order], values=row[order], idx=idx, windowed=windowed
-        )
-    else:
-        sl = KernelSlice(
-            x=float(c[x_index[0]]), z=_z_radius(spec), values=row, idx=idx, windowed=windowed
-        )
-    with _row_lock:
-        if len(_row_cache) >= _ROW_CACHE_LIMIT:
-            del _row_cache[next(iter(_row_cache))]
-        _row_cache[key] = (a, sl)
-    return sl
+    c = spec.centers()
+    return KernelSlice(x=tuple(float(c[i]) for i in x_index), z=_z_radius(spec), values=row)
 
 
 def full_kernel_row(

@@ -110,9 +110,7 @@ def _append_entry(
 class StoppingConfig:
     pair: ExponentPair
     threshold_base: float = 4.0
-    root_scale: int | None = None  # default: side twice the domain half-width
-    omegas: tuple[tuple[int, ...], ...] | None = None  # default: all shift classes
-    roots: tuple[DyadicCube, ...] | None = None  # overrides root_scale/omegas
+    roots: tuple[DyadicCube, ...] | None = None  # default: every shift class at scale -(K+1)
     extend_up: int = 0  # prepend this many coarser ancestors at negative rank
     max_rank: int | None = None
 
@@ -155,13 +153,9 @@ def build_stopping_time(
     if config.roots is not None:
         roots = list(config.roots)
     else:
-        k0 = config.root_scale if config.root_scale is not None else -(spec.K + 1)
-        omegas = config.omegas
-        if omegas is None:
-            omegas = tuple(np.ndindex(*(3,) * spec.n))
         roots = []
-        for om in omegas:
-            roots.extend(enumerate_cubes(k0, tuple(int(t) for t in om), window))
+        for om in np.ndindex(*(3,) * spec.n):
+            roots.extend(enumerate_cubes(-(spec.K + 1), om, window))
 
     def select(cube: DyadicCube, tf: float, tg: float) -> list[DyadicCube]:
         """Maximal descendants whose average jumps past tf or tg."""

@@ -65,7 +65,6 @@ class SymbolClass:
     kind: str
     n: int
     fn: Callable[[Coords, Coords], np.ndarray]
-    x_independent: bool = False
     x_factor: Callable[[Coords], np.ndarray] | None = None
     xi_factor: Callable[[Coords], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
@@ -77,13 +76,11 @@ class SymbolClass:
 
     @property
     def structure(self) -> str:
-        """``multiplier`` (x-independent), ``separable`` (x-factor times
-        xi-factor, either may be absent) or ``general``."""
-        if self.x_independent:
-            return "multiplier"
-        if self.x_factor is not None or self.xi_factor is not None:
+        """``multiplier`` (a xi-factor only), ``separable`` (an x-factor,
+        times a xi-factor if there is one) or ``general`` (no factors)."""
+        if self.x_factor is not None:
             return "separable"
-        return "general"
+        return "general" if self.xi_factor is None else "multiplier"
 
     def describe(self) -> dict:
         return {
@@ -140,7 +137,7 @@ def _factored(
 
     return SymbolClass(
         family=family, m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn,
-        x_independent=x_fact is None, x_factor=x_fact, xi_factor=xi_fact, params=params,
+        x_factor=x_fact, xi_factor=xi_fact, params=params,
     )
 
 
@@ -216,11 +213,8 @@ def custom_symbol(
     delta: float,
     kind: str = "smooth",
     n: int = 1,
-    **flags,
 ) -> SymbolClass:
-    return SymbolClass(
-        family="custom", m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn, **flags
-    )
+    return SymbolClass(family="custom", m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn)
 
 
 # Central finite-difference stencils per derivative order, offset -> weight.

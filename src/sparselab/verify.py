@@ -13,7 +13,7 @@ multiplication oracles plug in next to the real constructions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,8 @@ from .pdo import (
     CutoffFamily,
     OperatorHandle,
     PieceIndex,
+    _as_point,
+    _nearest_cell,
     apply_localized,
     band_operator,
     default_cutoffs,
@@ -33,7 +35,7 @@ from .pdo import (
 )
 from .sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
 from .sparse import SparseCollection, verify_sparsity
-from .symbol import LocalizedAmplitude, SymbolClass
+from .symbol import LocalizedAmplitude, SymbolClass, _norm
 
 __all__ = [
     "DENOM_FLOOR",
@@ -336,6 +338,21 @@ def _fit_line(xs, ys) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), resid
 
 
+def _fit(
+    mode: str,
+    indices: list[int],
+    values: list[float],
+    predicted: float | None = None,
+    kinds: list[str] | None = None,
+) -> NormFit:
+    """Line through log2 of the values against the indices, as a NormFit."""
+    logs = [math.log2(max(v, 1e-300)) for v in values]
+    slope, intercept, resid = _fit_line(indices, logs)
+    excess = None if predicted is None else slope - predicted
+    return NormFit(mode, indices, values, logs, slope, intercept, resid, float(sum(values)),
+                   predicted, excess, kinds or [])
+
+
 def _mode_pair(mode: str, pair: ExponentPair | None) -> ExponentPair:
     if mode == "l1_linf":
         return ExponentPair(1.0, math.inf)
@@ -375,18 +392,8 @@ def norm_scaling_fit(
             raise ValueError("shell fits need j_fixed and nu")
         ops = [(ell, piece_operator(a, fam, PieceIndex(j_fixed, ell, nu), spec)) for ell in ells]
         pred = None
-    idxs, vals, logs, kinds = [], [], [], []
-    for i, op in ops:
-        est = empirical_norm(op, use, spec, seed=seed)
-        idxs.append(i)
-        vals.append(est.value)
-        logs.append(math.log2(max(est.value, 1e-300)))
-        kinds.append(est.kind)
-    slope, intercept, resid = _fit_line(idxs, logs)
-    excess = None if pred is None else slope - pred
-    return NormFit(
-        mode, idxs, vals, logs, slope, intercept, resid, float(sum(vals)), pred, excess, kinds
-    )
+    ests = [empirical_norm(op, use, spec, seed=seed) for _, op in ops]
+    return _fit(mode, [i for i, _ in ops], [e.value for e in ests], pred, [e.kind for e in ests])
 
 
 def kernel_decay_fit(
@@ -410,22 +417,21 @@ def kernel_decay_fit(
     if not nu < a.rho:
         raise ValueError("shell decay needs nu below the symbol's rho")
     fam = fam or default_cutoffs()
-    if not isinstance(x, tuple):
-        x = (float(x),) * spec.n
-    used, vals, logs = [], [], []
+    used, vals = [], []
     for ell in ells:
         sl = kernel_slice(a, fam, PieceIndex(j, ell, nu), x, spec)
         v = float(np.max(np.abs(sl.values)))
         if v > floor:
             used.append(ell)
             vals.append(v)
-            logs.append(math.log2(v))
     if len(used) < 2:
         raise ValueError("not enough shells above the noise floor to fit")
-    slope, intercept, resid = _fit_line(used, logs)
-    return NormFit(
-        "kernel_decay", used, vals, logs, slope, intercept, resid, float(sum(vals)), None, None
-    )
+    return _fit("kernel_decay", used, vals)
+
+
+# annulus indices the difference probe tries, and the fewest cells an annulus needs
+_ANNULI = range(9)
+_MIN_ANNULUS_CELLS = 4
 
 
 @dataclass
@@ -443,9 +449,6 @@ class DecayProbeConfig:
     h: float | None = None
     c1: float = 1.0
     c2: float = 1.0
-    j_min: int = 0
-    j_max: int = 8
-    min_cells: int = 4
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tau <= 1.0):
@@ -470,8 +473,8 @@ class DecayProbeConfig:
 def kernel_difference_probe(
     a: SymbolClass,
     spec: GridSpec,
-    x: float,
-    x_b: float,
+    x: float | tuple[float, ...],
+    x_b: float | tuple[float, ...],
     config: DecayProbeConfig,
     window_ell1: int | None = None,
 ) -> NormFit:
@@ -482,60 +485,47 @@ def kernel_difference_probe(
     (dual exponent: the probe certifies the pairing side), and fits the
     log2 values against the annulus index.  Expected slope is ``-h``.  With
     ``window_ell1`` both kernels are localized by the spatial window first;
-    annuli that leave the central half of the domain are skipped.
+    annuli that leave the central half of the domain are skipped.  A scalar
+    base point is that coordinate on every axis.
     """
-    if spec.n != 1:
-        raise ValueError("the difference probe is one-dimensional")
-    if abs(x - x_b) > config.tau:
+    x, x_b = _as_point(x, spec), _as_point(x_b, spec)
+    if math.dist(x, x_b) > config.tau:
         raise ValueError("base points further apart than tau")
     h_exp = config.resolved_h(a, spec.n)
     hstep = float(spec.h)
-    c = spec.centers()
-    ia = int(np.argmin(np.abs(c - x)))
-    ib = int(np.argmin(np.abs(c - x_b)))
+    N, c = spec.N, spec.centers()
+    ia, ib = _nearest_cell(x, spec), _nearest_cell(x_b, spec)
     radius = None if window_ell1 is None else 2.0**window_ell1
-    row_a = full_kernel_row(a, spec, (ia,), window_radius=radius)
-    row_b = full_kernel_row(a, spec, (ib,), window_radius=radius)
-    # row[t] is the kernel at second argument y = center[i] - t*h (FFT order),
-    # so the value at y-cell u is row[(i - u) mod N]
-    u = np.arange(spec.N)
-    diff = np.abs(row_a[(ia - u) % spec.N] - row_b[(ib - u) % spec.N])
-    dist = np.abs(c - c[ib])
-    zmax = spec.N * hstep / 4.0  # stay clear of the periodic wrap
+    row_a = full_kernel_row(a, spec, ia, window_radius=radius)
+    row_b = full_kernel_row(a, spec, ib, window_radius=radius)
+    # row[t] is the kernel at second argument y = center[i] - t*h (FFT order,
+    # per axis), so the value at y-cell u is row[(i - u) mod N]
+    u = np.arange(N)
+    ya, yb = (np.ix_(*((k - u) % N for k in i)) for i in (ia, ib))
+    diff = np.abs(row_a[ya] - row_b[yb])
+    dist = _norm(tuple(t - c[i] for t, i in zip(spec.grid_coords(c), ib)))
+    zmax = N * hstep / 4.0  # stay clear of the periodic wrap
     base = config.tau**config.theta
     pp = math.inf if config.p == 1.0 else config.p / (config.p - 1.0)
-    used, vals, logs = [], [], []
-    for j in range(config.j_min, config.j_max + 1):
+    used, vals = [], []
+    for j in _ANNULI:
         lo = config.c1 * 2.0**j * base
         hi = config.c2 * 2.0 ** (j + 1) * base
         if hi > zmax:
             break
         mask = (dist >= lo) & (dist <= hi)
-        if int(mask.sum()) < config.min_cells:
+        if int(mask.sum()) < _MIN_ANNULUS_CELLS:
             continue
         if math.isinf(pp):
             v = float(np.max(diff[mask]))
         else:
-            v = float((np.sum(diff[mask] ** pp) * hstep) ** (1.0 / pp))
+            v = float((np.sum(diff[mask] ** pp) * hstep**spec.n) ** (1.0 / pp))
         if v > 1e-300:
             used.append(j)
             vals.append(v)
-            logs.append(math.log2(v))
     if len(used) < 2:
         raise ValueError("not enough annuli inside the grid to fit")
-    slope, intercept, resid = _fit_line(used, logs)
-    return NormFit(
-        "kernel_difference",
-        used,
-        vals,
-        logs,
-        slope,
-        intercept,
-        resid,
-        float(sum(vals)),
-        -h_exp,
-        slope + h_exp,
-    )
+    return _fit("kernel_difference", used, vals, -h_exp)
 
 
 @dataclass
@@ -549,7 +539,7 @@ class TauPrefactorReport:
 def tau_prefactor_probe(
     a: SymbolClass,
     spec: GridSpec,
-    x: float,
+    x: float | tuple[float, ...],
     config: DecayProbeConfig,
     tau2: float,
     window_ell1: int | None = None,
@@ -557,15 +547,14 @@ def tau_prefactor_probe(
     """How the variation amplitude scales in the base-point separation.
 
     Runs the difference probe at separations tau and tau2 (base points
-    ``x - tau``); at each shared annulus index the log2 ratio divided by
+    moved by ``-tau`` along axis 0); at each shared annulus index the log2 ratio divided by
     log2(tau/tau2) estimates the prefactor exponent, predicted to be
     ``h(rho - theta) - m - n/p``.
     """
-    import dataclasses
-
-    cfg2 = dataclasses.replace(config, tau=tau2)
-    fit1 = kernel_difference_probe(a, spec, x, x - config.tau, config, window_ell1)
-    fit2 = kernel_difference_probe(a, spec, x, x - tau2, cfg2, window_ell1)
+    cfg2 = replace(config, tau=tau2)
+    x = _as_point(x, spec)
+    fit1 = kernel_difference_probe(a, spec, x, (x[0] - config.tau,) + x[1:], config, window_ell1)
+    fit2 = kernel_difference_probe(a, spec, x, (x[0] - tau2,) + x[1:], cfg2, window_ell1)
     h_exp = config.resolved_h(a, spec.n)
     shared = sorted(set(fit1.indices) & set(fit2.indices))
     if not shared:

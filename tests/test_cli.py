@@ -1,15 +1,17 @@
 """Config-driven runner: exit codes, determinism, and report layout."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sparselab import __version__
-from sparselab.cli import _worker_count, main
+from sparselab.cli import _FAMILIES, _build_context, _worker_count, load_config, main
 from sparselab.sample import load_grid_function
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -106,6 +108,22 @@ class TestRun:
         rep = json.loads((out / "identity_apply.json").read_text())
         assert rep["passed"] is False
 
+    def test_probe_error_is_a_failed_report(self, tmp_path, capsys):
+        # nu at or above the symbol's rho makes the decay fit raise
+        ini = write(
+            tmp_path,
+            "[grid]\nn = 1\nK = 2\nkappa = 5\n\n[symbol]\nrho = 0.5\n\n"
+            "[pieces]\nnu = 0.6\n\n[probes]\nrun = kernel_decay\n",
+        )
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--out", str(out)) == 1
+        assert "kernel_decay: FAIL" in capsys.readouterr().out
+        rep = json.loads((out / "kernel_decay.json").read_text())
+        assert rep["constants"]["error"].startswith("ValueError:")
+        assert rep["passed"] is False
+        rows = (out / "summary.csv").read_text().strip().splitlines()
+        assert rows[1] == "kernel_decay,False,slope,"
+
     def test_explicit_probe_list(self, tmp_path):
         ini = write(
             tmp_path,
@@ -186,6 +204,36 @@ class TestConfigErrors:
         assert run_cli("run", ini) == 2
         assert "cannot parse" in capsys.readouterr().err
 
+    def test_syntax_error_is_line_anchored(self, tmp_path, capsys):
+        ini = write(tmp_path, "[grid]\nn = 1\nK = 2\nK = 3\nkappa = 5\n")
+        assert run_cli("run", ini) == 2
+        assert capsys.readouterr().err.startswith(f"{ini}:4: ")
+
+    def test_unknown_family_is_line_anchored(self, tmp_path, capsys):
+        text = IDENTITY_INI + "\n[symbol]\nm = -1\nfamily = nonesuch\n"
+        line = text.splitlines().index("family = nonesuch") + 1
+        ini = write(tmp_path, text)
+        assert run_cli("run", ini) == 2
+        assert f"{ini}:{line}: unknown symbol family 'nonesuch'" in capsys.readouterr().err
+
+
+class TestContext:
+    def test_infinite_exponent_and_fractional_eta(self, tmp_path):
+        ini = write(tmp_path, IDENTITY_INI + "\n[exponents]\ns = inf\n\n[sparse]\neta = 1/3\n")
+        ctx = _build_context(load_config(ini), None)
+        assert ctx["pair"].s == math.inf
+        assert ctx["eta"] == Fraction(1, 3)
+        assert isinstance(ctx["eta"], Fraction)
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_every_family_builds(self, tmp_path, family):
+        ini = write(tmp_path, IDENTITY_INI + f"\n[symbol]\nfamily = {family}\nrho = 0.5\n")
+        a = _build_context(load_config(ini), None)["symbol"]
+        want = {"oscillatory": "oscillatory_ct", "identity": "bessel"}.get(family, family)
+        assert (a.family, a.n) == (want, 1)
+        if family == "identity":
+            assert a.m == 0.0
+
 
 class TestSweep:
     def test_sweep_over_kappa(self, tmp_path):
@@ -262,6 +310,52 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "identity_norm: pass" in proc.stdout
+
+
+KERNEL_PROBES_2D_INI = """\
+[grid]
+n = 2
+K = 1
+kappa = 4
+
+[symbol]
+family = bessel
+m = -0.25
+rho = 0.5
+delta = 0.5
+
+[exponents]
+r = 2
+s = inf
+
+[pieces]
+nu = 0.25
+ell_min = 0
+ell_max = 5
+j_fixed = 7
+
+[decay]
+tau = 0.125
+theta = 1.0
+p = 2
+
+[tolerances]
+decay_slope_max = -5.0
+
+[probes]
+run = kernel_decay, kernel_difference
+"""
+
+
+def test_kernel_probes_pass_in_2d(tmp_path, capsys):
+    ini = write(tmp_path, KERNEL_PROBES_2D_INI)
+    out = tmp_path / "reports"
+    assert run_cli("run", ini, "--out", str(out)) == 0
+    assert capsys.readouterr().out.split() == [
+        "kernel_decay:", "pass", "kernel_difference:", "pass"
+    ]
+    rep = json.loads((out / "kernel_difference.json").read_text())
+    assert rep["inputs"]["annuli"] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("suite", [None, "sparse"])

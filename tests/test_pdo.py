@@ -269,18 +269,11 @@ class TestKernelSlices:
         idx = PieceIndex(2, 0, 0.0)
         sl = kernel_slice(bessel(-1.0), FAM, idx, 0.26, SPEC)
         c = SPEC.centers()
-        assert sl.x == float(c[np.argmin(np.abs(c - 0.26))])
-
-    def test_slice_is_cached(self):
-        # the cache keys on the symbol object, so reuse one instance
-        a = bessel(-0.5)
-        idx = PieceIndex(2, 1, 0.3)
-        first = kernel_slice(a, FAM, idx, 1.0, SPEC)
-        second = kernel_slice(a, FAM, idx, 1.0, SPEC)
-        assert first is second
+        assert sl.x == (float(c[np.argmin(np.abs(c - 0.26))]),)
 
     def test_cache_never_returns_another_symbols_slice(self):
-        # fresh symbols may reuse a freed symbol's id
+        # a slice depends on its symbol alone, also when a fresh symbol
+        # reuses a freed symbol's id
         idx = PieceIndex(4, 1, 0.5)
         held = {m: bessel(m) for m in (-1.0, 0.5)}
         want = {m: kernel_slice(a, FAM, idx, 0.0, SPEC).values for m, a in held.items()}
@@ -383,9 +376,17 @@ class TestDenseKernels:
             assert M.shape == (spec.N**2, spec.N**2)
             assert np.max(np.abs(M @ f.values.ravel() - handle(f).values.ravel())) < 1e-10
 
-    def test_one_dimensional_symbol_on_a_2d_grid_raises(self):
+    @pytest.mark.parametrize(
+        "a", [bessel(-1.0), multiplication("cosine")], ids=["multiplier", "separable"]
+    )
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a, spec: apply(a, GridFunction.zeros(spec)), kernel_matrix],
+        ids=["apply", "kernel_matrix"],
+    )
+    def test_one_dimensional_symbol_on_a_2d_grid_raises(self, a, op):
         with pytest.raises(ValueError):
-            kernel_matrix(bessel(-1.0), GridSpec(2, 1, 3))
+            op(a, GridSpec(2, 1, 3))
 
     def test_oversized_matrix_refused(self):
         with pytest.raises(ValueError, match="too large"):

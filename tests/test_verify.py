@@ -12,6 +12,7 @@ from sparselab.pdo import (
     CutoffFamily,
     PieceIndex,
     default_cutoffs,
+    kernel_matrix,
     piece_operator,
     symbol_operator,
 )
@@ -22,9 +23,10 @@ from sparselab.sparse import (
     WhitneyConfig,
     build_whitney_sparse,
 )
-from sparselab.symbol import LocalizedAmplitude, bessel, multiplication
+from sparselab.symbol import LocalizedAmplitude, bessel, custom_symbol, multiplication
 from sparselab.verify import (
     DecayProbeConfig,
+    ProbeReport,
     composed_sharp_apply,
     dense_l2_norm,
     empirical_norm,
@@ -281,12 +283,38 @@ class TestKernelDifference:
         cfg = DecayProbeConfig(tau=0.125)
         with pytest.raises(ValueError, match="further apart"):
             kernel_difference_probe(bessel(-0.5), self.SPEC6, 0.0, -0.5, cfg)
-
-    def test_one_dimensional_only(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        # Euclidean: each axis is within tau, the points are not
+        with pytest.raises(ValueError, match="further apart"):
             kernel_difference_probe(
-                bessel(-0.5, n=2), GridSpec(2, 1, 4), 0.0, -0.1, DecayProbeConfig()
+                bessel(-0.5, n=2), GridSpec(2, 1, 3), (0.0, 0.0), (-0.1, -0.1), cfg
             )
+
+    def test_two_dimensional_annuli_match_the_dense_form(self):
+        spec = GridSpec(2, 1, 3)
+        N, h2, c = spec.N, float(spec.h) ** 2, spec.centers()
+        a = custom_symbol(
+            # not symmetric under swapping the axes, in x or in xi
+            lambda x, xi: np.cos(x[0] - 0.5 * x[1])
+            * (1.0 + xi[0] ** 2 + 4.0 * xi[1] ** 2) ** -0.5,
+            m=-1.0,
+            rho=1.0,
+            delta=0.0,
+            n=2,
+        )
+        cfg = DecayProbeConfig(tau=0.125, theta=1.0)
+        # base points one cell apart along axis 1
+        fit = kernel_difference_probe(a, spec, (c[16], c[16]), (c[16], c[15]), cfg)
+        # M[i, j] = h**2 K(x_i, y_j) over flat cell indices
+        M = kernel_matrix(a, spec)
+        diff = np.abs(M[16 * N + 16] - M[16 * N + 15]).reshape(N, N) / h2
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        dist = np.hypot(X - c[16], Y - c[15])
+        want = []
+        for j in fit.indices:
+            mask = (dist >= 2.0**j * 0.125) & (dist <= 2.0 ** (j + 1) * 0.125)
+            want.append(np.sqrt(np.sum(diff[mask] ** 2) * h2))
+        assert fit.indices == [0, 1, 2]
+        np.testing.assert_allclose(fit.values, want, rtol=1e-10, atol=0)
 
     def test_tau_prefactor_smoke(self):
         a = bessel(-0.5, 0.5, 0.5)
@@ -478,3 +506,30 @@ class TestReportSerialization:
         data = report_dict(verify_sparsity(coll))
         assert data["eta"] == 0.5
         json.dumps(data)
+
+    def test_values_become_strict_json(self):
+        rep = ProbeReport(
+            "probe",
+            {"n": np.int64(3), "tau": Fraction(1, 8), "point": (1, np.float32(0.5))},
+            {
+                "grid": np.array([[1.0, np.inf], [-np.inf, np.nan]]),
+                "nested": {"v": [np.float64(2.5), {"w": Fraction(1, 3)}]},
+            },
+            {"slope": -math.inf, "inf": np.float64(np.inf)},
+            True,
+        )
+        data = report_dict(rep)
+        assert data == {
+            "name": "probe",
+            "inputs": {"n": 3, "tau": 0.125, "point": [1, 0.5]},
+            "constants": {
+                "grid": [[1.0, "inf"], ["-inf", "nan"]],
+                "nested": {"v": [2.5, {"w": 1.0 / 3.0}]},
+            },
+            "slopes": {"slope": "-inf", "inf": "inf"},
+            "passed": True,
+        }
+        assert type(data["inputs"]["n"]) is int
+        assert type(data["inputs"]["point"][1]) is float
+        assert type(data["constants"]["nested"]["v"][0]) is float
+        json.dumps(data, allow_nan=False)
