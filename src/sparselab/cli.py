@@ -641,11 +641,11 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
-    return jobs
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -655,7 +655,9 @@ def main(argv: list[str] | None = None) -> int:
     probes = argparse.ArgumentParser(add_help=False)
     probes.add_argument("config")
     probes.add_argument("--seed", type=int, default=None)
-    probes.add_argument("--jobs", type=_jobs, default=1, help="worker processes (at most the CPUs)")
+    probes.add_argument(
+        "--jobs", type=_at_least_one, default=1, help="worker processes (at most the CPUs)"
+    )
 
     p_run = sub.add_parser("run", parents=[probes], help="execute the probes a config requests")
     p_run.add_argument("--out", default="reports")
@@ -670,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     p_co = sub.add_parser("corpus", help="dump the deterministic test corpus")
     p_co.add_argument("spec", help="config path or inline n=..,K=..,kappa=..")
     p_co.add_argument("--seed", type=int, default=None)
-    p_co.add_argument("--count", type=int, default=None)
+    p_co.add_argument("--count", type=_at_least_one, default=None)
     p_co.add_argument("--out", default="corpus")
     p_co.set_defaults(fn=_cmd_corpus)
 

@@ -1,9 +1,9 @@
 """Exact geometry of shifted dyadic cubes.
 
-All corner arithmetic uses :class:`fractions.Fraction`, so containment,
-tiling, and distance comparisons are exact.  A cube is indexed by a scale
-``k`` (side ``2**-k``), an integer corner vector ``m``, and a shift vector
-``omega`` with entries in ``{0, 1, 2}``.  Axis ``i`` of the cube spans::
+All corner arithmetic uses :class:`fractions.Fraction`, so containment and
+tiling are exact.  A cube is indexed by a scale ``k`` (side ``2**-k``), an
+integer corner vector ``m``, and a shift vector ``omega`` with entries in
+``{0, 1, 2}``.  Axis ``i`` of the cube spans::
 
     [2**-k * (m_i + s*omega_i/3), 2**-k * (m_i + 1 + s*omega_i/3))
 
@@ -32,7 +32,6 @@ __all__ = [
     "concentric_dilate",
     "children",
     "parent",
-    "box_gap_sq",
     "whitney_decompose",
 ]
 
@@ -172,15 +171,6 @@ def parent(c: DyadicCube) -> DyadicCube:
     if not cube_box(up).contains_box(cube_box(c)):
         raise AssertionError("parent does not contain child")
     return up
-
-
-def box_gap_sq(a: Box, b: Box) -> Fraction:
-    """Squared Euclidean distance between two boxes, exact."""
-    total = Fraction(0)
-    for alo, ahi, blo, bhi in zip(a.lower, a.upper, b.lower, b.upper):
-        gap = max(blo - ahi, alo - bhi, Fraction(0))
-        total += gap * gap
-    return total
 
 
 def cube_containing_point(x: Sequence[Fraction], k: int, omega: tuple[int, ...]) -> DyadicCube:

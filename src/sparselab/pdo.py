@@ -36,7 +36,6 @@ from .symbol import LocalizedAmplitude, SymbolClass, _norm
 __all__ = [
     "CutoffFamily",
     "PieceIndex",
-    "KernelSlice",
     "OperatorHandle",
     "default_cutoffs",
     "default_truncation",
@@ -140,25 +139,11 @@ class PieceIndex:
 
 
 @dataclass(frozen=True)
-class KernelSlice:
-    """One x-row of a piece kernel on the periodic z-grid, FFT ordering:
-    ``x`` is the cell centre (one coordinate per axis), ``z`` the offset
-    radius of each value."""
-
-    x: tuple[float, ...]
-    z: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class OperatorHandle:
     """Callable operator with dense-matrix access for oracles."""
 
-    name: str
-    spec: GridSpec
     apply_fn: Callable[[GridFunction], GridFunction]
     matrix_fn: Callable[[], np.ndarray]
-    local_radius: float | None = None
 
     def __call__(self, f: GridFunction) -> GridFunction:
         return self.apply_fn(f)
@@ -398,18 +383,14 @@ def kernel_slice(
     idx: PieceIndex,
     x: float | tuple[float, ...],
     spec: GridSpec,
-    windowed: bool = True,
-) -> KernelSlice:
+) -> np.ndarray:
     """Kernel row of the (j, ell) piece at the cell centre nearest x, times
-    the piece's spatial window unless ``windowed`` is false; a scalar x is
-    that coordinate on every axis."""
+    the piece's spatial window, on the periodic z-grid (FFT ordering); a
+    scalar x is that coordinate on every axis."""
     x_index = _nearest_cell(_as_point(x, spec), spec)
     mult = fam.band(idx.j, _freq_radius(spec))
     (row,), _ = _kernel_rows(a, spec, mult, tuple(np.array(x_index)[:, None]))
-    if windowed:
-        row = row * _window_values(fam, idx, spec)
-    c = spec.centers()
-    return KernelSlice(x=tuple(float(c[i]) for i in x_index), z=_z_radius(spec), values=row)
+    return row * _window_values(fam, idx, spec)
 
 
 def full_kernel_row(
@@ -475,43 +456,29 @@ def kernel_matrix(
     return M
 
 
-def _handle(
-    a: SymbolClass,
-    spec: GridSpec,
-    label: str,
-    apply_fn: Callable[[GridFunction], GridFunction],
-    mult: np.ndarray | None = None,
-    window: np.ndarray | None = None,
-    local_radius: float | None = None,
-) -> OperatorHandle:
-    """Handle named after the symbol, with the dense form of the same kernel."""
-    return OperatorHandle(
-        name=f"{a.family}(m={a.m}){label}",
-        spec=spec,
-        apply_fn=apply_fn,
-        matrix_fn=lambda: kernel_matrix(a, spec, mult, window),
-        local_radius=local_radius,
-    )
-
-
 def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:
-    return _handle(a, spec, "", lambda f: apply(a, f))
+    return OperatorHandle(lambda f: apply(a, f), lambda: kernel_matrix(a, spec))
 
 
 def band_operator(a: SymbolClass, fam: CutoffFamily, j: int, spec: GridSpec) -> OperatorHandle:
     mult = fam.band(j, _freq_radius(spec))
-    return _handle(a, spec, f"^({j})", lambda f: lp_piece_apply(a, fam, j, f), mult)
+    return OperatorHandle(
+        lambda f: lp_piece_apply(a, fam, j, f), lambda: kernel_matrix(a, spec, mult)
+    )
 
 
 def piece_operator(
     a: SymbolClass, fam: CutoffFamily, idx: PieceIndex, spec: GridSpec
 ) -> OperatorHandle:
     mult, window = fam.band(idx.j, _freq_radius(spec)), _window_values(fam, idx, spec)
-    return _handle(a, spec, f"^({idx.j},{idx.ell})", lambda f: spatial_piece_apply(a, fam, idx, f),
-                   mult, window, 2.0 ** (idx.ell - idx.j * idx.nu + 1))
+    return OperatorHandle(
+        lambda f: spatial_piece_apply(a, fam, idx, f), lambda: kernel_matrix(a, spec, mult, window)
+    )
 
 
 def localized_operator(atilde: LocalizedAmplitude, spec: GridSpec) -> OperatorHandle:
     window = _localization_window(spec, atilde.ell1)
-    return _handle(atilde.symbol, spec, f"~ell1={atilde.ell1}",
-                   lambda f: apply_localized(atilde, f), None, window, 2.0**atilde.ell1)
+    return OperatorHandle(
+        lambda f: apply_localized(atilde, f),
+        lambda: kernel_matrix(atilde.symbol, spec, window=window),
+    )

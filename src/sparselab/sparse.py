@@ -22,7 +22,6 @@ from the grid's integer cube-to-cell map.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 import numpy as np
@@ -34,7 +33,6 @@ from .dyadic import (
     concentric_dilate,
     cube_box,
     enumerate_cubes,
-    parent as cube_parent,
     whitney_decompose,
 )
 from .maximal import maximal_p
@@ -47,10 +45,7 @@ __all__ = [
     "WhitneyConfig",
     "build_stopping_time",
     "build_whitney_sparse",
-    "survivor_cubes",
     "verify_sparsity",
-    "save_sparse_collection",
-    "load_sparse_collection",
 ]
 
 
@@ -87,10 +82,12 @@ class SparseCollection:
     def max_rank(self) -> int:
         return max((e.rank for e in self.entries), default=-1)
 
-    def region(self, i: int) -> Box:
-        """Averaging region of entry i: the cube itself, or its triple."""
-        box = cube_box(self.entries[i].cube)
-        return box if self.flavor == "stopping" else concentric_dilate(box, 3)
+    def region(self, i: int) -> DyadicCube | Box:
+        """Averaging region of entry i: for a stopping entry the cube itself,
+        passed as a cube so that its cells come from the grid's integer map;
+        for a Whitney entry its tripled box."""
+        cube = self.entries[i].cube
+        return cube if self.flavor == "stopping" else concentric_dilate(cube_box(cube), 3)
 
 
 def _append_entry(
@@ -111,8 +108,6 @@ class StoppingConfig:
     pair: ExponentPair
     threshold_base: float = 4.0
     roots: tuple[DyadicCube, ...] | None = None  # default: every shift class at scale -(K+1)
-    extend_up: int = 0  # prepend this many coarser ancestors at negative rank
-    max_rank: int | None = None
 
 
 def _support_window(spec: GridSpec, *fns: GridFunction) -> Box | None:
@@ -176,24 +171,12 @@ def build_stopping_time(
         ag = average_p(g, root, sp)
         if af == 0 and ag == 0:
             continue
-        chain = [root]
-        for _ in range(config.extend_up):
-            chain.append(cube_parent(chain[-1]))
-        # ancestors first, ranks -extend_up .. -1, each with its one known child
-        prev = -1
-        for depth in range(config.extend_up, 0, -1):
-            prev = _append_entry(coll, chain[depth], -depth, prev, [chain[depth - 1]])
-        # rank 0: run the recursive selection from the root
-        stack = [(root, prev, 0, af, ag)]
+        stack = [(root, -1, 0, af, ag)]
         while stack:
             q, parent_idx, rank, qaf, qag = stack.pop()
-            if config.max_rank is not None and rank > config.max_rank:
-                continue
             kids = select(q, jump_f * qaf, jump_g * qag)
             kids.sort(key=lambda c: (c.k, c.m))
             me = _append_entry(coll, q, rank, parent_idx, kids)
-            if config.max_rank is not None and rank == config.max_rank:
-                continue
             for c in kids:
                 stack.append((c, me, rank + 1, average_p(f, c, r), average_p(g, c, sp)))
     return coll
@@ -205,8 +188,6 @@ class WhitneyConfig:
     ell1: int = 1  # kernel localization: window radius 2**ell1
     ell2: float = 1.0  # oscillation maximal half-width cap, physical units
     eta: Fraction = Fraction(1, 2)  # survivor fraction target per core
-    core_scale: int | None = None
-    max_rank: int | None = None
 
 
 def _weak_constant(n: int, p: float) -> float:
@@ -244,20 +225,15 @@ def build_whitney_sparse(
     if not (0 < config.eta < 1):
         raise ValueError("eta must lie in (0, 1)")
 
+    # smallest core side 2**-k0 >= 1 that covers the reach
     reach = 2.0**config.ell1 + 2.0 * config.ell2
-    if config.core_scale is not None:
-        k0 = config.core_scale
-    else:
-        k0 = 0
-        while 2.0**-k0 < reach:
-            k0 -= 1
-    side = Fraction(2) ** (-k0)
-    if side > Fraction(2) ** (spec.K - 1):
+    k0 = 0
+    while 2.0**-k0 < reach:
+        k0 -= 1
+    if Fraction(2) ** (-k0) > Fraction(2) ** (spec.K - 1):
         raise ValueError(
             "domain too small for the requested locality; increase K or shrink the reach"
         )
-    if float(side) < reach:
-        raise ValueError("core side is below the composed operator reach")
 
     r = config.pair.r
     sp = config.pair.s_prime
@@ -291,38 +267,9 @@ def build_whitney_sparse(
             ]
             kids.sort(key=lambda c: (c.k, c.m))
         me = _append_entry(coll, q, rank, parent_idx, kids)
-        if config.max_rank is not None and rank >= config.max_rank:
-            continue
         for w in reversed(kids):
             stack.append((w, me, rank + 1))
     return coll
-
-
-def survivor_cubes(
-    coll: SparseCollection, index: int, k: int
-) -> list[DyadicCube]:
-    """Scale-k descendants of entry ``index`` not inside any selected child.
-
-    When k is at least as deep as every child's scale these tile the
-    survivor set exactly.
-    """
-    entry = coll.entries[index]
-    if k < entry.cube.k:
-        raise ValueError("requested scale is coarser than the cube")
-    kid_boxes = [cube_box(coll.entries[j].cube) for j in coll.children_of(index)]
-    out: list[DyadicCube] = []
-    stack = [entry.cube]
-    while stack:
-        c = stack.pop()
-        cb = cube_box(c)
-        if any(kb.contains_box(cb) for kb in kid_boxes):
-            continue
-        if c.k == k:
-            out.append(c)
-        else:
-            stack.extend(cube_children(c))
-    out.sort(key=lambda c: c.m)
-    return out
 
 
 @dataclass
@@ -383,62 +330,3 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
         disjoint=disjoint,
         failures=failures,
     )
-
-
-def _rle(cells: np.ndarray) -> str:
-    if cells.size == 0:
-        return "-"
-    breaks = np.nonzero(np.diff(cells) != 1)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [cells.size - 1]])
-    return ",".join(f"{cells[a]}:{cells[b] - cells[a] + 1}" for a, b in zip(starts, ends))
-
-
-def _unrle(text: str) -> np.ndarray:
-    if text == "-":
-        return np.empty(0, dtype=np.int64)
-    out = []
-    for part in text.split(","):
-        start, length = part.split(":")
-        out.append(np.arange(int(start), int(start) + int(length), dtype=np.int64))
-    return np.concatenate(out)
-
-
-def save_sparse_collection(path, coll: SparseCollection) -> None:
-    """Plain-text format: header lines, then one line per entry holding
-    shift class, rank, parent, scale, position, and survivor runs."""
-    buf = io.StringIO()
-    buf.write("sparselab-sparse 1\n")
-    buf.write(f"{coll.spec.n} {coll.spec.K} {coll.spec.kappa}\n")
-    buf.write(f"{coll.flavor} {coll.eta.numerator}/{coll.eta.denominator}\n")
-    buf.write(f"{len(coll.entries)}\n")
-    for e in coll.entries:
-        om = ",".join(str(t) for t in e.cube.omega)
-        m = ",".join(str(t) for t in e.cube.m)
-        buf.write(f"{om} {e.rank} {e.parent} {e.cube.k} {m} {_rle(e.survivor)}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_sparse_collection(path) -> SparseCollection:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "sparselab-sparse 1":
-        raise ValueError("not a sparse collection file")
-    n, K, kappa = (int(t) for t in lines[1].split())
-    flavor, eta_s = lines[2].split()
-    num, den = eta_s.split("/")
-    count = int(lines[3])
-    spec = GridSpec(n=n, K=K, kappa=kappa)
-    coll = SparseCollection(spec, flavor, Fraction(int(num), int(den)))
-    for line in lines[4 : 4 + count]:
-        om_s, rank_s, parent_s, k_s, m_s, rle = line.split()
-        cube = DyadicCube(
-            int(k_s),
-            tuple(int(t) for t in m_s.split(",")),
-            tuple(int(t) for t in om_s.split(",")),
-        )
-        coll.entries.append(
-            SparseEntry(cube, int(rank_s), int(parent_s), _unrle(rle))
-        )
-    return coll

@@ -13,15 +13,14 @@ multiplication oracles plug in next to the real constructions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import Box, CubePoset, DyadicCube
+from .dyadic import CubePoset
 from .maximal import maximal_p, sharp_maximal
 from .pdo import (
-    CutoffFamily,
     OperatorHandle,
     PieceIndex,
     _as_point,
@@ -31,7 +30,6 @@ from .pdo import (
     default_cutoffs,
     full_kernel_row,
     kernel_slice,
-    piece_operator,
 )
 from .sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
 from .sparse import SparseCollection, verify_sparsity
@@ -48,19 +46,16 @@ __all__ = [
     "SparseFormReport",
     "SharpRatioReport",
     "DecayProbeConfig",
-    "TauPrefactorReport",
     "AuditReport",
     "sharp_lambda",
     "form_threshold_order",
     "empirical_norm",
     "dense_l2_norm",
     "schur_bound",
-    "schur_piece_bound",
     "predicted_band_slope",
     "norm_scaling_fit",
     "kernel_decay_fit",
     "kernel_difference_probe",
-    "tau_prefactor_probe",
     "sparse_form",
     "sparse_form_ratio",
     "pointwise_domination_check",
@@ -153,24 +148,19 @@ def _lp_h(v: np.ndarray, p: float, hn: float) -> float:
     return float((np.sum(np.abs(v) ** p) * hn) ** (1.0 / p))
 
 
-def empirical_norm(
-    op,
-    pair: ExponentPair,
-    spec: GridSpec,
-    trials: int = 12,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 400,
-) -> NormEstimate:
+# random corpus size of the lower-bound branch; power-iteration stopping rule
+_TRIALS = 12
+_TOL = 1e-8
+_MAX_ITER = 400
+
+
+def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> NormEstimate:
     """Operator norm between Lebesgue spaces on the grid.
 
     Exact closed forms where they exist (from L^1, or into L^inf), power
     iteration for the 2 -> 2 norm, and a corpus-plus-extremizer lower bound
-    for every other pair (reported as such, never as the norm).  ``trials``
-    sizes the random corpus for the lower-bound branch.
+    for every other pair (reported as such, never as the norm).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     M = _as_matrix(op)
     hn = float(spec.h) ** spec.n  # cell volume
     r, s = pair.r, pair.s
@@ -191,13 +181,13 @@ def empirical_norm(
         v /= np.linalg.norm(v)
         last = 0.0
         MH = M.conj().T
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             w = MH @ (M @ v)
             sigma2 = float(np.linalg.norm(w))
             if sigma2 == 0.0:
                 return NormEstimate(0.0, "iterated", r, s, it, 0.0)
             v = w / sigma2
-            if abs(sigma2 - last) <= tol * sigma2:
+            if abs(sigma2 - last) <= _TOL * sigma2:
                 break
             last = sigma2
         return NormEstimate(math.sqrt(sigma2), "iterated", r, s, it, abs(sigma2 - last) / sigma2)
@@ -205,7 +195,7 @@ def empirical_norm(
     # general pair: certified lower bound from test functions
     best = 0.0
     N = M.shape[1]
-    cands = [f.values.ravel() for f in make_corpus(spec, seed=seed, count=trials)]
+    cands = [f.values.ravel() for f in make_corpus(spec, seed=seed, count=_TRIALS)]
     j_star = int(np.argmax(np.sum(np.abs(K), axis=0)))
     delta = np.zeros(N, dtype=np.complex128)
     delta[j_star] = 1.0 / hn
@@ -274,17 +264,6 @@ def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     )
 
 
-def schur_piece_bound(
-    a: SymbolClass,
-    fam: CutoffFamily,
-    idx: PieceIndex,
-    pair: ExponentPair,
-    spec: GridSpec,
-) -> float:
-    """Schur bound of one band-and-window piece (the certified product)."""
-    return schur_bound(piece_operator(a, fam, idx, spec), pair, spec).product_bound
-
-
 # ---------------------------------------------------------------------------
 # scaling fits
 
@@ -320,7 +299,7 @@ def predicted_band_slope(
             raise ValueError("lr_linf needs an exponent pair")
         return m + n / pair.r
     if mode == "l2_l2":
-        return m + n * max(0.0, (eff - rho) / 2.0)
+        return m + n * sharp_lambda(rho, eff)
     if mode == "lr_ls":
         if pair is None:
             raise ValueError("lr_ls needs an exponent pair")
@@ -369,59 +348,40 @@ def norm_scaling_fit(
     a: SymbolClass,
     spec: GridSpec,
     mode: str,
+    js: list[int],
     pair: ExponentPair | None = None,
-    js: list[int] | None = None,
-    ells: list[int] | None = None,
-    j_fixed: int | None = None,
-    nu: float | None = None,
-    fam: CutoffFamily | None = None,
     seed: int = 0,
 ) -> NormFit:
-    """Fit log2 of piece norms against the band index j (or, with ``ells``
-    and a fixed j, against the spatial shell index; no growth prediction is
-    attached there since the decay is superpolynomial)."""
-    fam = fam or default_cutoffs()
+    """Fit log2 of band-piece norms against the band index j."""
+    fam = default_cutoffs()
     use = _mode_pair(mode, pair)
-    if (js is None) == (ells is None):
-        raise ValueError("provide exactly one of js or ells")
-    if js is not None:
-        ops = [(j, band_operator(a, fam, j, spec)) for j in js]
-        pred = predicted_band_slope(mode, a, pair=use, nu=None)
-    else:
-        if j_fixed is None or nu is None:
-            raise ValueError("shell fits need j_fixed and nu")
-        ops = [(ell, piece_operator(a, fam, PieceIndex(j_fixed, ell, nu), spec)) for ell in ells]
-        pred = None
-    ests = [empirical_norm(op, use, spec, seed=seed) for _, op in ops]
-    return _fit(mode, [i for i, _ in ops], [e.value for e in ests], pred, [e.kind for e in ests])
+    pred = predicted_band_slope(mode, a, pair=use)
+    ests = [empirical_norm(band_operator(a, fam, j, spec), use, spec, seed=seed) for j in js]
+    return _fit(mode, list(js), [e.value for e in ests], pred, [e.kind for e in ests])
+
+
+# shell sups at or below this are quadrature noise
+_SHELL_FLOOR = 1e-13
 
 
 def kernel_decay_fit(
-    a: SymbolClass,
-    spec: GridSpec,
-    j: int,
-    ells: list[int],
-    nu: float,
-    fam: CutoffFamily | None = None,
-    x: float | tuple[float, ...] = 0.0,
-    floor: float = 1e-13,
+    a: SymbolClass, spec: GridSpec, j: int, ells: list[int], nu: float
 ) -> NormFit:
-    """Fit log2 of the windowed piece-kernel sup against the shell index.
+    """Fit log2 of the windowed piece-kernel sup, at the origin, against the
+    shell index.
 
     Shells live at distance ~ 2**(ell - j*nu) from the diagonal; repeated
     integration by parts trades each shell step for a fixed decay factor, so
-    the fitted slope should be steeply negative.  Shell values below
-    ``floor`` are dropped from the fit (already at quadrature noise).  A
-    scalar ``x`` is the point with that coordinate on every axis.
+    the fitted slope should be steeply negative.  Shell values at or below
+    ``1e-13`` are dropped from the fit (already at quadrature noise).
     """
     if not nu < a.rho:
         raise ValueError("shell decay needs nu below the symbol's rho")
-    fam = fam or default_cutoffs()
+    fam = default_cutoffs()
     used, vals = [], []
     for ell in ells:
-        sl = kernel_slice(a, fam, PieceIndex(j, ell, nu), x, spec)
-        v = float(np.max(np.abs(sl.values)))
-        if v > floor:
+        v = float(np.max(np.abs(kernel_slice(a, fam, PieceIndex(j, ell, nu), 0.0, spec))))
+        if v > _SHELL_FLOOR:
             used.append(ell)
             vals.append(v)
     if len(used) < 2:
@@ -438,17 +398,12 @@ _MIN_ANNULUS_CELLS = 4
 class DecayProbeConfig:
     """Annulus geometry and exponents for the kernel-variation probe.
 
-    ``h`` must satisfy ``m + n/p < h*rho < m + n/p + 1``; when omitted the
-    midpoint of that interval is used.  Annuli are
-    ``c1 * 2**j * tau**theta <= |y - x_b| <= c2 * 2**(j+1) * tau**theta``.
+    Annuli are ``2**j * tau**theta <= |y - x_b| <= 2**(j+1) * tau**theta``.
     """
 
     tau: float = 0.125
     theta: float = 0.5
     p: float = 2.0
-    h: float | None = None
-    c1: float = 1.0
-    c2: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tau <= 1.0):
@@ -457,17 +412,12 @@ class DecayProbeConfig:
             raise ValueError("theta must lie in [0, 1]")
         if not (1.0 <= self.p <= 2.0):
             raise ValueError("p must lie in [1, 2]")
-        if not (0.5 < self.c1 < 2.0 * self.c2):
-            raise ValueError("annulus constants need 1/2 < c1 < 2*c2")
 
     def resolved_h(self, a: SymbolClass, n: int) -> float:
+        """Decay exponent h: the midpoint of ``m + n/p < h*rho < m + n/p + 1``."""
         lo = a.m + n / self.p
         hi = lo + 1.0
-        if self.h is None:
-            return (lo + hi) / (2.0 * a.rho)
-        if not (lo < self.h * a.rho < hi):
-            raise ValueError("h outside the admissible interval for this symbol")
-        return self.h
+        return (lo + hi) / (2.0 * a.rho)
 
 
 def kernel_difference_probe(
@@ -509,8 +459,8 @@ def kernel_difference_probe(
     pp = math.inf if config.p == 1.0 else config.p / (config.p - 1.0)
     used, vals = [], []
     for j in _ANNULI:
-        lo = config.c1 * 2.0**j * base
-        hi = config.c2 * 2.0 ** (j + 1) * base
+        lo = 2.0**j * base
+        hi = 2.0 ** (j + 1) * base
         if hi > zmax:
             break
         mask = (dist >= lo) & (dist <= hi)
@@ -528,48 +478,6 @@ def kernel_difference_probe(
     return _fit("kernel_difference", used, vals, -h_exp)
 
 
-@dataclass
-class TauPrefactorReport:
-    taus: tuple[float, float]
-    exponent_measured: float  # averaged over shared annulus indices
-    exponent_predicted: float  # h*(rho - theta) - m - n/p
-    per_index: dict
-
-
-def tau_prefactor_probe(
-    a: SymbolClass,
-    spec: GridSpec,
-    x: float | tuple[float, ...],
-    config: DecayProbeConfig,
-    tau2: float,
-    window_ell1: int | None = None,
-) -> TauPrefactorReport:
-    """How the variation amplitude scales in the base-point separation.
-
-    Runs the difference probe at separations tau and tau2 (base points
-    moved by ``-tau`` along axis 0); at each shared annulus index the log2 ratio divided by
-    log2(tau/tau2) estimates the prefactor exponent, predicted to be
-    ``h(rho - theta) - m - n/p``.
-    """
-    cfg2 = replace(config, tau=tau2)
-    x = _as_point(x, spec)
-    fit1 = kernel_difference_probe(a, spec, x, (x[0] - config.tau,) + x[1:], config, window_ell1)
-    fit2 = kernel_difference_probe(a, spec, x, (x[0] - tau2,) + x[1:], cfg2, window_ell1)
-    h_exp = config.resolved_h(a, spec.n)
-    shared = sorted(set(fit1.indices) & set(fit2.indices))
-    if not shared:
-        raise ValueError("the two runs share no annulus index")
-    scale = math.log2(config.tau / tau2)
-    per = {}
-    for j in shared:
-        v1 = fit1.log2_values[fit1.indices.index(j)]
-        v2 = fit2.log2_values[fit2.indices.index(j)]
-        per[j] = (v1 - v2) / scale
-    measured = float(np.mean(list(per.values())))
-    predicted = h_exp * (a.rho - config.theta) - a.m - spec.n / config.p
-    return TauPrefactorReport((config.tau, tau2), measured, predicted, per)
-
-
 # ---------------------------------------------------------------------------
 # sparse forms and domination
 
@@ -580,19 +488,13 @@ class SparseForm:
     per_cube: list[float]
 
 
-def _region(coll: SparseCollection, i: int) -> DyadicCube | Box:
-    """Averaging region of entry i.  A stopping entry's is its cube, passed
-    as a cube so that its cells come from the grid's integer map."""
-    return coll.entries[i].cube if coll.flavor == "stopping" else coll.region(i)
-
-
 def sparse_form(
     coll: SparseCollection, f: GridFunction, g: GridFunction, pair: ExponentPair
 ) -> SparseForm:
     """Sum over the family of |region| <f>_r,region <g>_s',region."""
     per = []
     for i in range(len(coll.entries)):
-        region = _region(coll, i)
+        region = coll.region(i)
         vol = float(region.volume())
         per.append(vol * average_p(f, region, pair.r) * average_p(g, region, pair.s_prime))
     return SparseForm(float(sum(per)), per)
@@ -640,7 +542,6 @@ def pointwise_domination_check(
     f: GridFunction,
     coll: SparseCollection,
     r: float,
-    floor: float = DENOM_FLOOR,
 ) -> DominationReport:
     """Compare |Tf| against the sparse superposition of region averages.
 
@@ -653,12 +554,12 @@ def pointwise_domination_check(
     D = np.zeros(spec.shape)
     flat = D.reshape(-1)
     for i, e in enumerate(coll.entries):
-        avg = average_p(f, _region(coll, i), r)
+        avg = average_p(f, coll.region(i), r)
         cells = spec.box_flat_cells(e.cube)
         np.add.at(flat, cells, avg)
     Ta = np.abs(Tf.values)
     covered = D > 0
-    sig = Ta > floor
+    sig = Ta > DENOM_FLOOR
     uncov = sig & ~covered
     ratios = Ta[covered] / D[covered]
     return DominationReport(
@@ -666,7 +567,7 @@ def pointwise_domination_check(
         covered_fraction=float(np.mean(covered)),
         uncovered_count=int(np.count_nonzero(uncov)),
         uncovered_max=float(np.max(Ta[uncov])) if np.any(uncov) else 0.0,
-        floor=floor,
+        floor=DENOM_FLOOR,
     )
 
 
@@ -697,7 +598,6 @@ def sharp_ratio_probe(
     ell1: int,
     ell2: float,
     p: float,
-    floor: float = DENOM_FLOOR,
     precomputed_max: list[np.ndarray] | None = None,
 ) -> SharpRatioReport:
     """Pointwise control of the composed operator by the p-maximal of f,
@@ -715,9 +615,9 @@ def sharp_ratio_probe(
     for k, f in enumerate(fs):
         S = composed_sharp_apply(at, ell2, f)
         Mp = maximal_p(f, p) if precomputed_max is None else precomputed_max[k]
-        active = S > floor
-        flagged += int(np.count_nonzero(active & (Mp <= floor)))
-        ok = active & (Mp > floor)
+        active = S > DENOM_FLOOR
+        flagged += int(np.count_nonzero(active & (Mp <= DENOM_FLOOR)))
+        ok = active & (Mp > DENOM_FLOOR)
         active_total += int(np.count_nonzero(ok))
         if np.any(ok):
             ratios_all.append(S[ok] / Mp[ok])
@@ -726,7 +626,7 @@ def sharp_ratio_probe(
         mx, med = float(np.max(cat)), float(np.median(cat))
     else:
         mx = med = 0.0
-    return SharpRatioReport(mx, med, active_total, flagged, floor)
+    return SharpRatioReport(mx, med, active_total, flagged, DENOM_FLOOR)
 
 
 @dataclass

@@ -154,6 +154,13 @@ class TestJobs:
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_corpus_count_below_one_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("corpus", "n=1,K=2,kappa=6", "--count", "0", "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "--count: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):

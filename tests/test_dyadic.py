@@ -11,7 +11,6 @@ from sparselab.dyadic import (
     Box,
     CubePoset,
     DyadicCube,
-    box_gap_sq,
     children,
     concentric_dilate,
     cube_box,
@@ -262,10 +261,3 @@ class TestPointLocation:
         assert c.k == k and c.omega == (w,)
         assert cube_box(c).contains_point(x)
 
-
-def test_box_gap():
-    assert box_gap_sq(box1(0, 1), box1(2, 3)) == 1
-    assert box_gap_sq(box1(0, 2), box1(1, 3)) == 0
-    a = Box((Fr(0), Fr(0)), (Fr(1), Fr(1)))
-    b = Box((Fr(2), Fr(2)), (Fr(3), Fr(3)))
-    assert box_gap_sq(a, b) == 2

@@ -231,11 +231,10 @@ class TestSpatialPieces:
         vals[i0] = 1.0
         f = GridFunction(SPEC, vals)
         g = spatial_piece_apply(a, FAM, idx, f)
-        handle = piece_operator(a, FAM, idx, SPEC)
         c = SPEC.centers()
         dist = np.abs(c - c[i0])
         dist = np.minimum(dist, 2.0 * float(SPEC.halfwidth) - dist)
-        outside = dist >= handle.local_radius
+        outside = dist >= 2.0 ** (idx.ell - idx.j * idx.nu + 1)
         peak = np.max(np.abs(g.values))
         assert peak > 0.0
         # FFT-based correlation leaves only roundoff beyond the window reach
@@ -260,41 +259,41 @@ class TestKernelSlices:
 
     def test_slice_window_support(self):
         idx = PieceIndex(3, 1, 0.0)
-        sl = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)
-        inner = np.abs(sl.z) <= 0.5
-        assert np.max(np.abs(sl.values[inner])) == 0.0
-        assert np.max(np.abs(sl.values)) > 0.0
+        row = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)
+        # offsets of the periodic z-grid in FFT order
+        inner = np.abs(np.fft.fftfreq(SPEC.N) * SPEC.N * float(SPEC.h)) <= 0.5
+        assert np.max(np.abs(row[inner])) == 0.0
+        assert np.max(np.abs(row)) > 0.0
 
     def test_slice_snaps_to_cell_center(self):
+        # an x-dependent symbol, so rows at neighbouring cells differ
+        a = custom_symbol(
+            lambda x, xi: np.cos(x[0]) * (1.0 + xi[0] ** 2) ** -0.5, m=-1.0, rho=1.0, delta=0.0
+        )
         idx = PieceIndex(2, 0, 0.0)
-        sl = kernel_slice(bessel(-1.0), FAM, idx, 0.26, SPEC)
         c = SPEC.centers()
-        assert sl.x == (float(c[np.argmin(np.abs(c - 0.26))]),)
+        i = int(np.argmin(np.abs(c - 0.26)))
+        row = kernel_slice(a, FAM, idx, 0.26, SPEC)
+        assert np.array_equal(row, kernel_slice(a, FAM, idx, float(c[i]), SPEC))
+        assert not np.array_equal(row, kernel_slice(a, FAM, idx, float(c[i + 1]), SPEC))
 
     def test_cache_never_returns_another_symbols_slice(self):
         # a slice depends on its symbol alone, also when a fresh symbol
         # reuses a freed symbol's id
         idx = PieceIndex(4, 1, 0.5)
         held = {m: bessel(m) for m in (-1.0, 0.5)}
-        want = {m: kernel_slice(a, FAM, idx, 0.0, SPEC).values for m, a in held.items()}
+        want = {m: kernel_slice(a, FAM, idx, 0.0, SPEC) for m, a in held.items()}
         assert not np.array_equal(want[-1.0], want[0.5])
         for k in range(200):
             m = (-1.0, 0.5)[k % 2]
-            assert np.array_equal(kernel_slice(bessel(m), FAM, idx, 0.0, SPEC).values, want[m])
+            assert np.array_equal(kernel_slice(bessel(m), FAM, idx, 0.0, SPEC), want[m])
 
     def test_even_symbol_gives_even_real_row(self):
         idx = PieceIndex(3, 2, 0.0)
-        sl = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)
-        assert np.max(np.abs(sl.values.imag)) < 1e-12
-        interior = sl.values[1:]
+        row = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)
+        assert np.max(np.abs(row.imag)) < 1e-12
+        interior = row[1:]
         assert np.max(np.abs(interior - interior[::-1])) < 1e-12
-
-    def test_windowed_slice_matches_row_times_window(self):
-        idx = PieceIndex(3, 2, 0.2)
-        plain = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC, windowed=False)
-        cut = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC, windowed=True)
-        w = FAM.window(idx.j, idx.ell, idx.nu, np.abs(plain.z))
-        assert np.max(np.abs(cut.values - plain.values * w)) < 1e-14
 
 
 class TestLocalized:
@@ -330,7 +329,6 @@ class TestLocalized:
         atilde = LocalizedAmplitude(bessel(-1.0), 2)
         handle = localized_operator(atilde, SPEC)
         assert np.array_equal(handle(f).values, apply_localized(atilde, f).values)
-        assert handle.local_radius == 4.0
         M = handle.matrix_fn()
         assert np.max(np.abs(M @ f.values - handle(f).values)) < 1e-10
 

@@ -1,4 +1,4 @@
-"""Stopping-time and Whitney sparse families, sparsity checks, storage."""
+"""Stopping-time and Whitney sparse families and sparsity checks."""
 
 from fractions import Fraction
 
@@ -14,9 +14,6 @@ from sparselab.sparse import (
     WhitneyConfig,
     build_stopping_time,
     build_whitney_sparse,
-    load_sparse_collection,
-    save_sparse_collection,
-    survivor_cubes,
     verify_sparsity,
 )
 
@@ -67,36 +64,10 @@ class TestStoppingTime:
         together = np.union1d(s0, s1)
         assert np.array_equal(together, SPEC.box_flat_cells(box01(0, 1)))
 
-    def test_extend_up_prepends_ancestor(self):
-        f, g = spike_inputs(SPEC)
-        coll = build_stopping_time(
-            f, g, StoppingConfig(pair=PAIR_1_INF, roots=(UNIT,), extend_up=1)
-        )
-        assert coll.entries[0].cube == DyadicCube(-1, (0,), (0,))
-        assert coll.entries[0].rank == -1
-        assert coll.entries[1].rank == 0
-        assert coll.entries[1].parent == 0
-        # the ancestor's survivor is its half minus the known child
-        assert coll.entries[0].survivor.size == SPEC.box_cell_count(box01(1, 2))
-        assert verify_sparsity(coll).ok
-
-    def test_max_rank_cuts_recursion(self):
-        f, g = spike_inputs(SPEC)
-        coll = build_stopping_time(
-            f, g, StoppingConfig(pair=PAIR_1_INF, roots=(UNIT,), max_rank=0)
-        )
-        assert [e.rank for e in coll.entries] == [0]
-        # selection still carves the root's survivor set even though the
-        # selected child is not recorded as an entry
-        expected = SPEC.box_cell_count(box01(0, 1)) - SPEC.box_cell_count(
-            box01(0, Fraction(1, 8))
-        )
-        assert coll.entries[0].survivor.size == expected
-
     def test_region_is_the_cube(self):
         f, g = spike_inputs(SPEC)
         coll = build_stopping_time(f, g, StoppingConfig(pair=PAIR_1_INF, roots=(UNIT,)))
-        assert coll.region(0) == cube_box(UNIT)
+        assert coll.region(0) == UNIT
 
     def test_corpus_families_are_half_sparse(self):
         fs = make_corpus(SPEC, seed=21, count=4)
@@ -119,43 +90,6 @@ class TestStoppingTime:
         z = GridFunction.zeros(SPEC)
         coll = build_stopping_time(z, z, StoppingConfig(pair=PAIR_1_INF))
         assert len(coll) == 0
-
-
-class TestSurvivorCubes:
-    def test_no_children_gives_full_tiling(self):
-        f = GridFunction.indicator(SPEC, box01(0, 1))
-        coll = build_stopping_time(
-            f, f, StoppingConfig(pair=ExponentPair(2.0, 2.0), roots=(UNIT,))
-        )
-        subs = survivor_cubes(coll, 0, 2)
-        assert [c.m for c in subs] == [(0,), (1,), (2,), (3,)]
-
-    def test_quarters_outside_selected_half(self):
-        coll = SparseCollection(SPEC, "stopping", Fraction(1, 2))
-        root_cells = SPEC.box_flat_cells(box01(0, 1))
-        half_cells = SPEC.box_flat_cells(box01(0, Fraction(1, 2)))
-        coll.entries.append(
-            SparseEntry(UNIT, 0, -1, np.setdiff1d(root_cells, half_cells))
-        )
-        coll.entries.append(SparseEntry(DyadicCube(1, (0,), (0,)), 1, 0, half_cells))
-        subs = survivor_cubes(coll, 0, 2)
-        assert [(c.k, c.m) for c in subs] == [(2, (2,)), (2, (3,))]
-
-    def test_tiles_match_survivor_cells(self):
-        f, g = spike_inputs(SPEC)
-        coll = build_stopping_time(f, g, StoppingConfig(pair=PAIR_1_INF, roots=(UNIT,)))
-        tiles = survivor_cubes(coll, 0, 3)
-        assert len(tiles) == 7
-        cells = np.sort(np.concatenate([SPEC.box_flat_cells(cube_box(c)) for c in tiles]))
-        assert np.array_equal(cells, coll.entries[0].survivor)
-
-    def test_scale_must_refine(self):
-        f = GridFunction.indicator(SPEC, box01(0, 1))
-        coll = build_stopping_time(
-            f, f, StoppingConfig(pair=ExponentPair(2.0, 2.0), roots=(UNIT,))
-        )
-        with pytest.raises(ValueError, match="coarser"):
-            survivor_cubes(coll, 0, -1)
 
 
 class TestWhitneySparse:
@@ -197,23 +131,6 @@ class TestWhitneySparse:
                 assert e.rank == parent.rank + 1
                 assert cube_box(parent.cube).contains_box(cube_box(e.cube))
         assert verify_sparsity(coll).ok
-
-    def test_max_rank_zero(self):
-        spec = self.SPEC3
-        f = GridFunction.indicator(spec, box01(0, Fraction(1, 8)))
-        config = WhitneyConfig(
-            pair=ExponentPair(2.0, 2.0), ell1=1, ell2=1.0, max_rank=0
-        )
-        coll = build_whitney_sparse(f, f, config)
-        assert coll.max_rank() == 0
-
-    def test_core_must_cover_reach(self):
-        f, _ = self.flat()
-        config = WhitneyConfig(
-            pair=ExponentPair(2.0, 2.0), ell1=1, ell2=1.0, core_scale=0
-        )
-        with pytest.raises(ValueError, match="reach"):
-            build_whitney_sparse(f, f, config)
 
     def test_domain_must_fit_core(self):
         spec = GridSpec(1, 1, 5)
@@ -272,36 +189,3 @@ class TestVerifySparsity:
         with pytest.raises(ValueError, match="flavor"):
             SparseCollection(SPEC, "greedy", Fraction(1, 2))
 
-
-class TestStorage:
-    def test_round_trip(self, tmp_path):
-        f, g = spike_inputs(SPEC)
-        coll = build_stopping_time(
-            f, g, StoppingConfig(pair=PAIR_1_INF, roots=(UNIT,), extend_up=1)
-        )
-        path = tmp_path / "family.txt"
-        save_sparse_collection(path, coll)
-        back = load_sparse_collection(path)
-        assert back.spec == coll.spec
-        assert back.flavor == coll.flavor
-        assert back.eta == coll.eta
-        assert len(back) == len(coll)
-        for a, b in zip(coll.entries, back.entries):
-            assert a.cube == b.cube
-            assert a.rank == b.rank
-            assert a.parent == b.parent
-            assert np.array_equal(a.survivor, b.survivor)
-
-    def test_empty_survivor_round_trips(self, tmp_path):
-        coll = SparseCollection(SPEC, "whitney", Fraction(1, 6))
-        coll.entries.append(SparseEntry(UNIT, 0, -1, np.empty(0, dtype=np.int64)))
-        path = tmp_path / "family.txt"
-        save_sparse_collection(path, coll)
-        back = load_sparse_collection(path)
-        assert back.entries[0].survivor.size == 0
-
-    def test_header_check(self, tmp_path):
-        path = tmp_path / "family.txt"
-        path.write_text("something else\n")
-        with pytest.raises(ValueError, match="not a sparse collection"):
-            load_sparse_collection(path)
