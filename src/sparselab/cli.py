@@ -72,6 +72,7 @@ class Config:
             first = str(exc).splitlines()[0]
             raise ConfigError(f"{path}:{line}: {first}") from exc
         self.cp = cp
+        self.read: set[tuple[str, str]] = set()  # (section, option) pairs asked for
 
     def line_of(self, section: str, option: str | None = None) -> int:
         pat = (
@@ -94,6 +95,7 @@ class Config:
         return ConfigError(f"{self.path}:{self.line_of(section, option)}: {message}")
 
     def get(self, section: str, option: str, cast=str, default=_MISSING):
+        self.read.add((section, self.cp.optionxform(option)))
         if not self.cp.has_option(section, option):
             if default is _MISSING:
                 raise self.fail(section, None, f"missing required option {option!r} in [{section}]")
@@ -107,6 +109,25 @@ class Config:
             return cast(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise self.fail(section, option, f"cannot parse {option} = {raw!r} as {cast.__name__}") from exc
+
+    def unknown(self, section: str, option: str) -> ConfigError:
+        return self.fail(section, option, f"unknown option {option!r} in [{section}]")
+
+    def reject_unread(self) -> None:
+        """Raise for the first option that no :meth:`get` asked for, such as a
+        misspelt key or section; call it once everything has been read.  A
+        ``[DEFAULT]`` option counts as read when any section read it."""
+        defaults = self.cp.defaults()
+        read_anywhere = {option for _, option in self.read}
+        unread = [(self.cp.default_section, o) for o in defaults if o not in read_anywhere]
+        unread += [
+            (section, option)
+            for section in self.cp.sections()
+            for option in self.cp.options(section)
+            if option not in defaults and (section, option) not in self.read
+        ]
+        if unread:
+            raise self.unknown(*unread[0])
 
     def as_dict(self) -> dict:
         return {s: dict(self.cp.items(s)) for s in self.cp.sections()}
@@ -178,7 +199,9 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
     except ValueError as exc:
         raise cfg.fail("exponents", "r", str(exc)) from exc
 
-    seed = seed_override if seed_override is not None else cfg.get("corpus", "seed", int, 0)
+    seed = cfg.get("corpus", "seed", int, 0)
+    if seed_override is not None:
+        seed = seed_override
     count = cfg.get("corpus", "count", int, 4)
     if count < 1:
         raise cfg.fail("corpus", "count", "corpus count must be positive")
@@ -541,12 +564,19 @@ def run_probes(
 # commands
 
 
+def _checked_probes(cfg: Config, seed: int | None) -> list[str]:
+    """The probes a config requests, after building its context once so that
+    config errors, unknown options included, exit 2 before anything runs."""
+    names = _probe_list(cfg)
+    _build_context(cfg, seed)
+    cfg.reject_unread()
+    return names
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        names = _probe_list(cfg)
-        # validate the context eagerly so config errors exit 2, not 1
-        _build_context(cfg, args.seed)
+        names = _checked_probes(cfg, args.seed)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -560,11 +590,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         cfg = load_config(args.config)
-        names = _probe_list(cfg)
-        _build_context(cfg, args.seed)
+        _checked_probes(cfg, args.seed)
         if "." not in args.axis:
             raise ConfigError(f"{args.config}:1: axis must be section.option, got {args.axis!r}")
         section, option = args.axis.split(".", 1)
+        option = cfg.cp.optionxform(option)
         values = [t.strip() for t in args.values.split(",") if t.strip()]
         if not values:
             raise ConfigError(f"{args.config}:1: empty sweep value list")
@@ -574,8 +604,12 @@ def _cmd_sweep(args) -> int:
             data = cfg.as_dict()
             data.setdefault(section, {})[option] = value
             vcfg = _config_from_dict(data, path=f"<{args.axis}={value}>")
+            names = _probe_list(vcfg)
             _build_context(vcfg, args.seed)
-            swept.append((value, vcfg))
+            # the other options are the checked ones of the base config
+            if (section, option) not in vcfg.read:
+                raise vcfg.unknown(section, option)
+            swept.append((value, vcfg, names))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -583,7 +617,7 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out)
     rows = []
     all_ok = True
-    for value, vcfg in swept:
+    for value, vcfg, names in swept:
         ok, reports = run_probes(vcfg, names, out_root / f"{option}={value}", args.seed, args.jobs)
         all_ok = all_ok and ok
         rows += [[value, rep["name"], rep["passed"], _primary(rep)[1]] for rep in reports]

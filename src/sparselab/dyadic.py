@@ -13,6 +13,11 @@ exactly (children tile their parent), while the central thirds of the three
 shifted families still tile space at every scale.  A scale-independent
 orientation would leave same-family cubes at consecutive scales partially
 overlapping, so no stopping-time recursion could descend through them.
+
+Whitney decomposition of a grid open set counts a cube's flagged cells
+through the grid's integer cube-to-cell map (``GridSpec.cell_slices``): the
+cells of a shifted cube form one contiguous block, so each count is one
+slice of the mask.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Box",
@@ -64,10 +71,6 @@ class Box:
     @property
     def sides(self) -> tuple[Fraction, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
-
-    @property
-    def center(self) -> tuple[Fraction, ...]:
-        return tuple((lo + hi) / 2 for lo, hi in zip(self.lower, self.upper))
 
     def volume(self) -> Fraction:
         v = Fraction(1)
@@ -204,9 +207,6 @@ class CubePoset:
         self.ranks = list(ranks)
         self._thirds = [third_dilate(e) for e in elements]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def leq(self, i: int, j: int) -> bool:
         """Whether element ``i`` precedes ``j`` (third of i inside third of j)."""
         return self._thirds[j].contains_box(self._thirds[i])
@@ -261,98 +261,36 @@ def whitney_decompose(
     """Maximal dyadic cubes of family ``omega`` contained in a grid open set.
 
     ``open_cells`` is a boolean cell mask on ``grid`` (the open set is the
-    union of the flagged cells, all other space counts as complement).  The
-    returned cubes are pairwise disjoint, their union is exactly the open
-    set, and each one's parent meets the complement.  Since the triple of a
-    cube contains its parent, the concentric ``3``-dilate of every returned
-    cube meets the complement, hence so does any larger dilate such as
-    ``4 * sqrt(n)``.
+    union of the flagged cells, all other space counts as complement).  A
+    cube counts as inside the open set when every cell its volume holds is
+    flagged, so a shifted cube may poke past the domain edge by less than
+    half a cell.  The returned cubes are pairwise disjoint, their union is
+    exactly the open set, and each one's parent meets the complement.  Since
+    the triple of a cube contains its parent, the concentric ``3``-dilate of
+    every returned cube meets the complement, hence so does any larger
+    dilate such as ``4 * sqrt(n)``.
     """
-    import numpy as np
-
     mask = np.asarray(open_cells, dtype=bool)
     if mask.shape != grid.shape:
         raise ValueError("open set mask must match the grid shape")
     if mask.ndim != len(omega):
         raise ValueError("shift dimension must match the grid dimension")
-    if not mask.any():
-        return []
 
-    # Pyramid of per-cube counts of flagged cells, one level per scale.
-    # A cube is inside the open set iff its count equals its cell capacity;
-    # out-of-domain cells never contribute, so cubes poking past the domain
-    # can never be selected (the exterior counts as complement).
-    counts = {grid.kappa: mask.astype(np.int64)}
-    offsets = {grid.kappa: grid.cell_origin_index(omega)}
-    k = grid.kappa
-    while k > grid.coarsest_scale():
-        counts[k - 1], offsets[k - 1] = _coarsen_counts(
-            counts[k], offsets[k], k, omega, grid
-        )
-        k -= 1
-
-    top = grid.coarsest_scale()
+    # A cube's cells are one block of the mask, clipped to the domain, so a
+    # cube that loses cells past the domain edge never reaches its full
+    # count.  The walk starts at a scale where every cube is wider than the
+    # domain.
     out: list[DyadicCube] = []
-    stack = [
-        (top, idx)
-        for idx in itertools.product(*(range(s) for s in counts[top].shape))
-        if counts[top][idx] > 0
-    ]
+    stack = list(enumerate_cubes(-(grid.K + 2), omega, grid.domain()))
     while stack:
-        k, idx = stack.pop()
-        cnt = counts[k][idx]
-        if cnt == 0:
-            continue
-        if cnt == (1 << ((grid.kappa - k) * grid.n)):
-            m = tuple(o + i for o, i in zip(offsets[k], idx))
-            out.append(DyadicCube(k, m, omega))
-            continue
-        if k == grid.kappa:
-            continue
-        m = tuple(o + i for o, i in zip(offsets[k], idx))
-        for kid in children(DyadicCube(k, m, omega)):
-            kidx = tuple(mi - o for mi, o in zip(kid.m, offsets[k + 1]))
-            if all(0 <= i < s for i, s in zip(kidx, counts[k + 1].shape)):
-                stack.append((k + 1, kidx))
+        c = stack.pop()
+        cnt = np.count_nonzero(mask[grid.cell_slices(c)])
+        if cnt == 1 << ((grid.kappa - c.k) * grid.n):
+            out.append(c)
+        elif cnt > 0 and c.k < grid.kappa:
+            stack.extend(children(c))
     out.sort(key=lambda c: (c.k, c.m))
     return out
-
-
-def _coarsen_counts(fine, fine_offset, k_fine, omega, grid):
-    """Sum scale-``k_fine`` cube counts into their scale ``k_fine - 1`` parents."""
-    import numpy as np
-
-    n = fine.ndim
-    s = shift_sign(k_fine - 1)
-    par_lo = []
-    par_hi = []
-    for ax in range(n):
-        lo_child = fine_offset[ax]
-        hi_child = fine_offset[ax] + fine.shape[ax] - 1
-        # child index m decomposes as 2*mp + s*omega + e with e in {0,1}
-        par_lo.append((lo_child - s * omega[ax] - 1) // 2)
-        par_hi.append((hi_child - s * omega[ax]) // 2)
-    shape = tuple(hi - lo + 1 for lo, hi in zip(par_lo, par_hi))
-    coarse = np.zeros(shape, dtype=np.int64)
-    for offs in itertools.product((0, 1), repeat=n):
-        # child index along axis ax for parent slot p: 2*p + s*omega + e
-        slices_c = []
-        slices_f = []
-        ok = True
-        for ax in range(n):
-            first_child = 2 * par_lo[ax] + s * omega[ax] + offs[ax]
-            start = first_child - fine_offset[ax]
-            idx = np.arange(shape[ax]) * 2 + start
-            valid = (idx >= 0) & (idx < fine.shape[ax])
-            if not valid.any():
-                ok = False
-                break
-            slices_c.append(np.flatnonzero(valid))
-            slices_f.append(idx[valid])
-        if not ok:
-            continue
-        coarse[np.ix_(*slices_c)] += fine[np.ix_(*slices_f)]
-    return coarse, tuple(par_lo)
 
 
 def enumerate_cubes(

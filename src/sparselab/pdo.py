@@ -268,12 +268,10 @@ def apply(a: SymbolClass, f: GridFunction, method: str = "auto") -> GridFunction
     return _apply_symbol_mult(a, f, None, method)
 
 
-def lp_piece_apply(
-    a: SymbolClass, fam: CutoffFamily, j: int, f: GridFunction, method: str = "auto"
-) -> GridFunction:
+def lp_piece_apply(a: SymbolClass, fam: CutoffFamily, j: int, f: GridFunction) -> GridFunction:
     """Frequency band piece: the symbol is multiplied by ``psi_j``."""
     mult = fam.band(j, _freq_radius(f.spec))
-    return _apply_symbol_mult(a, f, mult, method)
+    return _apply_symbol_mult(a, f, mult, "auto")
 
 
 # ---------------------------------------------------------------------------

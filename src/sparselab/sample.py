@@ -139,24 +139,25 @@ class GridSpec:
             out.append((max(i0, 0), min(max(i1, 0), self.N)))
         return tuple(out)
 
+    def cell_ranges(self, region: Box | DyadicCube) -> tuple[tuple[int, int], ...]:
+        """Per-axis ``[i0, i1)`` of the in-domain cells whose centers lie in a
+        box or cube: integer arithmetic for a cube, exact Fraction corners
+        for a box."""
+        if isinstance(region, DyadicCube):
+            return self.cube_cell_ranges(region)
+        return self.box_cell_ranges(region)
+
+    def cell_slices(self, region: Box | DyadicCube) -> tuple[slice, ...]:
+        """:meth:`cell_ranges` as slices that index the grid's arrays."""
+        return tuple(slice(i0, i1) for i0, i1 in self.cell_ranges(region))
+
     def box_flat_cells(self, region: Box | DyadicCube) -> np.ndarray:
         """Flat indices of in-domain cells whose centers lie in a box or cube."""
-        if isinstance(region, DyadicCube):
-            ranges = self.cube_cell_ranges(region)
-        else:
-            ranges = self.box_cell_ranges(region)
+        ranges = self.cell_ranges(region)
         flat = np.arange(*ranges[0])
         for i0, i1 in ranges[1:]:
             flat = (flat[:, None] * self.N + np.arange(i0, i1)).ravel()
         return flat
-
-    def cell_origin_index(self, omega: tuple[int, ...]) -> tuple[int, ...]:
-        """Index ``m`` of the cell-scale (``k = kappa``) cube holding cell 0, per axis."""
-        s = shift_sign(self.kappa)
-        return tuple((3 - 3 * self.N - 2 * s * w) // 6 for w in omega)
-
-    def coarsest_scale(self) -> int:
-        return -(self.K + 2)
 
 
 class GridFunction:
@@ -189,8 +190,7 @@ class GridFunction:
     def indicator(cls, spec: GridSpec, box: Box, amplitude: complex = 1.0,
                   name: str = "") -> "GridFunction":
         vals = np.zeros(spec.shape, dtype=np.complex128)
-        sl = tuple(slice(i0, i1) for i0, i1 in spec.box_cell_ranges(box))
-        vals[sl] = amplitude
+        vals[spec.cell_slices(box)] = amplitude
         return cls(spec, vals, name)
 
     def with_values(self, values: np.ndarray, name: str | None = None) -> "GridFunction":
@@ -217,9 +217,9 @@ class GridFunction:
         hn = float(self.spec.h) ** self.spec.n
         return float((hn * np.sum(a**p)) ** (1.0 / p))
 
-    def restrict_box(self, box: Box) -> "GridFunction":
+    def restrict_box(self, region: Box | DyadicCube) -> "GridFunction":
         vals = np.zeros(self.spec.shape, dtype=np.complex128)
-        sl = tuple(slice(i0, i1) for i0, i1 in self.spec.box_cell_ranges(box))
+        sl = self.spec.cell_slices(region)
         vals[sl] = self.values[sl]
         return GridFunction(self.spec, vals, self.name)
 
@@ -328,7 +328,7 @@ def make_corpus(spec: GridSpec, seed: int, count: int) -> list[GridFunction]:
             box = _random_cell_box(rng, spec, half)
             signs = rng.choice([-1.0, 1.0], size=spec.shape)
             vals = np.zeros(spec.shape, dtype=np.complex128)
-            sl = tuple(slice(i0, i1) for i0, i1 in spec.box_cell_ranges(box))
+            sl = spec.cell_slices(box)
             vals[sl] = amp * signs[sl]
             gf = GridFunction(spec, vals, f"comb_{idx:02d}")
         else:

@@ -257,7 +257,7 @@ def build_whitney_sparse(
         tau_f = cf * average_p(f, tbox, r)
         tau_g = cg * average_p(g, q, sp)
         mask = level_mask(f.restrict_box(tbox), r, tau_f)
-        mask |= level_mask(g.restrict_box(qbox), sp, tau_g)
+        mask |= level_mask(g.restrict_box(q), sp, tau_g)
         kids: list[DyadicCube] = []
         if mask.any():
             kids = [

@@ -13,7 +13,7 @@ arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ class SymbolClass:
     fn: Callable[[Coords, Coords], np.ndarray]
     x_factor: Callable[[Coords], np.ndarray] | None = None
     xi_factor: Callable[[Coords], np.ndarray] | None = None
-    params: dict = field(default_factory=dict)
 
     def eval(self, x, xi) -> np.ndarray:
         xc = _as_coords(x, self.n)
@@ -81,16 +80,6 @@ class SymbolClass:
         if self.x_factor is not None:
             return "separable"
         return "general" if self.xi_factor is None else "multiplier"
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "m": self.m,
-            "rho": self.rho,
-            "delta": self.delta,
-            "kind": self.kind,
-            "params": dict(self.params),
-        }
 
 
 @dataclass(frozen=True)
@@ -109,11 +98,6 @@ class LocalizedAmplitude:
         if self.ell1 < 0:
             raise ValueError("localization exponent must be nonnegative")
 
-    def describe(self) -> dict:
-        d = self.symbol.describe()
-        d["ell1"] = self.ell1
-        return d
-
 
 def _factored(
     family: str,
@@ -122,7 +106,6 @@ def _factored(
     delta: float,
     kind: str,
     n: int,
-    params: dict,
     x_fact: Callable[[Coords], np.ndarray] | None = None,
     xi_fact: Callable[[Coords], np.ndarray] | None = None,
 ) -> SymbolClass:
@@ -137,7 +120,7 @@ def _factored(
 
     return SymbolClass(
         family=family, m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn,
-        x_factor=x_fact, xi_factor=xi_fact, params=params,
+        x_factor=x_fact, xi_factor=xi_fact,
     )
 
 
@@ -152,7 +135,7 @@ def bessel(m: float, rho: float = 1.0, delta: float = 0.0, n: int = 1) -> Symbol
     to exercise estimates for rougher classes that this symbol also belongs
     to.
     """
-    return _factored("bessel", m, rho, delta, "smooth", n, {"m": m}, xi_fact=_bessel_factor(m))
+    return _factored("bessel", m, rho, delta, "smooth", n, xi_fact=_bessel_factor(m))
 
 
 def oscillatory_ct(rho: float, m0: float, n: int = 1) -> SymbolClass:
@@ -168,8 +151,7 @@ def oscillatory_ct(rho: float, m0: float, n: int = 1) -> SymbolClass:
     def xi_fact(xi: Coords) -> np.ndarray:
         return np.exp(1j * _norm(xi) ** (1.0 - rho)) * bessel_m0(xi)
 
-    params = {"rho": rho, "m0": m0}
-    return _factored("oscillatory_ct", m0, rho, 0.0, "smooth", n, params, xi_fact=xi_fact)
+    return _factored("oscillatory_ct", m0, rho, 0.0, "smooth", n, xi_fact=xi_fact)
 
 
 def rough_bump(m: float, rho: float, n: int = 1) -> SymbolClass:
@@ -184,8 +166,7 @@ def rough_bump(m: float, rho: float, n: int = 1) -> SymbolClass:
         s = np.sin((2**5) * np.pi * x[0])
         return np.where(s >= 0, 1.0, -1.0)
 
-    params = {"m": m, "rho": rho}
-    return _factored("rough_bump", m, rho, 0.0, "rough_symbol", n, params,
+    return _factored("rough_bump", m, rho, 0.0, "rough_symbol", n,
                      x_fact=x_fact, xi_fact=_bessel_factor(m))
 
 
@@ -201,9 +182,8 @@ _MULT_PRESETS: dict[str, Callable[[Coords], np.ndarray]] = {
 def multiplication(phi: Callable[[Coords], np.ndarray] | str, n: int = 1) -> SymbolClass:
     """xi-independent symbol ``a(x, xi) = phi(x)``; the operator multiplies by
     ``phi`` pointwise since the xi-sum is then a plain inverse transform."""
-    name = phi if isinstance(phi, str) else getattr(phi, "__name__", "callable")
     fn = _MULT_PRESETS[phi] if isinstance(phi, str) else phi
-    return _factored("multiplication", 0.0, 1.0, 0.0, "smooth", n, {"phi": name}, x_fact=fn)
+    return _factored("multiplication", 0.0, 1.0, 0.0, "smooth", n, x_fact=fn)
 
 
 def custom_symbol(

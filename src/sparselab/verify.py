@@ -709,12 +709,13 @@ def endpoint_audit(
     ranks = range(coll.max_rank() + 1)
     by_rank = {q: coll.by_rank(q) for q in ranks}
 
+    regions = [coll.region(i) for i in range(len(coll))]
+
     # per-entry localized images and pairings
     loc_pair: dict[int, float] = {}
     loc_T: dict[int, np.ndarray] = {}
     for i, e in enumerate(coll.entries):
-        tb = coll.region(i)
-        Ti = T(f.restrict_box(tb))
+        Ti = T(f.restrict_box(regions[i]))
         loc_T[i] = Ti
         loc_pair[i] = pair_with_g(Ti, spec.box_flat_cells(e.cube))
 
@@ -728,19 +729,22 @@ def endpoint_audit(
     denom = max(abs(base_lhs), abs(base_rhs), 1.0)
     base_residual = abs(base_lhs - base_rhs) / denom
 
+    # f and g averages over each entry's region, shared by the constants
+    # and the rank forms
+    avgs = [(average_p(f, tb, r), average_p(g, tb, sp)) for tb in regions]
+
     # measured comparison constants
     a1 = a2 = a3 = a4 = 0.0
     for i, e in enumerate(coll.entries):
-        tb = coll.region(i)
-        af = average_p(f, tb, r)
-        ag = average_p(g, tb, sp)
+        tb = regions[i]
+        af, ag = avgs[i]
         if af > DENOM_FLOOR:
             a2 = max(a2, average_p(f.with_values(loc_T[i].astype(np.complex128)), tb, r) / af)
         if ag > DENOM_FLOOR and e.survivor.size:
             a3 = max(a3, average_p(g, e.survivor, rp) / ag)
         for jdx in coll.children_of(i):
             child = coll.entries[jdx]
-            ctb = coll.region(jdx)
+            ctb = regions[jdx]
             if af > DENOM_FLOOR:
                 carved = f.restrict_box(tb).values.copy()
                 carved.reshape(-1)[spec.box_flat_cells(ctb)] = 0.0
@@ -756,9 +760,8 @@ def endpoint_audit(
         rank_lhs.append(sum(loc_pair[i] for i in by_rank[q]))
         form = 0.0
         for i in by_rank[q]:
-            e = coll.entries[i]
-            tb = coll.region(i)
-            form += float(e.cube.volume()) * average_p(f, tb, r) * average_p(g, tb, sp)
+            af, ag = avgs[i]
+            form += float(coll.entries[i].cube.volume()) * af * ag
         rank_forms.append(form)
     rank_ok, rank_slack = [], []
     for q in ranks:
@@ -781,8 +784,7 @@ def endpoint_audit(
     sparsity = verify_sparsity(coll)
     # the ordered family is the triples: the central third of a child triple
     # is the child cube itself, which lies inside the parent core
-    triples = [coll.region(i) for i in range(len(coll))]
-    poset = CubePoset(triples, [e.rank for e in coll.entries])
+    poset = CubePoset(regions, [e.rank for e in coll.entries])
     violations = poset.check_graded()
 
     ok = (

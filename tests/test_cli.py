@@ -223,6 +223,31 @@ class TestConfigErrors:
         assert run_cli("run", ini) == 2
         assert f"{ini}:{line}: unknown symbol family 'nonesuch'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, anchor, message",
+        [
+            ("kappa = 5\nkapa = 9\n", "kapa = 9", "unknown option 'kapa' in [grid]"),
+            ("kappa = 5\n\n[grdi]\nkappa = 6\n", "kappa = 6", "unknown option 'kappa' in [grdi]"),
+        ],
+        ids=["misspelt-option", "misspelt-section"],
+    )
+    def test_unknown_option_is_line_anchored(self, tmp_path, capsys, extra, anchor, message):
+        text = IDENTITY_INI.replace("kappa = 5\n", extra)
+        line = text.splitlines().index(anchor) + 1
+        ini = write(tmp_path, text)
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--out", str(out)) == 2
+        assert f"{ini}:{line}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corpus_seed_is_known_under_seed_flag(self, tmp_path):
+        # --seed overrides corpus.seed, which still counts as read; the same
+        # config also serves lab corpus, which has no [probes] to read
+        text = IDENTITY_INI.replace("suite = identity", "run = identity_apply")
+        ini = write(tmp_path, text + "\n[corpus]\nseed = 3\ncount = 2\n")
+        assert run_cli("run", ini, "--seed", "7", "--out", str(tmp_path / "r")) == 0
+        assert run_cli("corpus", ini, "--out", str(tmp_path / "c")) == 0
+
 
 class TestContext:
     def test_infinite_exponent_and_fractional_eta(self, tmp_path):
@@ -265,6 +290,23 @@ class TestSweep:
         ini = write(tmp_path, IDENTITY_INI)
         assert run_cli("sweep", ini, "--axis", "grid.kappa", "--values", " , ") == 2
         assert "empty sweep value list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["grid.kapa", "grdi.kappa"])
+    def test_unknown_swept_option(self, tmp_path, capsys, monkeypatch, axis):
+        monkeypatch.chdir(tmp_path)
+        ini = write(tmp_path, IDENTITY_INI)
+        assert run_cli("sweep", ini, "--axis", axis, "--values", "4,5") == 2
+        section, option = axis.split(".")
+        err = capsys.readouterr().err
+        assert f"<{axis}=4>:" in err
+        assert f"unknown option {option!r} in [{section}]" in err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_axis_in_any_case(self, tmp_path):
+        ini = write(tmp_path, IDENTITY_INI.replace("suite = identity", "run = identity_apply"))
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", ini, "--axis", "grid.K", "--values", "1,2", "--out", str(out)) == 0
+        assert (out / "k=1" / "summary.csv").is_file()
 
     def test_bad_swept_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -217,6 +217,62 @@ class TestWhitney:
         assert (covered.reshape(spec.shape) == mask).all()
 
 
+@st.composite
+def grid_mask_omega(draw):
+    """A small 1D or 2D grid, a shift class, and a random or blocky cell
+    mask with a flagged run along one domain edge."""
+    n = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(-1, 2))
+    kappa = draw(st.integers(max(0, -K), 5 if n == 1 else 3))
+    spec = GridSpec(n, K, kappa)
+    omega = tuple(draw(st.sampled_from((0, 1, 2))) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mask = rng.random(spec.shape) < draw(st.sampled_from((0.3, 0.6, 0.9)))
+    else:
+        mask = np.zeros(spec.shape, dtype=bool)
+        for _ in range(3):
+            lo = rng.integers(0, spec.N, n)
+            hi = lo + rng.integers(1, spec.N + 1, n)
+            mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+    axis = draw(st.integers(0, n - 1))
+    edge = draw(st.sampled_from((0, -1)))
+    run = draw(st.integers(1, spec.N))
+    index = [slice(None)] * n
+    index[axis] = slice(0, run) if edge == 0 else slice(spec.N - run, spec.N)
+    mask[tuple(index)] = True
+    return spec, omega, mask
+
+
+class TestWhitneyMaximality:
+    """Whitney cubes against the exact Fraction geometry, in 1D and 2D."""
+
+    @given(grid_mask_omega())
+    @settings(max_examples=150, deadline=None)
+    def test_cubes_are_maximal_and_tile_the_mask(self, case):
+        spec, omega, mask = case
+        flat = mask.ravel()
+        L, half_cell = spec.halfwidth, spec.h / 2
+        # a cube holds all of its cells exactly when it pokes past the domain
+        # by less than half a cell, which only a shifted cube can do
+        grown = Box((-L - half_cell,) * spec.n, (L + half_cell,) * spec.n)
+
+        def full_and_flagged(c):
+            cells = spec.box_flat_cells(cube_box(c))
+            return cells.size == 2 ** ((spec.kappa - c.k) * spec.n) and flat[cells].all()
+
+        covered = np.zeros(flat.size, dtype=bool)
+        for c in whitney_decompose(mask, omega, spec):
+            assert c.omega == omega
+            assert full_and_flagged(c)
+            assert grown.contains_box(cube_box(c))
+            assert not full_and_flagged(parent(c))
+            cells = spec.box_flat_cells(cube_box(c))
+            assert not covered[cells].any(), "cubes overlap"
+            covered[cells] = True
+        assert np.array_equal(covered, flat), "union differs from the mask"
+
+
 class TestPoset:
     def test_triples_graded(self):
         # family stored as triples: root [0,1) and whitney-style children;

@@ -226,17 +226,6 @@ class TestCubeCellMap:
         f = make_corpus(spec, seed=slot, count=slot + 1)[slot]
         assert average_p(f, c, p) == average_p(f, cube_box(c), p)
 
-    def test_cell_origin_index_matches_fraction_formula(self):
-        for n, K, kappa in [(1, -1, 1), (1, 0, 3), (1, 2, 6), (2, 1, 3), (2, 0, 4), (1, 3, 8)]:
-            spec = GridSpec(n, K, kappa)
-            s = 1 if kappa % 2 else -1
-            for omega in np.ndindex(*(3,) * n):
-                want = []
-                for w in omega:
-                    t = Fr(1, 2) - spec.N // 2 - Fr(s * w, 3)
-                    want.append(t.numerator // t.denominator)
-                assert spec.cell_origin_index(omega) == tuple(want)
-
     def test_cube_finer_than_a_cell_raises(self):
         spec = GridSpec(1, 1, 3)
         c = DyadicCube(spec.kappa + 1, (0,), (1,))

@@ -62,7 +62,7 @@ class TestFamilies:
         with pytest.raises(ValueError):
             LocalizedAmplitude(bessel(-1.0), -1)
         at = LocalizedAmplitude(bessel(-1.0), 2)
-        assert at.describe()["ell1"] == 2
+        assert at.ell1 == 2
 
 
 class TestSeminormProbe:
