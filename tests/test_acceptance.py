@@ -272,23 +272,27 @@ def test_criterion_05_band_norm_slopes_and_dense_oracle():
                 fit = norm_scaling_fit(a, spec, "lr_ls", pair=pr, js=js)
                 assert fit.excess <= tol
 
-    # The iterated operator-norm estimate reproduces a dense SVD at N = 2**9.
-    # The comparison operators carry x-dependence so the top singular value
-    # is isolated; pure frequency multipliers have near-degenerate tops on
-    # which any power method stalls short of this tolerance.
+    # The iterated operator-norm estimate reproduces a dense SVD at N = 2**9,
+    # for x-dependent operators and for band pieces of pure frequency
+    # multipliers, whose tops are near-degenerate.
     spec_d = GridSpec(1, 2, 6)
+    fam = default_cutoffs()
     ax = custom_symbol(
         lambda x, xi: np.cos(x[0]) / np.sqrt(1.0 + xi[0] ** 2), m=-1.0, rho=1.0, delta=1.0
     )
+    osc = oscillatory_ct(0.5, -1.0)
     ops = [
         symbol_operator(rough_bump(-0.5, 0.5), spec_d),
         symbol_operator(ax, spec_d),
-        band_operator(ax, default_cutoffs(), 2, spec_d),
-        symbol_operator(oscillatory_ct(0.5, -1.0), spec_d),
+        band_operator(ax, fam, 2, spec_d),
+        symbol_operator(osc, spec_d),
+        band_operator(bessel(-1.0, 0.5), fam, 7, spec_d),
+        *(band_operator(osc, fam, j, spec_d) for j in (4, 6, 8)),
     ]
     for op in ops:
         est = empirical_norm(op, ExponentPair(2.0, 2.0), spec_d)
         oracle = dense_l2_norm(op, spec_d)
+        assert est.kind == "iterated"
         assert abs(est.value - oracle) <= 1e-6 * oracle
 
 

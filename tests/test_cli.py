@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sparselab import __version__
+from sparselab import __version__, verify
 from sparselab.cli import _FAMILIES, _build_context, _worker_count, load_config, main
 from sparselab.sample import load_grid_function
 
@@ -123,6 +123,30 @@ class TestRun:
         assert rep["passed"] is False
         rows = (out / "summary.csv").read_text().strip().splitlines()
         assert rows[1] == "kernel_decay,False,slope,"
+
+    def test_identity_norm_carries_its_kind(self, tmp_path):
+        ini = write(tmp_path, IDENTITY_INI)
+        out = tmp_path / "reports"
+        run_cli("run", ini, "--out", str(out))
+        rep = json.loads((out / "identity_norm.json").read_text())
+        assert rep["inputs"]["kind"] == "iterated"
+        assert rep["constants"] == {"norm": 1.0, "iterations": 1}
+
+    def test_capped_norm_fails_the_probe(self, tmp_path, monkeypatch):
+        ini = write(
+            tmp_path,
+            "[grid]\nn = 1\nK = 2\nkappa = 5\n\n[pieces]\nj_min = 2\nj_max = 4\n"
+            "mode = l2_l2\n\n[probes]\nrun = norm_scaling\n",
+        )
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--out", str(out)) == 0
+        rep = json.loads((out / "norm_scaling.json").read_text())
+        assert rep["inputs"]["kinds"] == ["iterated"] * 3
+        monkeypatch.setattr(verify, "_MAX_ITER", 2)
+        assert run_cli("run", ini, "--out", str(out)) == 1
+        rep = json.loads((out / "norm_scaling.json").read_text())
+        assert "capped" in rep["inputs"]["kinds"]
+        assert rep["passed"] is False
 
     def test_explicit_probe_list(self, tmp_path):
         ini = write(
@@ -334,6 +358,15 @@ class TestCorpus:
         assert run_cli("corpus", ini, "--out", str(out)) == 0
         rows = (out / "manifest.csv").read_text().strip().splitlines()
         assert len(rows) == 3
+
+    def test_unknown_option_is_line_anchored(self, tmp_path, capsys):
+        text = IDENTITY_INI + "\n[corpus]\ncont = 2\n"
+        line = text.splitlines().index("cont = 2") + 1
+        ini = write(tmp_path, text)
+        out = tmp_path / "corpus"
+        assert run_cli("corpus", ini, "--out", str(out)) == 2
+        assert f"{ini}:{line}: unknown option 'cont' in [corpus]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_incomplete_inline_spec(self, tmp_path, capsys):
         assert run_cli("corpus", "n=1", "--out", str(tmp_path / "c")) == 2

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparselab import verify
 from sparselab.dyadic import Box, DyadicCube
 from sparselab.pdo import (
     PieceIndex,
+    band_operator,
     default_cutoffs,
     kernel_matrix,
     piece_operator,
@@ -95,16 +97,37 @@ class TestEmpiricalNorm:
         assert low.kind == "lower_bound"
         assert low.value == pytest.approx(hn**-0.5, rel=1e-10)
 
-    def test_power_iteration_matches_svd(self):
+    def test_lanczos_matches_svd(self):
         op = symbol_operator(bessel(-1.0), SPEC)
         est = empirical_norm(op, PAIR22, SPEC)
         assert est.kind == "iterated"
         assert est.value == pytest.approx(dense_l2_norm(op, SPEC), rel=1e-6)
 
+    @pytest.mark.parametrize("j", [5, 6, 7, 8])
+    def test_multiplier_band_pieces_match_svd(self, j):
+        # pure multipliers have near-degenerate tops, where a power method stalls
+        spec = GridSpec(1, 2, 6)
+        op = band_operator(bessel(-1.0, 0.5), default_cutoffs(), j, spec)
+        est = empirical_norm(op, PAIR22, spec)
+        assert est.kind == "iterated"
+        assert est.residual <= verify._TOL
+        assert est.value == pytest.approx(dense_l2_norm(op, spec), rel=1e-9)
+
+    def test_cap_reads_capped(self, monkeypatch):
+        monkeypatch.setattr(verify, "_MAX_ITER", 2)
+        est = empirical_norm(symbol_operator(bessel(-1.0), SPEC), PAIR22, SPEC)
+        assert est.kind == "capped"
+        assert est.iterations == 2
+        assert est.residual > verify._TOL
+
     def test_identity_l2_norm_is_one(self):
         for spec in (SPEC, SPEC2D):
             est = empirical_norm(symbol_operator(bessel(0.0, n=spec.n), spec), PAIR22, spec)
             assert est.value == pytest.approx(1.0, rel=1e-8)
+
+    def test_identity_converges_in_one_step(self):
+        est = empirical_norm(symbol_operator(bessel(0.0), SPEC), PAIR22, SPEC)
+        assert (est.kind, est.iterations, est.value) == ("iterated", 1, 1.0)
 
     def test_general_pair_lower_bound_is_sharp_for_multipliers(self):
         # a point mass realizes max|phi| times the grid embedding factor
@@ -184,7 +207,7 @@ class TestNormScalingFit:
         assert fit.excess is not None and fit.excess <= 0.3
         assert len(fit.values) == 5
 
-    def test_l2_fit_uses_power_iteration(self):
+    def test_l2_fit_uses_lanczos(self):
         fit = norm_scaling_fit(bessel(-0.5), self.SPEC6, "l2_l2", js=[2, 3, 4, 5])
         assert all(kind == "iterated" for kind in fit.kinds)
         assert fit.slope <= -0.5 + 0.3
