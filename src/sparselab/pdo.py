@@ -75,8 +75,6 @@ class CutoffFamily:
     ``psi_j = psi(2**(1-j) .)`` lives on ``2**(j-2) <= |xi| <= 2**j``.
     """
 
-    name: str = "exp_step"
-
     def psi0(self, radius: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(radius, dtype=np.float64))
         return _exp_ratio(2.0 * (1.0 - r))

@@ -292,7 +292,6 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
     region volume.  Survivor cell sets must be pairwise disjoint, per shift
     class for stopping families and globally for Whitney ones.
     """
-    spec = coll.spec
     failures: list[str] = []
     min_margin = np.inf
     for i, e in enumerate(coll.entries):
@@ -302,7 +301,7 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
             Fraction(0),
         )
         surv_vol = vol - kid_vol
-        region_vol = vol if coll.flavor == "stopping" else vol * Fraction(3) ** spec.n
+        region_vol = coll.region(i).volume()
         need = coll.eta * region_vol
         margin = float(surv_vol / need) if need > 0 else np.inf
         min_margin = min(min_margin, margin)

@@ -171,11 +171,7 @@ def rough_bump(m: float, rho: float, n: int = 1) -> SymbolClass:
 
 
 _MULT_PRESETS: dict[str, Callable[[Coords], np.ndarray]] = {
-    "one": lambda x: np.ones_like(x[0]),
     "cosine": lambda x: np.cos(np.pi * x[0] / 4.0),
-    "bump": lambda x: np.where(
-        np.abs(x[0]) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - x[0] ** 2, 1e-300)), 0.0
-    ),
 }
 
 

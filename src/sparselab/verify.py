@@ -47,7 +47,6 @@ __all__ = [
     "SharpRatioReport",
     "DecayProbeConfig",
     "AuditReport",
-    "sharp_lambda",
     "form_threshold_order",
     "empirical_norm",
     "dense_l2_norm",
@@ -109,11 +108,6 @@ def _image_of(T, f: GridFunction) -> GridFunction:
     return T(f)
 
 
-def sharp_lambda(rho: float, delta: float) -> float:
-    """Extra L^2 growth exponent ``max{0, (delta-rho)/2}`` per unit dimension."""
-    return max(0.0, (delta - rho) / 2.0)
-
-
 def form_threshold_order(n: int, rho: float, delta: float, pair: ExponentPair) -> float:
     """Critical symbol order below which the sparse-form bound is expected:
     ``-n(1-rho)(1/r - 1/s) - (n/s) max{0, delta-rho}``."""
@@ -155,6 +149,15 @@ def _lp_h(v: np.ndarray, p: float, hn: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(v))) if v.size else 0.0
     return float((np.sum(np.abs(v) ** p) * hn) ** (1.0 / p))
+
+
+def _kernel_sup(A: np.ndarray, p: float, axis: int, hn: float) -> np.ndarray:
+    """Grid L^p norm of each column (``axis=0``) or row (``axis=1``) of the
+    kernel ``A = |M| / hn``; the largest is the mixed sup norm that the
+    closed forms and the Schur test read."""
+    if math.isinf(p):
+        return np.max(A, axis=axis)
+    return (np.sum(A**p, axis=axis) * hn) ** (1.0 / p)
 
 
 # random corpus size of the lower-bound branch; Lanczos stopping rule
@@ -213,29 +216,23 @@ def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> Nor
     if r == 2 and s == 2:
         return _lanczos_l2(M, pair, seed)
     hn = float(spec.h) ** spec.n  # cell volume
-    K = M / hn  # kernel values on the grid
-
-    if r == 1 and math.isinf(s):
-        return NormEstimate(float(np.max(np.abs(K))), "exact", r, s)
-    if math.isinf(s):
-        rp = pair.r_prime
-        rows = (np.sum(np.abs(K) ** rp, axis=1) * hn) ** (1.0 / rp)
-        return NormEstimate(float(np.max(rows)), "exact", r, s)
-    if r == 1:
-        cols = (np.sum(np.abs(K) ** s, axis=0) * hn) ** (1.0 / s)
-        return NormEstimate(float(np.max(cols)), "exact", r, s)
+    A = np.abs(M) / hn  # kernel modulus on the grid
+    rp = pair.r_prime
+    if math.isinf(s):  # rows in L^r'
+        return NormEstimate(float(np.max(_kernel_sup(A, rp, 1, hn))), "exact", r, s)
+    if r == 1:  # columns in L^s
+        return NormEstimate(float(np.max(_kernel_sup(A, s, 0, hn))), "exact", r, s)
 
     # general pair: certified lower bound from test functions
     best = 0.0
     N = M.shape[1]
     cands = [f.values.ravel() for f in make_corpus(spec, seed=seed, count=_TRIALS)]
-    j_star = int(np.argmax(np.sum(np.abs(K), axis=0)))
+    j_star = int(np.argmax(_kernel_sup(A, 1.0, 0, hn)))
     delta = np.zeros(N, dtype=np.complex128)
     delta[j_star] = 1.0 / hn
     cands.append(delta)
-    rp = pair.r_prime
-    for i in np.argsort(-np.sum(np.abs(K), axis=1))[:4]:
-        row = K[i]
+    for i in np.argsort(-_kernel_sup(A, 1.0, 1, hn))[:4]:
+        row = M[i] / hn
         # r-unit-ball extremizer of the single output at row i
         if np.max(np.abs(row)) > 0:
             cands.append(np.abs(row) ** (rp - 1.0) * np.exp(-1j * np.angle(row)))
@@ -277,15 +274,11 @@ def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     """
     M = _as_matrix(op)
     hn = float(spec.h) ** spec.n  # cell volume
-    K = np.abs(M / hn)
+    A = np.abs(M) / hn
     p = pair.schur_p
     theta = 0.0 if math.isinf(pair.r_prime) else p / pair.r_prime
-    if math.isinf(p):
-        col = float(np.max(K))
-        row = float(np.max(K))
-    else:
-        col = float(np.max((np.sum(K**p, axis=0) * hn) ** (1.0 / p)))
-        row = float(np.max((np.sum(K**p, axis=1) * hn) ** (1.0 / p)))
+    col = float(np.max(_kernel_sup(A, p, 0, hn)))
+    row = float(np.max(_kernel_sup(A, p, 1, hn)))
     product = col ** (1.0 - theta) * row**theta
     return SchurReport(
         product_bound=product,
@@ -316,30 +309,12 @@ class NormFit:
     kinds: list[str] = field(default_factory=list)
 
 
-def predicted_band_slope(
-    mode: str,
-    a: SymbolClass,
-    pair: ExponentPair | None = None,
-    nu: float | None = None,
-) -> float:
-    """Expected growth exponent of band-piece norms in the band index."""
-    n, m, rho, delta = a.n, a.m, a.rho, a.delta
-    eff = delta if nu is None else max(delta, nu)
-    if mode == "l1_linf":
-        return m + n
-    if mode == "lr_linf":
-        if pair is None:
-            raise ValueError("lr_linf needs an exponent pair")
-        return m + n / pair.r
-    if mode == "l2_l2":
-        return m + n * sharp_lambda(rho, eff)
-    if mode == "lr_ls":
-        if pair is None:
-            raise ValueError("lr_ls needs an exponent pair")
-        s_inv = 0.0 if math.isinf(pair.s) else 1.0 / pair.s
-        mu = max(0.0, (delta - rho) * s_inv, (0.0 if nu is None else (nu - rho) * s_inv))
-        return m + n * mu + n * (1.0 / pair.r - s_inv)
-    raise ValueError(f"unknown mode {mode!r}")
+def predicted_band_slope(mode: str, a: SymbolClass, pair: ExponentPair | None = None) -> float:
+    """Expected growth exponent of band-piece norms in the band index:
+    ``m + n max{0, (delta-rho)/s} + n(1/r - 1/s)`` on the mode's pair."""
+    use = _mode_pair(mode, pair)
+    s_inv = 0.0 if math.isinf(use.s) else 1.0 / use.s
+    return a.m + a.n * max(0.0, (a.delta - a.rho) * s_inv) + a.n * (1.0 / use.r - s_inv)
 
 
 def _fit_line(xs, ys) -> tuple[float, float, float]:
@@ -388,7 +363,7 @@ def norm_scaling_fit(
     """Fit log2 of band-piece norms against the band index j."""
     fam = default_cutoffs()
     use = _mode_pair(mode, pair)
-    pred = predicted_band_slope(mode, a, pair=use)
+    pred = predicted_band_slope(mode, a, pair)
     ests = [empirical_norm(band_operator(a, fam, j, spec), use, spec, seed=seed) for j in js]
     return _fit(mode, list(js), [e.value for e in ests], pred, [e.kind for e in ests])
 
@@ -489,7 +464,8 @@ def kernel_difference_probe(
     dist = _norm(tuple(t - c[i] for t, i in zip(spec.grid_coords(c), ib)))
     zmax = N * hstep / 4.0  # stay clear of the periodic wrap
     base = config.tau**config.theta
-    pp = math.inf if config.p == 1.0 else config.p / (config.p - 1.0)
+    pp = ExponentPair._dual(config.p)
+    hn = hstep**spec.n
     used, vals = [], []
     for j in _ANNULI:
         lo = 2.0**j * base
@@ -499,10 +475,7 @@ def kernel_difference_probe(
         mask = (dist >= lo) & (dist <= hi)
         if int(mask.sum()) < _MIN_ANNULUS_CELLS:
             continue
-        if math.isinf(pp):
-            v = float(np.max(diff[mask]))
-        else:
-            v = float((np.sum(diff[mask] ** pp) * hstep**spec.n) ** (1.0 / pp))
+        v = _lp_h(diff[mask], pp, hn)
         if v > 1e-300:
             used.append(j)
             vals.append(v)

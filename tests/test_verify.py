@@ -40,7 +40,6 @@ from sparselab.verify import (
     predicted_band_slope,
     report_dict,
     schur_bound,
-    sharp_lambda,
     sharp_ratio_probe,
     sparse_form,
     sparse_form_ratio,
@@ -61,11 +60,6 @@ def unit_indicator(spec: GridSpec) -> GridFunction:
 
 
 class TestThresholds:
-    def test_sharp_lambda(self):
-        assert sharp_lambda(0.5, 0.5) == 0.0
-        assert sharp_lambda(1.0, 0.0) == 0.0
-        assert sharp_lambda(0.5, 0.8) == pytest.approx(0.15)
-
     def test_form_threshold_order(self):
         assert form_threshold_order(1, 0.5, 0.5, PAIR22) == 0.0
         val = form_threshold_order(1, 0.5, 0.5, ExponentPair(4.0 / 3.0, 4.0))
@@ -96,6 +90,24 @@ class TestEmpiricalNorm:
         low = empirical_norm(op2, ExponentPair(4.0 / 3.0, 4.0), SPEC2D)
         assert low.kind == "lower_bound"
         assert low.value == pytest.approx(hn**-0.5, rel=1e-10)
+
+    def test_exact_forms_read_rows_and_columns(self):
+        # cos(x) <D>^-1 has no symmetric kernel, so its rows and columns differ
+        a = custom_symbol(
+            lambda x, xi: np.cos(x[0]) * (1.0 + xi[0] ** 2) ** -0.5, m=-1.0, rho=1.0, delta=0.0
+        )
+        op = symbol_operator(a, SPEC)
+        h = float(SPEC.h)
+        A = np.abs(op.matrix()) / h
+        N = A.shape[0]
+        row_max = max(math.sqrt(sum(A[i, j] ** 2 for j in range(N)) * h) for i in range(N))
+        col_max = max(math.sqrt(sum(A[i, j] ** 2 for i in range(N)) * h) for j in range(N))
+        into_inf = empirical_norm(op, ExponentPair(2.0, math.inf), SPEC)
+        from_one = empirical_norm(op, ExponentPair(1.0, 2.0), SPEC)
+        assert (into_inf.kind, from_one.kind) == ("exact", "exact")
+        assert into_inf.value == pytest.approx(row_max, rel=1e-12)
+        assert from_one.value == pytest.approx(col_max, rel=1e-12)
+        assert abs(row_max - col_max) > 1e-3 * max(row_max, col_max)
 
     def test_lanczos_matches_svd(self):
         op = symbol_operator(bessel(-1.0), SPEC)
@@ -182,14 +194,12 @@ class TestPredictedSlopes:
             "lr_linf", bessel(-0.5), pair=ExponentPair(2.0, math.inf)
         ) == pytest.approx(0.0)
         assert predicted_band_slope("l2_l2", bessel(-1.0, 0.5, 0.8)) == pytest.approx(-0.85)
+        # delta below rho adds no growth
+        assert predicted_band_slope("l2_l2", bessel(-1.0)) == -1.0
         val = predicted_band_slope(
             "lr_ls", bessel(-1.0, 0.5, 0.5), pair=ExponentPair(4.0 / 3.0, 4.0)
         )
         assert val == pytest.approx(-0.5)
-
-    def test_nu_enters_through_the_effective_delta(self):
-        a = bessel(-1.0, 0.5, 0.0)
-        assert predicted_band_slope("l2_l2", a, nu=0.9) == pytest.approx(-0.8)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="pair"):
