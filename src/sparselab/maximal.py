@@ -11,9 +11,13 @@ Uncentred windows are kept inside the domain: the data vanishes off the
 grid, so a window poking outside is dominated by its clipped version.
 Centred windows are odd-cell blocks around the cell and extend by zero.
 
-The sliding maxima over window starts use the two-pass block prefix/suffix
-scheme, O(N) per window length, so the exhaustive uncentred maximal costs
-O(N**2) in 1D.
+The per-width sweep takes sliding maxima over window starts with the
+two-pass block prefix/suffix scheme, O(N**n) per window length; it serves
+2D, the centred operator and, in 1D, the narrow windows.  The other 1D
+uncentred windows are the steepest chords of the prefix-sum graph with one
+end on each side of a block midpoint, found by hull tangents (Chung and Lu,
+SIAM J. Comput. 2004; Goldwasser, Kao and Lu, J. Comput. Syst. Sci. 2005),
+so the exact 1D uncentred maximal costs O(N log**2 N) instead of O(N**2).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .sample import GridFunction
 __all__ = ["maximal_p", "sharp_maximal", "ladder_widths"]
 
 _2D_EXHAUSTIVE_LIMIT = 512
+_NARROW = 16  # 1D windows up to this many cells come from the sweep
 _OSC_CHUNK = 1 << 21  # elements per temporary in oscillation sweeps
 
 
@@ -95,6 +100,137 @@ def _sliding_sums(P: np.ndarray, corners, w: int) -> np.ndarray:
     return _window_sums(P, corners, (slice(None, -w),) * P.ndim, (slice(w, None),) * P.ndim)
 
 
+def _sweep(P: np.ndarray, widths, centred: bool) -> np.ndarray:
+    """Best window average at every cell over the windows of the given
+    widths (cells per axis), from the prefix sums ``P``: one pass over the
+    grid per width."""
+    n = P.ndim
+    N = P.shape[0] - 1
+    corners = _corners(n)
+    i = np.arange(N)
+    best = np.zeros((N,) * n)
+    for w in widths:
+        if centred:
+            k = (w - 1) // 2
+            lo = np.ix_(*(np.maximum(i - k, 0),) * n)
+            hi = np.ix_(*(np.minimum(i + k + 1, N),) * n)
+            sums = _window_sums(P, corners, lo, hi)
+        else:
+            sums = _window_max_all_axes(_sliding_sums(P, corners, w), w)
+        np.maximum(best, sums / w**n, out=best)
+    return best
+
+
+def _averages(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Averages over the 1D windows of cells ``a .. b-1``: the sweep's
+    ``(P[b] - P[a]) / (b - a)``, so equal windows give equal bits."""
+    return (P[b] - P[a]) / (b - a)
+
+
+def _edges(Y: np.ndarray, hulls: np.ndarray) -> np.ndarray:
+    """Slope of the edge leaving each vertex of the hull rows over the
+    points ``(k, Y[k])``; ``-inf`` after the last vertex."""
+    v0, v1 = hulls[:, :-1], hulls[:, 1:]
+    real = v1 > v0
+    e = np.full(hulls.shape, -np.inf, dtype=Y.dtype)
+    e[:, :-1][real] = (Y[v1[real]] - Y[v0[real]]) / (v1[real] - v0[real])
+    return e
+
+
+def _tangents(Y: np.ndarray, q: np.ndarray, hulls: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Position in each upper-hull row of the tangent vertex seen from each
+    query point of the same row, by bisection.
+
+    Queries sit on one side of their row's points.  From the left the
+    tangent vertex has the steepest chord, from the right the least steep:
+    either way it is the first vertex whose leaving edge is no steeper than
+    the chord to the query, a test that is false from there on.
+    """
+    nb, w = hulls.shape
+    flat, eflat = hulls.ravel(), edges.ravel()
+    base = np.arange(0, nb * w, w)[:, None]
+    Yq = Y[q]
+    lo = np.broadcast_to(base, q.shape)  # flat positions in ``hulls``
+    hi = lo + (w - 1)
+    for _ in range(w.bit_length() - 1):
+        mid = (lo + hi) >> 1
+        v = flat[mid]
+        rises = eflat[mid] > (Y[v] - Yq) / (v - q)
+        lo = np.where(rises, mid + 1, lo)
+        hi = np.where(rises, hi, mid)
+    return lo - base
+
+
+def _join(left: np.ndarray, keep: np.ndarray, right: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Hull rows of the merged blocks: ``left[:keep + 1]`` then
+    ``right[start:]``, padded by repeating the last vertex."""
+    w = left.shape[1]
+    q = np.arange(2 * w)[None, :]
+    from_left = np.take_along_axis(left, np.minimum(q, w - 1), axis=1)
+    j = np.clip(q - keep[:, None] - 1 + start[:, None], 0, w - 1)
+    return np.where(q <= keep[:, None], from_left, np.take_along_axis(right, j, axis=1))
+
+
+def _crossing_max(P: np.ndarray) -> np.ndarray:
+    """Best average at every cell over the 1D windows that cross a block
+    midpoint, for ``N = len(P) - 1`` a power of two.
+
+    Blocks of ``2w`` cells split at their midpoint ``m``; every window of
+    two or more cells crosses the midpoint of exactly one block.  A left
+    cell takes the best over ends ``b`` in ``[m, hi]`` of the starts ``a``
+    at or before it (a prefix max over ``a``), a right cell the best over
+    starts in ``[lo, m)`` of the ends after it (a suffix max over ``b``).
+    The best ``b`` for a start is a tangent to the upper hull of the right
+    half's prefix-sum points ``(k, P[k])``, the best ``a`` for an end a
+    tangent to the lower hull of the left half's, which is the upper hull
+    of ``(k, -P[k])``.  A level's hulls are its halves' hulls joined by
+    their bridge, found from the same tangents.
+
+    Hull and tangent tests run in ``np.longdouble``: where that is wider
+    than float64 (x86), they resolve the near-collinear prefix sums of flat
+    data that float64 slopes cannot.  Each chosen window is then evaluated
+    with the sweep's float64 formula.
+    """
+    N = P.shape[0] - 1
+    Y = P.astype(np.longdouble)
+    M = -Y
+    cells = np.arange(N)
+    upper = lower = cells[:, None]  # hull rows of the one-point blocks
+    best = np.zeros(N)
+    w = 1
+    while w < N:
+        block = cells.reshape(-1, 2 * w)
+        row = np.arange(block.shape[0])
+        starts = block[:, :w]
+        ends = np.concatenate([block[:, w:], block[:, :1] + 2 * w], axis=1)  # m .. hi
+        e_upper, e_lower = _edges(Y, upper), _edges(M, lower)
+        rpos = _tangents(Y, starts, upper[1::2], e_upper[1::2])
+        b = np.take_along_axis(upper[1::2], rpos, axis=1)
+        from_start = np.maximum(_averages(P, starts, b), _averages(P, starts, ends[:, -1:]))
+        lpos = _tangents(M, ends, lower[0::2], e_lower[0::2])
+        a = np.take_along_axis(lower[0::2], lpos, axis=1)
+        from_left = _averages(P, a, ends)
+        to_end = np.maximum.accumulate(from_left[:, :0:-1], axis=1)[:, ::-1]
+        crossing = np.concatenate([np.maximum.accumulate(from_start, axis=1), to_end], axis=1)
+        np.maximum(best, crossing.ravel(), out=best)
+        if 2 * w < N:
+            # upper bridge: the first left-hull vertex whose leaving edge
+            # is no steeper than its tangent to the right hull
+            offs = upper[0::2] - block[:, :1]
+            chord = np.take_along_axis(_averages(Y, starts, b), offs, axis=1)
+            keep = np.sum(e_upper[0::2] > chord, axis=1)
+            upper = _join(upper[0::2], keep, upper[1::2], rpos[row, offs[row, keep]])
+            # lower bridge, on the points (k, -P[k]): the last right-hull
+            # vertex whose entering edge is no less steep than its tangent
+            offs = lower[1::2] - block[:, w : w + 1]
+            chord = np.take_along_axis(_averages(M, a, ends), offs, axis=1)
+            entering = np.concatenate([np.full((len(row), 1), np.inf), e_lower[1::2, :-1]], axis=1)
+            start = np.sum(entering >= chord, axis=1) - 1
+            lower = _join(lower[0::2], lpos[row, offs[row, start]], lower[1::2], start)
+        w *= 2
+    return best
+
+
 def maximal_p(
     f: GridFunction,
     p: float,
@@ -108,44 +244,40 @@ def maximal_p(
     it, extended by zero off the grid).  p must be finite and positive; the
     p = infinity version is just the sup norm.
 
-    When ``threshold`` is given, window sizes that provably cannot push the
-    value above it are skipped: the result is exact on the super-level set
+    1D uncentred values are exact everywhere, at O(N log**2 N) cost:
+    windows of at most ``_NARROW`` cells come from the per-width sweep, so
+    narrow windows (width 1 among them) give the sweep's bits, and wider
+    ones from hull tangents (``_crossing_max``).  A value never exceeds the
+    full sweep's and equals it unless windows tie within rounding, as in
+    the flat parts of an indicator, where the tests bound the gap by 2 ulp.
+    There ``threshold`` is only validated.  Elsewhere the sweep visits every
+    window size, and a ``threshold`` skips the sizes that provably cannot
+    push the value above it: the result is exact on the super-level set
     ``{maximal > threshold}`` and a lower bound elsewhere.
     """
     if not (0 < p < math.inf):
         raise ValueError("p must be finite and positive (the limit is the sup norm)")
+    if threshold is not None and threshold <= 0:
+        raise ValueError("threshold must be positive")
     spec = f.spec
     u = np.abs(f.values) ** p
-    h = float(spec.h)
     N = spec.N
-    total = float(u.sum()) * h**spec.n
+    P = _prefix_sums(u)
+    if spec.n == 1 and not centred:
+        best = np.maximum(_sweep(P, range(1, min(N, _NARROW) + 1), False), _crossing_max(P))
+        return best ** (1.0 / p)
 
     if centred:
         widths = range(1, 2 * N, 2)
     else:
         widths = range(1, N + 1)
-        if spec.n == 2 and threshold is None and N > _2D_EXHAUSTIVE_LIMIT:
+        if threshold is None and N > _2D_EXHAUSTIVE_LIMIT:
             raise ValueError("2D exhaustive maximal is limited; pass a threshold to prune")
     if threshold is not None:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        cap = total / threshold**p
+        h = float(spec.h)
+        cap = float(u.sum()) * h**spec.n / threshold**p
         widths = [w for w in widths if (w * h) ** spec.n <= cap]
-
-    P = _prefix_sums(u)
-    corners = _corners(spec.n)
-    i = np.arange(N)
-    best = np.zeros(spec.shape)
-    for w in widths:
-        if centred:
-            k = (w - 1) // 2
-            lo = np.ix_(*(np.maximum(i - k, 0),) * spec.n)
-            hi = np.ix_(*(np.minimum(i + k + 1, N),) * spec.n)
-            sums = _window_sums(P, corners, lo, hi)
-        else:
-            sums = _window_max_all_axes(_sliding_sums(P, corners, w), w)
-        np.maximum(best, sums / w**spec.n, out=best)
-    return best ** (1.0 / p)
+    return _sweep(P, widths, centred) ** (1.0 / p)
 
 
 def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:

@@ -610,7 +610,7 @@ def sharp_ratio_probe(
     maximized over a corpus of inputs.
 
     ``precomputed_max`` lets a sweep over localization scales reuse the
-    (expensive, exhaustive) maximal evaluations.
+    maximal evaluations, which do not depend on the scales.
     """
     if isinstance(fs, GridFunction):
         fs = [fs]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparselab.dyadic import Box
-from sparselab.maximal import ladder_widths, maximal_p, sharp_maximal
+from sparselab.maximal import _NARROW, _prefix_sums, _sweep, ladder_widths, maximal_p, sharp_maximal
 from sparselab.sample import GridFunction, GridSpec, make_corpus
 
 SPEC = GridSpec(1, 2, 4)
@@ -95,6 +95,18 @@ class TestMaximalP:
         assert np.max(pruned - full) < 1e-12
         above = full > t
         assert np.max(np.abs(pruned[above] - full[above])) < 1e-12
+        # the 1D uncentred path is exact everywhere and ignores the threshold
+        assert np.array_equal(pruned, full)
+
+    def test_centred_threshold_prunes_exactly_above(self):
+        f = make_corpus(SPEC, seed=11, count=1)[0]
+        full = maximal_p(f, 1.0, centred=True)
+        t = float(np.quantile(full, 0.6))
+        pruned = maximal_p(f, 1.0, centred=True, threshold=t)
+        assert np.all(pruned <= full)
+        above = full > t
+        assert np.array_equal(pruned[above], full[above])
+        assert not np.array_equal(pruned, full)
 
     def test_parameter_validation(self):
         f = indicator(SPEC, 0, 1)
@@ -121,6 +133,73 @@ class TestMaximalP:
         m = maximal_p(half, 1.0)
         i = cell_index(spec, Fraction(-1))
         assert m[i, i] == pytest.approx(1.0, rel=1e-12)
+
+
+def sweep_maximal(f: GridFunction, p: float) -> np.ndarray:
+    """The per-width sweep over every window width: the oracle for the 1D
+    uncentred hull path."""
+    return _sweep(_prefix_sums(np.abs(f.values) ** p), range(1, f.spec.N + 1), False) ** (1.0 / p)
+
+
+class TestHullPath:
+    """The 1D uncentred maximal against the per-width sweep, on grids wide
+    enough that windows of more than ``_NARROW`` cells come from hull
+    tangents."""
+
+    @pytest.mark.parametrize("kappa", [5, 7, 9])  # N = 256, 1024, 4096
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0])
+    def test_matches_sweep(self, kappa, p):
+        # Every chosen window is a real window evaluated with the sweep's
+        # formula, so a value never exceeds the sweep's.  It can fall short
+        # where windows tie within rounding: inside the flat parts of the
+        # indicator and the comb, where every window has the same exact
+        # average, the sweep keeps the largest rounding of it.  That costs
+        # at most 2 ulp; smooth data (bumps, band noise) matches bit for bit.
+        spec = GridSpec(1, 2, kappa)
+        for f in make_corpus(spec, seed=2, count=4):
+            fast, ref = maximal_p(f, p), sweep_maximal(f, p)
+            if f.name.startswith(("bump", "bandnoise")):
+                assert np.array_equal(fast, ref), f.name
+            else:
+                assert np.all(fast <= ref), f.name
+                assert np.all(ref - fast <= 2 * np.spacing(ref)), f.name
+
+    def test_indicator_far_cells(self):
+        # the best window for a cell far from the support runs from the cell
+        # to the far end of the support, hundreds of cells wide
+        spec = GridSpec(1, 2, 7)
+        h = spec.h
+        f = indicator(spec, 0, 1)
+        m1, m2 = maximal_p(f, 1.0), maximal_p(f, 2.0)
+        for x, length in ((Fraction(3), 3 + h), (Fraction(-2), Fraction(3))):
+            i = cell_index(spec, x)
+            assert length / h > _NARROW
+            assert m1[i] == pytest.approx(float(1 / length), rel=1e-12)
+            assert m2[i] == pytest.approx(float(1 / length) ** 0.5, rel=1e-12)
+
+    def test_zeros_and_constant(self):
+        spec = GridSpec(1, 2, 7)
+        assert np.array_equal(maximal_p(GridFunction.zeros(spec), 1.0), np.zeros(spec.shape))
+        f = GridFunction(spec, np.full(spec.shape, 0.7 - 0.2j))
+        for p in (1.0, 2.0):
+            fast, ref = maximal_p(f, p), sweep_maximal(f, p)
+            assert np.all(fast <= ref) and np.all(ref - fast <= 2 * np.spacing(ref))
+            assert np.max(np.abs(fast - abs(0.7 - 0.2j))) < 1e-12
+
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_spike_at_domain_edge(self, edge):
+        # one unit spike: the best window runs from the cell to the spike,
+        # a unique maximum, so every value is exact
+        spec = GridSpec(1, 2, 7)
+        vals = np.zeros(spec.shape, dtype=np.complex128)
+        vals[edge] = 1.0
+        f = GridFunction(spec, vals)
+        distance = np.arange(spec.N)[::1 if edge == 0 else -1]
+        expected = 1.0 / (distance + 1)
+        for p in (1.0, 2.0):
+            fast = maximal_p(f, p)
+            assert np.array_equal(fast, expected ** (1.0 / p))
+            assert np.array_equal(fast, sweep_maximal(f, p))
 
 
 class TestLadder:
