@@ -160,6 +160,20 @@ def config_sha256(data: dict) -> str:
 
 _FAMILIES = ("bessel", "oscillatory", "rough_bump", "multiplication", "identity")
 
+# Largest grid a config may ask for: 2**18 cells (N**n with N = 2**(K+kappa+1)),
+# so 1D up to K + kappa = 17 (K = 2, kappa = 14) and 2D up to N = 512.
+MAX_GRID_CELLS = 2**18
+
+
+def _bounded_grid(n: int, K: int, kappa: int) -> GridSpec:
+    """The grid a config asks for, refused above :data:`MAX_GRID_CELLS`
+    before any array is allocated."""
+    spec = GridSpec(n, K, kappa)
+    bits = n * (K + kappa + 1)
+    if bits > MAX_GRID_CELLS.bit_length() - 1:
+        raise ValueError(f"grid of 2**{bits} cells exceeds the limit of {MAX_GRID_CELLS} cells")
+    return spec
+
 
 def _build_symbol(cfg: Config, n: int):
     fam = cfg.get("symbol", "family", str, "bessel").strip().lower()
@@ -186,7 +200,7 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
     K = cfg.get("grid", "k", int)
     kappa = cfg.get("grid", "kappa", int)
     try:
-        spec = GridSpec(n, K, kappa)
+        spec = _bounded_grid(n, K, kappa)
     except ValueError as exc:
         raise cfg.fail("grid", "kappa", str(exc)) from exc
 
@@ -633,7 +647,7 @@ def _cmd_sweep(args) -> int:
     return 0 if all_ok else 1
 
 
-def _parse_inline_spec(text: str) -> tuple[int, int, int]:
+def _parse_inline_spec(text: str) -> GridSpec:
     vals = {}
     for part in text.split(","):
         if "=" not in part:
@@ -641,7 +655,7 @@ def _parse_inline_spec(text: str) -> tuple[int, int, int]:
         k, v = part.split("=", 1)
         vals[k.strip().lower()] = v.strip()
     try:
-        return int(vals.get("n", 1)), int(vals["k"]), int(vals["kappa"])
+        return _bounded_grid(int(vals.get("n", 1)), int(vals["k"]), int(vals["kappa"]))
     except KeyError as exc:
         raise ConfigError("<spec>:1: inline grid spec needs K and kappa") from exc
     except ValueError as exc:
@@ -659,8 +673,7 @@ def _cmd_corpus(args) -> int:
             spec, seed = ctx["spec"], ctx["seed"]
             count = args.count if args.count is not None else ctx["count"]
         else:
-            n, K, kappa = _parse_inline_spec(args.spec)
-            spec = GridSpec(n, K, kappa)
+            spec = _parse_inline_spec(args.spec)
             seed = args.seed if args.seed is not None else 0
             count = args.count if args.count is not None else 4
         fns = make_corpus(spec, seed=seed, count=count)

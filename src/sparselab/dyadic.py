@@ -38,7 +38,6 @@ __all__ = [
     "third_dilate",
     "concentric_dilate",
     "children",
-    "parent",
     "whitney_decompose",
 ]
 
@@ -164,30 +163,6 @@ def children(c: DyadicCube) -> list[DyadicCube]:
     for offs in itertools.product((0, 1), repeat=c.n):
         kids.append(DyadicCube(c.k + 1, tuple(b + e for b, e in zip(base, offs)), c.omega))
     return kids
-
-
-def parent(c: DyadicCube) -> DyadicCube:
-    """The scale ``k-1`` cube of the same family containing ``c``."""
-    s = shift_sign(c.k - 1)
-    m = tuple((mi - s * wi) // 2 for mi, wi in zip(c.m, c.omega))
-    up = DyadicCube(c.k - 1, m, c.omega)
-    if not cube_box(up).contains_box(cube_box(c)):
-        raise AssertionError("parent does not contain child")
-    return up
-
-
-def cube_containing_point(x: Sequence[Fraction], k: int, omega: tuple[int, ...]) -> DyadicCube:
-    """The unique scale-``k`` cube of family ``omega`` containing ``x``."""
-    scale = Fraction(2) ** (-k)
-    s = shift_sign(k)
-    m = []
-    for xi, wi in zip(x, omega):
-        t = xi / scale - Fraction(s * wi, 3)
-        m.append(t.numerator // t.denominator)
-    c = DyadicCube(k, tuple(m), omega)
-    if not cube_box(c).contains_point(x):
-        raise AssertionError("point landed outside its computed cube")
-    return c
 
 
 class CubePoset:

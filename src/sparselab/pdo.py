@@ -24,7 +24,6 @@ full operator exact on the grid.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +37,6 @@ __all__ = [
     "PieceIndex",
     "OperatorHandle",
     "default_cutoffs",
-    "default_truncation",
     "default_nu",
     "apply",
     "lp_piece_apply",
@@ -48,7 +46,6 @@ __all__ = [
     "symbol_operator",
     "band_operator",
     "piece_operator",
-    "localized_operator",
     "kernel_matrix",
 ]
 
@@ -101,19 +98,6 @@ class CutoffFamily:
 
 def default_cutoffs() -> CutoffFamily:
     return CutoffFamily()
-
-
-def default_truncation(spec: GridSpec) -> int:
-    """Smallest J whose low-pass plateau covers all grid frequencies.
-
-    The largest frequency radius is ``sqrt(n) * pi * 2**kappa`` so we need
-    ``2**(J-1)`` at least that; J = kappa + 3 in 1D, kappa + 4 in 2D.
-    """
-    top = math.sqrt(spec.n) * math.pi * 2.0**spec.kappa
-    j = spec.kappa + 2
-    while 2.0 ** (j - 1) < top:
-        j += 1
-    return j
 
 
 def default_nu(rho: float) -> float:
@@ -469,12 +453,4 @@ def piece_operator(
     mult, window = fam.band(idx.j, _freq_radius(spec)), _window_values(fam, idx, spec)
     return OperatorHandle(
         lambda f: spatial_piece_apply(a, fam, idx, f), lambda: kernel_matrix(a, spec, mult, window)
-    )
-
-
-def localized_operator(atilde: LocalizedAmplitude, spec: GridSpec) -> OperatorHandle:
-    window = _localization_window(spec, atilde.ell1)
-    return OperatorHandle(
-        lambda f: apply_localized(atilde, f),
-        lambda: kernel_matrix(atilde.symbol, spec, window=window),
     )

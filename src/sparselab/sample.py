@@ -112,11 +112,16 @@ class GridSpec:
             raise ValueError("box dimension does not match the grid")
         return tuple(self.cell_range(lo, hi) for lo, hi in zip(box.lower, box.upper))
 
-    def box_cell_count(self, box: Box) -> int:
-        count = 1
-        for i0, i1 in self.box_cell_ranges(box):
-            count *= max(i1 - i0, 0)
-        return count
+    def cube_cell_start(self, k: int, m, w: int):
+        """Index of the first cell along one axis of the scale-``k`` cube with
+        corner ``m`` and shift ``w``, before clipping to the domain; the cube
+        holds the ``2**(kappa-k)`` cells from there on.  ``m`` may be an
+        integer array, and start and corner then move together:
+        ``m + 1`` starts ``2**(kappa-k)`` cells later."""
+        if k > self.kappa:
+            raise ValueError("subgrid cube: finer than a grid cell")
+        lo = (3 * m + shift_sign(k) * w) * (1 << (self.kappa + 1 - k)) + 3 * self.N - 3
+        return -(-lo // 6)  # ceil
 
     def cube_cell_ranges(self, c: DyadicCube) -> tuple[tuple[int, int], ...]:
         """Per-axis ``[i0, i1)`` of the cells a cube holds, in integers only.
@@ -126,18 +131,9 @@ class GridSpec:
         """
         if c.n != self.n:
             raise ValueError("cube dimension does not match the grid")
-        if c.k > self.kappa:
-            raise ValueError("subgrid cube: finer than a grid cell")
-        d = 1 << (self.kappa + 1 - c.k)
-        s = shift_sign(c.k)
-        off = 3 * self.N - 3
-        out = []
-        for m, w in zip(c.m, c.omega):
-            lo = (3 * m + s * w) * d + off
-            i0 = -(-lo // 6)  # ceil
-            i1 = -(-(lo + 3 * d) // 6)
-            out.append((max(i0, 0), min(max(i1, 0), self.N)))
-        return tuple(out)
+        starts = [self.cube_cell_start(c.k, m, w) for m, w in zip(c.m, c.omega)]
+        side = 1 << (self.kappa - c.k)
+        return tuple((max(i0, 0), min(max(i0 + side, 0), self.N)) for i0 in starts)
 
     def cell_ranges(self, region: Box | DyadicCube) -> tuple[tuple[int, int], ...]:
         """Per-axis ``[i0, i1)`` of the in-domain cells whose centers lie in a

@@ -22,17 +22,20 @@ from the grid's integer cube-to-cell map.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
 import numpy as np
 
 from .dyadic import (
     Box,
     DyadicCube,
-    children as cube_children,
     concentric_dilate,
     cube_box,
     enumerate_cubes,
+    shift_sign,
     whitney_decompose,
 )
 from .maximal import maximal_p
@@ -119,6 +122,89 @@ def _support_window(spec: GridSpec, *fns: GridFunction) -> Box | None:
     return Box(lo, hi)
 
 
+class _CubeAverages:
+    """p-averages of one function over shifted cubes given by integer corner
+    arrays, equal to :func:`average_p`'s bit for bit.
+
+    A full cube (one the domain edge does not clip) at scale ``k`` holds
+    ``L = 2**(kappa-k)`` contiguous cells per axis, so the full cubes of one
+    scale and shift class are the blocks of one reshape of ``|u|**p``.  Each
+    block becomes one contiguous row of cells in row-major order, the order
+    :func:`average_p` gathers them in, so a row sum is the ``np.sum`` that
+    :func:`average_p` takes.  The root is taken with its scalar expression:
+    numpy's array power rounds differently.  Clipped cubes go through
+    :func:`average_p` itself.  Block sums are built on first use.
+    """
+
+    def __init__(self, u: GridFunction, p: float):
+        self.u = u
+        self.p = p
+        a = np.abs(u.values)
+        self.x = a if math.isinf(p) else a**p
+        self.tables: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+
+    def _block_sums(self, k: int, omega: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Sums (maxima for ``p = inf``) over the full cubes, indexed by
+        block, and per axis the corner ``m`` of block 0."""
+        spec = self.u.spec
+        L = 1 << (spec.kappa - k)
+        starts = [spec.cube_cell_start(k, 0, w) for w in omega]
+        nb = [(spec.N - s % L) // L for s in starts]
+        rows = self.x[tuple(slice(s % L, s % L + b * L) for s, b in zip(starts, nb))]
+        rows = rows.reshape([v for b in nb for v in (b, L)])
+        rows = rows.transpose([*range(0, 2 * spec.n, 2), *range(1, 2 * spec.n, 2)])
+        rows = rows.reshape(-1, L**spec.n)
+        sums = rows.max(axis=1) if math.isinf(self.p) else rows.sum(axis=1)
+        return sums.reshape(nb), np.array([-(s // L) for s in starts])
+
+    def __call__(self, k: int, omega: tuple[int, ...], M: np.ndarray) -> np.ndarray:
+        """Averages over the scale-``k`` cubes of class ``omega`` whose
+        corners are the rows of ``M``."""
+        if (k, omega) not in self.tables:
+            self.tables[k, omega] = self._block_sums(k, omega)
+        sums, m0 = self.tables[k, omega]
+        J = M - m0
+        full = np.all((J >= 0) & (J < sums.shape), axis=1)
+        vals = sums[tuple(J[full].T)].tolist()
+        if not math.isinf(self.p):
+            spec = self.u.spec
+            hn = 2.0 ** (-spec.kappa * spec.n)
+            vol = 2.0 ** (-k * spec.n)
+            vals = [(hn * v / vol) ** (1.0 / self.p) for v in vals]
+        out = np.empty(len(M))
+        out[full] = vals
+        for i in np.flatnonzero(~full):
+            out[i] = average_p(self.u, DyadicCube(k, tuple(M[i].tolist()), omega), self.p)
+        return out
+
+
+def _select(
+    q: DyadicCube, avg_f: _CubeAverages, avg_g: _CubeAverages, tf: float, tg: float
+) -> list[tuple[DyadicCube, float, float]]:
+    """Maximal descendants of q whose f-average exceeds tf or whose g-average
+    exceeds tg, sorted by (k, m), each with its two averages.
+
+    The walk goes one scale at a time: each cube of the frontier is selected,
+    or its children join the next frontier when one of its averages is
+    positive, or it stops; nothing goes below cell scale."""
+    spec = avg_f.u.spec
+    offsets = np.array(list(itertools.product((0, 1), repeat=spec.n)))
+    out = []
+    k, omega = q.k, q.omega
+    M = np.array([q.m])
+    while k < spec.kappa and len(M):
+        M = ((2 * M + shift_sign(k) * np.array(omega))[:, None, :] + offsets).reshape(-1, spec.n)
+        k += 1
+        af = avg_f(k, omega, M)
+        ag = avg_g(k, omega, M)
+        hit = (af > tf) | (ag > tg)
+        order = np.lexsort(M[hit].T[::-1])
+        picked = zip(M[hit][order].tolist(), af[hit][order].tolist(), ag[hit][order].tolist())
+        out.extend((DyadicCube(k, tuple(m), omega), a, b) for m, a, b in picked)
+        M = M[~hit & ((af > 0) | (ag > 0))]
+    return out
+
+
 def build_stopping_time(
     f: GridFunction, g: GridFunction, config: StoppingConfig
 ) -> SparseCollection:
@@ -128,6 +214,9 @@ def build_stopping_time(
     ``base**(1/r)`` times the current cube's, or its g-average (exponent s')
     exceeds ``base**(1/s')`` times the current cube's; maximal such
     descendants become the next rank.  Selection stops at cell scale.
+    Descendants are walked one scale at a time over block sums
+    (:class:`_CubeAverages`); each selected cube's averages are handed on,
+    so no cube average is taken twice.
     """
     spec = f.spec
     if g.spec != spec:
@@ -152,20 +241,8 @@ def build_stopping_time(
         for om in np.ndindex(*(3,) * spec.n):
             roots.extend(enumerate_cubes(-(spec.K + 1), om, window))
 
-    def select(cube: DyadicCube, tf: float, tg: float) -> list[DyadicCube]:
-        """Maximal descendants whose average jumps past tf or tg."""
-        out = []
-        stack = list(cube_children(cube)) if cube.k < spec.kappa else []
-        while stack:
-            c = stack.pop()
-            af = average_p(f, c, r)
-            ag = average_p(g, c, sp)
-            if af > tf or ag > tg:
-                out.append(c)
-            elif (af > 0 or ag > 0) and c.k < spec.kappa:
-                stack.extend(cube_children(c))
-        return out
-
+    avg_f = _CubeAverages(f, r)
+    avg_g = _CubeAverages(g, sp)
     for root in roots:
         af = average_p(f, root, r)
         ag = average_p(g, root, sp)
@@ -174,11 +251,9 @@ def build_stopping_time(
         stack = [(root, -1, 0, af, ag)]
         while stack:
             q, parent_idx, rank, qaf, qag = stack.pop()
-            kids = select(q, jump_f * qaf, jump_g * qag)
-            kids.sort(key=lambda c: (c.k, c.m))
-            me = _append_entry(coll, q, rank, parent_idx, kids)
-            for c in kids:
-                stack.append((c, me, rank + 1, average_p(f, c, r), average_p(g, c, sp)))
+            kids = _select(q, avg_f, avg_g, jump_f * qaf, jump_g * qag)
+            me = _append_entry(coll, q, rank, parent_idx, [c for c, _, _ in kids])
+            stack.extend((c, me, rank + 1, caf, cag) for c, caf, cag in kids)
     return coll
 
 
@@ -317,7 +392,10 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
     disjoint = True
     for key, parts in groups.items():
         allcells = np.concatenate([p for p in parts if p.size] or [np.empty(0, dtype=np.int64)])
-        if allcells.size != np.unique(allcells).size:
+        allcells.sort()
+        # a repeat sits next to its twin once sorted; np.unique would also
+        # import numpy.ma on its first call, about 40 ms of a stopping run
+        if np.any(allcells[1:] == allcells[:-1]):
             disjoint = False
             failures.append(f"survivor overlap within shift class {key}")
     return SparsityReport(

@@ -49,7 +49,6 @@ __all__ = [
     "AuditReport",
     "form_threshold_order",
     "empirical_norm",
-    "dense_l2_norm",
     "schur_bound",
     "predicted_band_slope",
     "norm_scaling_fit",
@@ -61,7 +60,6 @@ __all__ = [
     "sharp_ratio_probe",
     "composed_sharp_apply",
     "endpoint_audit",
-    "third_partition_residual",
     "report_dict",
 ]
 
@@ -242,14 +240,6 @@ def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> Nor
             continue
         best = max(best, _lp_h(M @ v, s, hn) / nf)
     return NormEstimate(best, "lower_bound", r, s)
-
-
-def dense_l2_norm(op, spec: GridSpec) -> float:
-    """Full SVD 2 -> 2 norm; small grids only, used to cross-check."""
-    M = _as_matrix(op)
-    if M.shape[0] > 1024:
-        raise ValueError("dense SVD oracle is limited to 1024 cells")
-    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 @dataclass
@@ -826,26 +816,3 @@ def endpoint_audit(
         poset_violations=violations,
         ok=ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# partition identities
-
-
-def third_partition_residual(f: GridFunction, k: int) -> float:
-    """Max cell residual of reassembling f from the scale-k third tiling.
-
-    The inner thirds of scale-k cubes, over all three shift classes, tile
-    space with every cell center landing in exactly one third; summing the
-    restrictions must reproduce f exactly.
-    """
-    from .dyadic import enumerate_cubes, third_dilate
-
-    spec = f.spec
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    window = spec.domain()
-    for omega in np.ndindex(*(3,) * spec.n):
-        for cube in enumerate_cubes(k, tuple(int(t) for t in omega), window):
-            cells = spec.box_flat_cells(third_dilate(cube))
-            acc.reshape(-1)[cells] += f.values.reshape(-1)[cells]
-    return float(np.max(np.abs(acc - f.values)))

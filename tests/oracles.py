@@ -1,0 +1,167 @@
+"""Reference implementations that only the tests use.
+
+Each one is the slow, direct form of something the package computes
+another way, or a piece of exact geometry that only the checks need:
+
+* ``dfs_stopping_time``: the stopping-time family by a depth-first search
+  that takes every cube average with ``average_p``; the package walks one
+  scale at a time over block sums and must match it entry for entry.
+* ``parent`` and ``cube_containing_point``: exact Fraction geometry.
+* ``box_cell_count``: in-domain cells of a box.
+* ``default_truncation``: the band count whose low-pass plateau covers
+  every grid frequency.
+* ``localized_matrix`` and ``dense_l2_norm``: dense forms of operators.
+* ``third_partition_residual``: the central thirds of the three shift
+  classes reassemble a function.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from sparselab.dyadic import (
+    Box,
+    DyadicCube,
+    children,
+    cube_box,
+    enumerate_cubes,
+    shift_sign,
+    third_dilate,
+)
+from sparselab.pdo import OperatorHandle, _localization_window, kernel_matrix
+from sparselab.sample import GridFunction, GridSpec, average_p
+from sparselab.sparse import SparseCollection, SparseEntry, StoppingConfig
+from sparselab.symbol import LocalizedAmplitude
+
+
+def dfs_stopping_time(f: GridFunction, g: GridFunction, config: StoppingConfig) -> SparseCollection:
+    """``build_stopping_time`` by depth-first search with ``average_p``."""
+    spec = f.spec
+    r = config.pair.r
+    sp = config.pair.s_prime
+    jump_f = config.threshold_base ** (1.0 / r)
+    jump_g = config.threshold_base ** (1.0 / sp)
+    coll = SparseCollection(spec, "stopping", Fraction(1, 2))
+    boxes = [b for b in (f.support_box(), g.support_box()) if b is not None]
+    if not boxes:
+        return coll
+    window = Box(
+        tuple(min(b.lower[i] for b in boxes) for i in range(spec.n)),
+        tuple(max(b.upper[i] for b in boxes) for i in range(spec.n)),
+    )
+    if config.roots is not None:
+        roots = list(config.roots)
+    else:
+        roots = []
+        for om in np.ndindex(*(3,) * spec.n):
+            roots.extend(enumerate_cubes(-(spec.K + 1), om, window))
+
+    def select(cube: DyadicCube, tf: float, tg: float) -> list[DyadicCube]:
+        out = []
+        stack = list(children(cube)) if cube.k < spec.kappa else []
+        while stack:
+            c = stack.pop()
+            af = average_p(f, c, r)
+            ag = average_p(g, c, sp)
+            if af > tf or ag > tg:
+                out.append(c)
+            elif (af > 0 or ag > 0) and c.k < spec.kappa:
+                stack.extend(children(c))
+        return out
+
+    for root in roots:
+        af = average_p(f, root, r)
+        ag = average_p(g, root, sp)
+        if af == 0 and ag == 0:
+            continue
+        stack = [(root, -1, 0, af, ag)]
+        while stack:
+            q, parent_idx, rank, qaf, qag = stack.pop()
+            kids = select(q, jump_f * qaf, jump_g * qag)
+            kids.sort(key=lambda c: (c.k, c.m))
+            survivor = spec.box_flat_cells(q)
+            if kids:
+                kc = np.concatenate([spec.box_flat_cells(c) for c in kids])
+                survivor = np.setdiff1d(survivor, kc, assume_unique=True)
+            coll.entries.append(SparseEntry(q, rank, parent_idx, survivor))
+            me = len(coll.entries) - 1
+            for c in kids:
+                stack.append((c, me, rank + 1, average_p(f, c, r), average_p(g, c, sp)))
+    return coll
+
+
+def parent(c: DyadicCube) -> DyadicCube:
+    """The scale ``k-1`` cube of the same family containing ``c``."""
+    s = shift_sign(c.k - 1)
+    m = tuple((mi - s * wi) // 2 for mi, wi in zip(c.m, c.omega))
+    up = DyadicCube(c.k - 1, m, c.omega)
+    if not cube_box(up).contains_box(cube_box(c)):
+        raise AssertionError("parent does not contain child")
+    return up
+
+
+def cube_containing_point(x: Sequence[Fraction], k: int, omega: tuple[int, ...]) -> DyadicCube:
+    """The unique scale-``k`` cube of family ``omega`` containing ``x``."""
+    scale = Fraction(2) ** (-k)
+    s = shift_sign(k)
+    m = []
+    for xi, wi in zip(x, omega):
+        t = xi / scale - Fraction(s * wi, 3)
+        m.append(t.numerator // t.denominator)
+    c = DyadicCube(k, tuple(m), omega)
+    if not cube_box(c).contains_point(x):
+        raise AssertionError("point landed outside its computed cube")
+    return c
+
+
+def box_cell_count(spec: GridSpec, box: Box) -> int:
+    """Number of in-domain cells whose centres lie in ``box``."""
+    return math.prod(max(i1 - i0, 0) for i0, i1 in spec.box_cell_ranges(box))
+
+
+def default_truncation(spec: GridSpec) -> int:
+    """Smallest J whose low-pass plateau covers all grid frequencies.
+
+    The largest frequency radius is ``sqrt(n) * pi * 2**kappa`` so we need
+    ``2**(J-1)`` at least that; J = kappa + 3 in 1D, kappa + 4 in 2D.
+    """
+    top = math.sqrt(spec.n) * math.pi * 2.0**spec.kappa
+    j = spec.kappa + 2
+    while 2.0 ** (j - 1) < top:
+        j += 1
+    return j
+
+
+def localized_matrix(atilde: LocalizedAmplitude, spec: GridSpec) -> np.ndarray:
+    """Dense matrix of ``apply_localized(atilde, .)``: the kernel matrix of
+    the symbol with the localization window applied to its rows."""
+    return kernel_matrix(atilde.symbol, spec, window=_localization_window(spec, atilde.ell1))
+
+
+def dense_l2_norm(op, spec: GridSpec) -> float:
+    """Full SVD 2 -> 2 norm; small grids only."""
+    M = op.matrix() if isinstance(op, OperatorHandle) else np.asarray(op)
+    if M.shape[0] > 1024:
+        raise ValueError("dense SVD oracle is limited to 1024 cells")
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def third_partition_residual(f: GridFunction, k: int) -> float:
+    """Max cell residual of reassembling f from the scale-k third tiling.
+
+    The inner thirds of scale-k cubes, over all three shift classes, tile
+    space with every cell center landing in exactly one third; summing the
+    restrictions must reproduce f exactly.
+    """
+    spec = f.spec
+    acc = np.zeros(spec.shape, dtype=np.complex128)
+    window = spec.domain()
+    for omega in np.ndindex(*(3,) * spec.n):
+        for cube in enumerate_cubes(k, tuple(int(t) for t in omega), window):
+            cells = spec.box_flat_cells(third_dilate(cube))
+            acc.reshape(-1)[cells] += f.values.reshape(-1)[cells]
+    return float(np.max(np.abs(acc - f.values)))

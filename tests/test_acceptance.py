@@ -16,7 +16,6 @@ from sparselab.dyadic import (
     children,
     concentric_dilate,
     cube_box,
-    cube_containing_point,
     whitney_decompose,
 )
 from sparselab.maximal import maximal_p
@@ -25,7 +24,6 @@ from sparselab.pdo import (
     apply,
     band_operator,
     default_cutoffs,
-    default_truncation,
     lp_piece_apply,
     spatial_piece_apply,
     symbol_operator,
@@ -47,7 +45,6 @@ from sparselab.sparse import (
 from sparselab.symbol import bessel, custom_symbol, multiplication, oscillatory_ct, rough_bump
 from sparselab.verify import (
     DecayProbeConfig,
-    dense_l2_norm,
     empirical_norm,
     endpoint_audit,
     kernel_decay_fit,
@@ -56,6 +53,13 @@ from sparselab.verify import (
     pointwise_domination_check,
     sharp_ratio_probe,
     sparse_form_ratio,
+)
+
+from oracles import (
+    box_cell_count,
+    cube_containing_point,
+    default_truncation,
+    dense_l2_norm,
     third_partition_residual,
 )
 
@@ -219,7 +223,7 @@ def _survivor_average_audit(spec, f, g, pair):
                 box = cube_box(ch)
                 if any(kb.contains_box(box) for kb in kid_boxes):
                     continue
-                if spec.box_cell_count(box) == 0:
+                if box_cell_count(spec, box) == 0:
                     continue
                 assert average_p(f, ch, pair.r) <= bound_f
                 assert average_p(g, ch, pair.s_prime) <= bound_g

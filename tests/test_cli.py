@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sparselab import __version__, verify
+from sparselab import __version__, cli, verify
 from sparselab.cli import _FAMILIES, _build_context, _worker_count, load_config, main
 from sparselab.sample import load_grid_function
 
@@ -184,6 +184,51 @@ class TestJobs:
         assert exc.value.code == 2
         assert "--count: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestGridBound:
+    """A grid above MAX_GRID_CELLS exits 2 at config load, before the
+    corpus (the first allocation of N**n cells) is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_oversized_corpus(self, monkeypatch):
+        make_corpus = cli.make_corpus
+
+        def guarded(spec, *args, **kwargs):
+            assert spec.N**spec.n <= cli.MAX_GRID_CELLS, "corpus built for an oversized grid"
+            return make_corpus(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_corpus", guarded)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "corpus"])
+    def test_config_exits_two(self, tmp_path, capsys, command):
+        ini = write(tmp_path, IDENTITY_INI.replace("kappa = 5", "kappa = 40"))
+        sweep = ["--axis", "grid.K", "--values", "2"] if command == "sweep" else []
+        assert run_cli(command, ini, *sweep, "--out", str(tmp_path / "out")) == 2
+        assert f"{ini}:4: grid of 2**43 cells exceeds the limit of 262144 cells" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_swept_value_exits_two(self, tmp_path, capsys):
+        ini = write(tmp_path, IDENTITY_INI)
+        out = tmp_path / "out"
+        code = run_cli("sweep", ini, "--axis", "grid.kappa", "--values", "40", "--out", str(out))
+        assert code == 2
+        assert "<grid.kappa=40>:4: grid of 2**43 cells" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inline_spec_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("corpus", "n=2,K=2,kappa=40", "--out", str(out)) == 2
+        assert "<spec>:1: grid of 2**86 cells exceeds the limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_limit_admits_one_dimensional_kappa_14(self):
+        assert cli._bounded_grid(1, 2, 14).N == 2**17
+        assert cli._bounded_grid(2, 0, 8).N == 2**9
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            cli._bounded_grid(2, 0, 9)
 
 
 class TestConfigErrors:

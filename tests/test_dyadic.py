@@ -14,13 +14,13 @@ from sparselab.dyadic import (
     children,
     concentric_dilate,
     cube_box,
-    cube_containing_point,
     enumerate_cubes,
-    parent,
     third_dilate,
     whitney_decompose,
 )
 from sparselab.sample import GridSpec
+
+from oracles import cube_containing_point, parent
 
 
 def box1(lo, hi) -> Box:

@@ -1,25 +1,33 @@
 """Stopping-time and Whitney sparse families and sparsity checks."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sparselab.dyadic import Box, DyadicCube, concentric_dilate, cube_box
-from sparselab.sample import ExponentPair, GridFunction, GridSpec, make_corpus
+from sparselab.dyadic import Box, DyadicCube, concentric_dilate, cube_box, enumerate_cubes
+from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
 from sparselab.sparse import (
     SparseCollection,
     SparseEntry,
     StoppingConfig,
     WhitneyConfig,
+    _CubeAverages,
     build_stopping_time,
     build_whitney_sparse,
     verify_sparsity,
 )
 
+from oracles import box_cell_count, dfs_stopping_time
+
 SPEC = GridSpec(1, 2, 5)
 UNIT = DyadicCube(0, (0,), (0,))
 PAIR_1_INF = ExponentPair(1.0, float("inf"))
+PAIRS = (ExponentPair(2.0, 2.0), ExponentPair(4.0 / 3.0, 4.0), PAIR_1_INF)
+# corpus slots 0-3 are bump, indicator, comb and band noise
+CORPUS_PAIRS = ((1, 1), (2, 2), (0, 3), (3, 3), (1, 2), (3, 0))
 
 
 def box01(lo, hi) -> Box:
@@ -43,7 +51,7 @@ class TestStoppingTime:
         assert coll.entries[0].cube == UNIT
         assert coll.entries[0].rank == 0
         assert coll.entries[0].parent == -1
-        assert coll.entries[0].survivor.size == SPEC.box_cell_count(box01(0, 1))
+        assert coll.entries[0].survivor.size == box_cell_count(SPEC, box01(0, 1))
 
     def test_spike_selects_exact_child(self):
         # averages through the spike: 1 on the root, then 2, 4, 8 along the
@@ -92,6 +100,89 @@ class TestStoppingTime:
         assert len(coll) == 0
 
 
+def assert_same_family(got: SparseCollection, want: SparseCollection) -> None:
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got.entries, want.entries)):
+        assert (a.cube, a.rank, a.parent) == (b.cube, b.rank, b.parent), i
+        assert np.array_equal(a.survivor, b.survivor), i
+
+
+class TestLevelWalkMatchesSearch:
+    """The level walk over block sums gives the depth-first search's
+    families entry for entry, ties at the thresholds included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corpus_families(self, seed):
+        # six pairs times three exponent pairs per seed: 108 families over
+        # the six seeds, small supports (exact 4x ties at coarse scales)
+        # and smooth band noise alike
+        spec = GridSpec(1, 2, 7)
+        fs = make_corpus(spec, seed=seed, count=4)
+        for (i, j), pair in itertools.product(CORPUS_PAIRS, PAIRS):
+            config = StoppingConfig(pair=pair)
+            assert_same_family(
+                build_stopping_time(fs[i], fs[j], config), dfs_stopping_time(fs[i], fs[j], config)
+            )
+
+    @pytest.mark.parametrize("grid", [(2, 0, 3), (2, 1, 3)])
+    def test_two_dimensional_families(self, grid):
+        spec = GridSpec(*grid)
+        fs = make_corpus(spec, seed=0, count=4)
+        for (i, j), pair in itertools.product(CORPUS_PAIRS[:4], PAIRS):
+            config = StoppingConfig(pair=pair)
+            assert_same_family(
+                build_stopping_time(fs[i], fs[j], config), dfs_stopping_time(fs[i], fs[j], config)
+            )
+
+    def test_other_threshold_base(self):
+        spec = GridSpec(1, 1, 8)
+        fs = make_corpus(spec, seed=3, count=4)
+        for (i, j), pair in itertools.product(CORPUS_PAIRS, PAIRS):
+            config = StoppingConfig(pair=pair, threshold_base=2.5)
+            assert_same_family(
+                build_stopping_time(fs[i], fs[j], config), dfs_stopping_time(fs[i], fs[j], config)
+            )
+
+    def test_explicit_roots(self):
+        fs = make_corpus(SPEC, seed=4, count=4)
+        inner = DyadicCube(2, (1,), (2,))
+        for roots, pair in itertools.product(((UNIT,), (UNIT, inner)), PAIRS):
+            config = StoppingConfig(pair=pair, roots=roots)
+            for i, j in CORPUS_PAIRS:
+                assert_same_family(
+                    build_stopping_time(fs[i], fs[j], config),
+                    dfs_stopping_time(fs[i], fs[j], config),
+                )
+
+
+class TestNumpyIdentities:
+    """The level walk equals average_p bit for bit only while numpy sums
+    the rows of a contiguous array as it sums each row on its own, and only
+    because the root is taken as a scalar."""
+
+    @pytest.mark.parametrize(
+        "L", [*range(1, 10), 127, 128, 129, 256, 1000, 4096, 16384]
+    )
+    def test_row_sums_equal_slice_sums(self, L):
+        rows = np.random.default_rng(L).lognormal(0.0, 3.0, size=(3, L))
+        want = [np.sum(row.copy()) for row in rows]
+        assert rows.sum(axis=1).tolist() == want
+
+    @pytest.mark.parametrize("grid", [(1, 2, 6), (2, 0, 3)])
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 4.0, math.inf])
+    def test_block_averages_equal_average_p(self, grid, p):
+        # every cube meeting the domain at every scale the walk reaches,
+        # full and clipped; p = 4/3 catches a vectorised root
+        spec = GridSpec(*grid)
+        f = make_corpus(spec, seed=2, count=4)[3]
+        avg = _CubeAverages(f, p)
+        for k in range(-(spec.K + 1), spec.kappa + 1):
+            for omega in itertools.product(range(3), repeat=spec.n):
+                cubes = list(enumerate_cubes(k, omega, spec.domain()))
+                got = avg(k, omega, np.array([c.m for c in cubes])).tolist()
+                assert got == [average_p(f, c, p) for c in cubes], (k, omega)
+
+
 class TestWhitneySparse:
     SPEC3 = GridSpec(1, 3, 5)
 
@@ -107,7 +198,7 @@ class TestWhitneySparse:
         assert e.rank == 0
         # reach 2**1 + 2 = 4 forces cores of side 4; only [0, 4) meets f
         assert cube_box(e.cube) == box01(0, 4)
-        assert e.survivor.size == self.SPEC3.box_cell_count(box01(0, 4))
+        assert e.survivor.size == box_cell_count(self.SPEC3, box01(0, 4))
 
     def test_eta_and_region_are_triple_based(self):
         f, config = self.flat()
