@@ -14,6 +14,13 @@ the periodic grid.  Inputs must be supported in the central half of the
 domain so that periodic wraparound never reaches the support ("wraparound
 risk" otherwise).
 
+Every operator is one ``OperatorHandle`` record: a symbol, an optional
+frequency multiplier ``m`` (a band ``psi_j``) and an optional window on the
+kernel offset ``z`` (a spatial shell, or the localization cutoff).  The
+record alone decides how it is applied: multiplier and separable symbols
+by transforms, general symbols by contracting kernel rows block by block.
+The literal double sum over cells and frequencies is the tests' oracle.
+
 Frequency truncation: band pieces are summed up to ``J = kappa + 3`` by
 default, the smallest truncation whose low-pass plateau covers every
 discrete frequency (``2**(J-1) >= pi * 2**kappa``); the telescoping identity
@@ -46,7 +53,8 @@ __all__ = [
     "symbol_operator",
     "band_operator",
     "piece_operator",
-    "kernel_matrix",
+    "forward_transform",
+    "inverse_eval",
 ]
 
 
@@ -120,20 +128,6 @@ class PieceIndex:
             raise ValueError("spatial rate nu must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class OperatorHandle:
-    """Callable operator with dense-matrix access for oracles."""
-
-    apply_fn: Callable[[GridFunction], GridFunction]
-    matrix_fn: Callable[[], np.ndarray]
-
-    def __call__(self, f: GridFunction) -> GridFunction:
-        return self.apply_fn(f)
-
-    def matrix(self) -> np.ndarray:
-        return self.matrix_fn()
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -183,35 +177,11 @@ def _z_radius(spec: GridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# application paths
+# kernel rows and windows
 
 
-_DIRECT_BLOCK = 128
+_BLOCK = 128
 _DENSE_LIMIT = 4096
-
-
-def _apply_direct(a: SymbolClass, f: GridFunction, mult: np.ndarray | None) -> GridFunction:
-    """Blocked literal quadrature; reference path for cross-checks."""
-    spec = f.spec
-    if spec.n == 2 and a.structure != "multiplier" and spec.N > 64:
-        raise ValueError("direct 2D quadrature is limited to 64 cells per axis")
-    fh = forward_transform(f)
-    if mult is not None:
-        fh = fh * mult
-    dxi = 2.0 * np.pi / (spec.N * float(spec.h))
-    fhd = (fh * dxi**spec.n).ravel()
-    c = spec.centers()
-    xi = tuple(x[None] for x in _freq_coords(spec))
-    out = np.empty(spec.N**spec.n, dtype=np.complex128)
-    for lo, cells in _cell_blocks(spec):
-        B = len(cells[0])
-        xb = tuple(c[ix].reshape((B,) + (1,) * spec.n) for ix in cells)
-        amp = a.eval(tuple(np.broadcast_to(x, (B,) + spec.shape) for x in xb), xi)
-        phase = functools.reduce(np.add, (q * x for q, x in zip(xi, xb)))
-        # exp stays inside the product: numpy then multiplies into its
-        # temporary, which fixes the last bits of the result
-        out[lo : lo + B] = (amp * np.exp(1j * phase)).reshape(B, -1) @ fhd
-    return f.with_values(out.reshape(spec.shape))
 
 
 def _amplitude(
@@ -229,69 +199,25 @@ def _amplitude(
     return (amp if mult is None else amp * mult), xf
 
 
-def _apply_symbol_mult(
-    a: SymbolClass, f: GridFunction, mult: np.ndarray | None, method: str
-) -> GridFunction:
-    """Apply ``a(x, D)`` with an optional extra frequency multiplier."""
-    _guard_support(f)
-    if method == "direct" or a.structure == "general":
-        return _apply_direct(a, f, mult)
-    amp, xf = _amplitude(a, f.spec, mult)
-    out = inverse_eval(f.spec, forward_transform(f) * amp)
-    return f.with_values(out if xf is None else xf * out)
-
-
-def apply(a: SymbolClass, f: GridFunction, method: str = "auto") -> GridFunction:
-    """Full operator ``a(x, D) f`` by quadrature over all grid frequencies."""
-    if method not in ("auto", "fft", "direct"):
-        raise ValueError("method must be auto, fft, or direct")
-    if method == "fft" and a.structure == "general":
-        raise ValueError("fft path requires an x-independent or separable symbol")
-    return _apply_symbol_mult(a, f, None, method)
-
-
-def lp_piece_apply(a: SymbolClass, fam: CutoffFamily, j: int, f: GridFunction) -> GridFunction:
-    """Frequency band piece: the symbol is multiplied by ``psi_j``."""
-    mult = fam.band(j, _freq_radius(f.spec))
-    return _apply_symbol_mult(a, f, mult, "auto")
-
-
-# ---------------------------------------------------------------------------
-# kernel rows and windowed pieces
-
-
-def _kernel_rows(
-    a: SymbolClass,
-    spec: GridSpec,
-    mult: np.ndarray | None,
-    cells: tuple[np.ndarray, ...] | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Kernel rows ``K(x, z)`` on the periodic z-grid (FFT ordering) of the
-    cells named by one index array per axis (at most ``_DIRECT_BLOCK``), or
-    with ``cells=None`` the x-free row of a multiplier or separable symbol
-    and its x-factor (None for cell rows, which include it)."""
-    if cells is None:
-        amp, xf = _amplitude(a, spec, mult)
-        amp = amp[None]
-    else:
-        # contiguous x blocks keep each row's arithmetic that of a single row
-        c, shape = spec.centers(), (len(cells[0]),) + spec.shape
-        xs = tuple(np.repeat(c[ix], spec.N**spec.n).reshape(shape) for ix in cells)
-        amp, xf = a.eval(xs, _freq_coords(spec)), None
-        if mult is not None:
-            amp = amp * mult
+def _rows(spec: GridSpec, amp: np.ndarray) -> np.ndarray:
+    """Kernel rows on the periodic z-grid (FFT ordering) of frequency
+    amplitudes, one row per leading index of ``amp``."""
     N = spec.N
     dxi = 2.0 * np.pi / (N * float(spec.h))
     scale = (dxi / (2.0 * np.pi)) ** spec.n * N**spec.n
-    return scale * _dft(spec.n)[1](amp), xf
+    return scale * _dft(spec.n)[1](amp)
 
 
-def _cell_blocks(spec: GridSpec):
-    """All cells in C order, ``_DIRECT_BLOCK`` at a time: the flat index of
-    a block's first cell and one index array per axis."""
-    cells = np.indices(spec.shape).reshape(spec.n, -1)
-    for lo in range(0, cells.shape[1], _DIRECT_BLOCK):
-        yield lo, tuple(cells[:, lo : lo + _DIRECT_BLOCK])
+def _cell_rows(
+    a: SymbolClass, spec: GridSpec, mult: np.ndarray | None, cells: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Kernel rows ``K(x, z)`` of the cells named by one index array per
+    axis (at most ``_BLOCK``)."""
+    # contiguous x blocks keep each row's arithmetic that of a single row
+    c, shape = spec.centers(), (len(cells[0]),) + spec.shape
+    xs = tuple(np.repeat(c[ix], spec.N**spec.n).reshape(shape) for ix in cells)
+    amp = a.eval(xs, _freq_coords(spec))
+    return _rows(spec, amp if mult is None else amp * mult)
 
 
 def _window_values(fam: CutoffFamily, idx: PieceIndex, spec: GridSpec) -> np.ndarray:
@@ -302,45 +228,141 @@ def _localization_window(spec: GridSpec, ell1: int) -> np.ndarray:
     return CutoffFamily().psi0(_z_radius(spec) * 2.0**-ell1)
 
 
-def _correlate_rows(
-    a: SymbolClass,
-    spec: GridSpec,
-    mult: np.ndarray | None,
-    window: np.ndarray,
-    f: GridFunction,
-) -> GridFunction:
-    """Contract windowed kernel rows against f; one FFT convolution when the
-    kernel row shape does not depend on x (multiplier or separable)."""
-    h = float(spec.h)
-    fv = f.values
-    if a.structure != "general":
-        (row,), xf = _kernel_rows(a, spec, mult, None)
-        fft, ifft = _dft(spec.n)
-        out = h**spec.n * ifft(fft(row * window) * fft(fv))
-        return f.with_values(out if xf is None else xf * out)
-    N = spec.N
-    if spec.n == 2 and N > 64:
-        raise ValueError("x-dependent windowed 2D pieces are limited to 64 cells per axis")
-    out = np.empty(spec.shape, dtype=np.complex128)
-    # g(u) = f(-u) on the doubled periodic grid: f(x - z) over all z is one slice of g
-    g = np.tile(fv[np.ix_(*(-np.arange(N) % N,) * spec.n)], (2,) * spec.n)
-    hn = h**spec.n
-    for _, cells in _cell_blocks(spec):
-        rows = _kernel_rows(a, spec, mult, cells)[0] * window
-        for row, *i in zip(rows, *cells):
-            fy = g[tuple(slice(N - k, 2 * N - k) for k in i)]
-            out[tuple(i)] = hn * np.dot(row.ravel(), fy.ravel())
-    return f.with_values(out)
+# ---------------------------------------------------------------------------
+# the operator record
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorHandle:
+    """The operator of the symbol ``a`` on the grid ``spec``, with the symbol
+    times the frequency multiplier ``mult`` and the kernel rows times the
+    offset ``window`` (a function of z on the periodic z-grid, FFT
+    ordering); either may be absent.
+
+    Multiplier and separable symbols are applied by transforms: a product
+    with the amplitude when there is no window, a convolution with the
+    windowed x-free kernel row when there is one.  A general symbol is
+    applied by contracting its windowed kernel rows with ``f``, ``_BLOCK``
+    cells at a time.  ``row`` and ``matrix`` give the same kernel cell by
+    cell and as a dense matrix.
+    """
+
+    a: SymbolClass
+    spec: GridSpec
+    mult: np.ndarray | None = None
+    window: np.ndarray | None = None
+
+    def __call__(self, f: GridFunction) -> GridFunction:
+        """The operator applied to ``f`` after the support guard."""
+        _guard_support(f)
+        return self.apply(f)
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        """The operator applied to ``f`` without the support guard."""
+        spec = self.spec
+        if f.spec != spec:
+            raise ValueError(f"a function on {f.spec} given to an operator on {spec}")
+        hn = float(spec.h) ** spec.n
+        if self.a.structure != "general":
+            if self.window is None:
+                amp, xf = _amplitude(self.a, spec, self.mult)
+                out = inverse_eval(spec, forward_transform(f) * amp)
+            else:
+                row, xf = self._free_row()
+                fft, ifft = _dft(spec.n)
+                out = hn * ifft(fft(row) * fft(f.values))
+            return f.with_values(out if xf is None else xf * out)
+        N = spec.N
+        if spec.n == 2 and N > 64:
+            raise ValueError("x-dependent 2D operators are limited to 64 cells per axis")
+        out = np.empty(spec.shape, dtype=np.complex128)
+        # g(u) = f(-u) on the doubled periodic grid: f(x - z) over all z is one slice of g
+        g = np.tile(f.values[np.ix_(*(-np.arange(N) % N,) * spec.n)], (2,) * spec.n)
+        for _, cells, rows in self._row_blocks():
+            for row, *i in zip(rows, *cells):
+                fy = g[tuple(slice(N - k, 2 * N - k) for k in i)]
+                out[tuple(i)] = hn * np.dot(row.ravel(), fy.ravel())
+        return f.with_values(out)
+
+    def row(self, x_index: tuple[int, ...]) -> np.ndarray:
+        """Windowed kernel row of the cell with index ``x_index`` per axis."""
+        (row,) = _cell_rows(self.a, self.spec, self.mult, tuple(np.array(x_index)[:, None]))
+        return self._windowed(row)
+
+    def matrix(self) -> np.ndarray:
+        """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
+        (C order) cell indices, up to ``_DENSE_LIMIT`` cells."""
+        spec, N = self.spec, self.spec.N
+        if N**spec.n > _DENSE_LIMIT:
+            raise ValueError("dense kernel too large")
+        hn = float(spec.h) ** spec.n
+        # idx[i, j]: flat index of the periodic offset i - j into a kernel row
+        d = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+        idx = d
+        for _ in range(1, spec.n):
+            m = idx.shape[0] * N
+            idx = (idx[:, None, :, None] * N + d[None, :, None, :]).reshape(m, m)
+        if self.a.structure == "multiplier":
+            return hn * self._free_row()[0].ravel()[idx]
+        M = np.empty(idx.shape, dtype=np.complex128)
+        for lo, _, rows in self._row_blocks():
+            flat = slice(lo, lo + len(rows))
+            M[flat] = hn * np.take_along_axis(rows.reshape(len(rows), -1), idx[flat], axis=1)
+        return M
+
+    def _windowed(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self.window is None else rows * self.window
+
+    def _free_row(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Windowed x-free kernel row of a multiplier or separable symbol,
+        and its x-factor (None if it has none)."""
+        amp, xf = _amplitude(self.a, self.spec, self.mult)
+        return self._windowed(_rows(self.spec, amp[None])[0]), xf
+
+    def _row_blocks(self):
+        """Windowed kernel rows of all cells in C order, ``_BLOCK`` at a
+        time: the flat index of a block's first cell, one index array per
+        axis, and the block's rows."""
+        spec = self.spec
+        cells = np.indices(spec.shape).reshape(spec.n, -1)
+        for lo in range(0, cells.shape[1], _BLOCK):
+            block = tuple(cells[:, lo : lo + _BLOCK])
+            yield lo, block, self._windowed(_cell_rows(self.a, spec, self.mult, block))
+
+
+def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:
+    """The full operator ``a(x, D)``: every grid frequency, no window."""
+    return OperatorHandle(a, spec)
+
+
+def band_operator(a: SymbolClass, fam: CutoffFamily, j: int, spec: GridSpec) -> OperatorHandle:
+    """Frequency band piece: the symbol is multiplied by ``psi_j``."""
+    return OperatorHandle(a, spec, fam.band(j, _freq_radius(spec)))
+
+
+def piece_operator(
+    a: SymbolClass, fam: CutoffFamily, idx: PieceIndex, spec: GridSpec
+) -> OperatorHandle:
+    """Piece with frequency band ``j`` and dyadic spatial window ``ell``."""
+    mult, window = fam.band(idx.j, _freq_radius(spec)), _window_values(fam, idx, spec)
+    return OperatorHandle(a, spec, mult, window)
+
+
+def apply(a: SymbolClass, f: GridFunction) -> GridFunction:
+    """Full operator ``a(x, D) f`` by quadrature over all grid frequencies."""
+    return symbol_operator(a, f.spec)(f)
+
+
+def lp_piece_apply(a: SymbolClass, fam: CutoffFamily, j: int, f: GridFunction) -> GridFunction:
+    """Frequency band piece ``j`` applied to ``f``."""
+    return band_operator(a, fam, j, f.spec)(f)
 
 
 def spatial_piece_apply(
     a: SymbolClass, fam: CutoffFamily, idx: PieceIndex, f: GridFunction
 ) -> GridFunction:
-    """Piece with frequency band ``j`` and dyadic spatial window ``ell``."""
-    _guard_support(f)
-    mult = fam.band(idx.j, _freq_radius(f.spec))
-    window = _window_values(fam, idx, f.spec)
-    return _correlate_rows(a, f.spec, mult, window, f)
+    """The (j, ell) piece applied to ``f``."""
+    return piece_operator(a, fam, idx, f.spec)(f)
 
 
 def _as_point(x: float | tuple[float, ...], spec: GridSpec) -> tuple[float, ...]:
@@ -367,22 +389,7 @@ def kernel_slice(
     """Kernel row of the (j, ell) piece at the cell centre nearest x, times
     the piece's spatial window, on the periodic z-grid (FFT ordering); a
     scalar x is that coordinate on every axis."""
-    x_index = _nearest_cell(_as_point(x, spec), spec)
-    mult = fam.band(idx.j, _freq_radius(spec))
-    (row,), _ = _kernel_rows(a, spec, mult, tuple(np.array(x_index)[:, None]))
-    return row * _window_values(fam, idx, spec)
-
-
-def full_kernel_row(
-    a: SymbolClass, spec: GridSpec, x_index: tuple[int, ...], window_radius: float | None = None
-) -> np.ndarray:
-    """Row of the full (all grid frequencies) kernel, optionally windowed by
-    ``psi0(z / window_radius`` scale); FFT z-ordering."""
-    (row,), _ = _kernel_rows(a, spec, None, tuple(np.array(x_index)[:, None]))
-    if window_radius is not None:
-        fam = CutoffFamily()
-        row = row * fam.psi0(_z_radius(spec) / window_radius)
-    return row
+    return piece_operator(a, fam, idx, spec).row(_nearest_cell(_as_point(x, spec), spec))
 
 
 def apply_localized(atilde: LocalizedAmplitude, f: GridFunction) -> GridFunction:
@@ -396,61 +403,4 @@ def apply_localized(atilde: LocalizedAmplitude, f: GridFunction) -> GridFunction
     if 2.0**atilde.ell1 > float(spec.halfwidth):
         raise ValueError("wraparound risk: the localization radius exceeds half the domain")
     window = _localization_window(spec, atilde.ell1)
-    return _correlate_rows(atilde.symbol, spec, None, window, f)
-
-
-# ---------------------------------------------------------------------------
-# dense forms and handles
-
-
-def kernel_matrix(
-    a: SymbolClass,
-    spec: GridSpec,
-    mult: np.ndarray | None = None,
-    window: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
-    (C order) cell indices, up to ``_DENSE_LIMIT`` cells."""
-    N = spec.N
-    if N**spec.n > _DENSE_LIMIT:
-        raise ValueError("dense kernel too large")
-    hn = float(spec.h) ** spec.n
-    # idx[i, j]: flat index of the periodic offset i - j into a kernel row
-    d = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    idx = d
-    for _ in range(1, spec.n):
-        m = idx.shape[0] * N
-        idx = (idx[:, None, :, None] * N + d[None, :, None, :]).reshape(m, m)
-    if a.structure == "multiplier":
-        (row,), _ = _kernel_rows(a, spec, mult, None)
-        if window is not None:
-            row = row * window
-        return hn * row.ravel()[idx]
-    M = np.empty(idx.shape, dtype=np.complex128)
-    for lo, cells in _cell_blocks(spec):
-        rows = _kernel_rows(a, spec, mult, cells)[0]
-        if window is not None:
-            rows = rows * window
-        flat = slice(lo, lo + len(rows))
-        M[flat] = hn * np.take_along_axis(rows.reshape(len(rows), -1), idx[flat], axis=1)
-    return M
-
-
-def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:
-    return OperatorHandle(lambda f: apply(a, f), lambda: kernel_matrix(a, spec))
-
-
-def band_operator(a: SymbolClass, fam: CutoffFamily, j: int, spec: GridSpec) -> OperatorHandle:
-    mult = fam.band(j, _freq_radius(spec))
-    return OperatorHandle(
-        lambda f: lp_piece_apply(a, fam, j, f), lambda: kernel_matrix(a, spec, mult)
-    )
-
-
-def piece_operator(
-    a: SymbolClass, fam: CutoffFamily, idx: PieceIndex, spec: GridSpec
-) -> OperatorHandle:
-    mult, window = fam.band(idx.j, _freq_radius(spec)), _window_values(fam, idx, spec)
-    return OperatorHandle(
-        lambda f: spatial_piece_apply(a, fam, idx, f), lambda: kernel_matrix(a, spec, mult, window)
-    )
+    return OperatorHandle(atilde.symbol, spec, window=window).apply(f)

@@ -24,11 +24,11 @@ from .pdo import (
     OperatorHandle,
     PieceIndex,
     _as_point,
+    _localization_window,
     _nearest_cell,
     apply_localized,
     band_operator,
     default_cutoffs,
-    full_kernel_row,
     kernel_slice,
 )
 from .sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
@@ -443,9 +443,9 @@ def kernel_difference_probe(
     hstep = float(spec.h)
     N, c = spec.N, spec.centers()
     ia, ib = _nearest_cell(x, spec), _nearest_cell(x_b, spec)
-    radius = None if window_ell1 is None else 2.0**window_ell1
-    row_a = full_kernel_row(a, spec, ia, window_radius=radius)
-    row_b = full_kernel_row(a, spec, ib, window_radius=radius)
+    window = None if window_ell1 is None else _localization_window(spec, window_ell1)
+    op = OperatorHandle(a, spec, window=window)
+    row_a, row_b = op.row(ia), op.row(ib)
     # row[t] is the kernel at second argument y = center[i] - t*h (FFT order,
     # per axis), so the value at y-cell u is row[(i - u) mod N]
     u = np.arange(N)

@@ -10,6 +10,9 @@ another way, or a piece of exact geometry that only the checks need:
 * ``box_cell_count``: in-domain cells of a box.
 * ``default_truncation``: the band count whose low-pass plateau covers
   every grid frequency.
+* ``direct_quadrature``: ``a(x, D) f`` as the literal double sum over
+  cells and frequencies; the package applies the operator by transforms
+  or by kernel rows.
 * ``localized_matrix`` and ``dense_l2_norm``: dense forms of operators.
 * ``third_partition_residual``: the central thirds of the three shift
   classes reassemble a function.
@@ -32,10 +35,10 @@ from sparselab.dyadic import (
     shift_sign,
     third_dilate,
 )
-from sparselab.pdo import OperatorHandle, _localization_window, kernel_matrix
+from sparselab.pdo import OperatorHandle, _localization_window, forward_transform
 from sparselab.sample import GridFunction, GridSpec, average_p
 from sparselab.sparse import SparseCollection, SparseEntry, StoppingConfig
-from sparselab.symbol import LocalizedAmplitude
+from sparselab.symbol import LocalizedAmplitude, SymbolClass
 
 
 def dfs_stopping_time(f: GridFunction, g: GridFunction, config: StoppingConfig) -> SparseCollection:
@@ -136,10 +139,36 @@ def default_truncation(spec: GridSpec) -> int:
     return j
 
 
+def direct_quadrature(
+    a: SymbolClass, f: GridFunction, mult: np.ndarray | None = None
+) -> GridFunction:
+    """``sum_xi a(x, xi) mult(xi) fhat(xi) exp(i xi x) dxi**n`` at every
+    cell centre, summed literally 128 cells at a time."""
+    spec = f.spec
+    fh = forward_transform(f)
+    if mult is not None:
+        fh = fh * mult
+    dxi = 2.0 * np.pi / (spec.N * float(spec.h))
+    fhd = (fh * dxi**spec.n).ravel()
+    c = spec.centers()
+    xi = tuple(q[None] for q in spec.grid_coords(spec.freqs()))
+    cells = np.indices(spec.shape).reshape(spec.n, -1)
+    out = np.empty(cells.shape[1], dtype=np.complex128)
+    for lo in range(0, cells.shape[1], 128):
+        block = cells[:, lo : lo + 128]
+        B = block.shape[1]
+        xb = tuple(c[ix].reshape((B,) + (1,) * spec.n) for ix in block)
+        amp = a.eval(tuple(np.broadcast_to(x, (B,) + spec.shape) for x in xb), xi)
+        phase = sum(q * x for q, x in zip(xi, xb))
+        out[lo : lo + B] = (amp * np.exp(1j * phase)).reshape(B, -1) @ fhd
+    return f.with_values(out.reshape(spec.shape))
+
+
 def localized_matrix(atilde: LocalizedAmplitude, spec: GridSpec) -> np.ndarray:
-    """Dense matrix of ``apply_localized(atilde, .)``: the kernel matrix of
+    """Dense matrix of ``apply_localized(atilde, .)``: the operator record of
     the symbol with the localization window applied to its rows."""
-    return kernel_matrix(atilde.symbol, spec, window=_localization_window(spec, atilde.ell1))
+    window = _localization_window(spec, atilde.ell1)
+    return OperatorHandle(atilde.symbol, spec, window=window).matrix()
 
 
 def dense_l2_norm(op, spec: GridSpec) -> float:

@@ -14,9 +14,7 @@ from sparselab.pdo import (
     apply_localized,
     band_operator,
     forward_transform,
-    full_kernel_row,
     inverse_eval,
-    kernel_matrix,
     kernel_slice,
     lp_piece_apply,
     piece_operator,
@@ -26,10 +24,18 @@ from sparselab.pdo import (
 from sparselab.sample import GridFunction, GridSpec, make_corpus
 from sparselab.symbol import LocalizedAmplitude, bessel, custom_symbol, multiplication
 
-from oracles import default_truncation, localized_matrix
+from oracles import default_truncation, direct_quadrature, localized_matrix
 
 SPEC = GridSpec(1, 2, 6)
 FAM = CutoffFamily()
+GENERAL_2D = custom_symbol(
+    # not symmetric under swapping the axes, in x or in xi
+    lambda x, xi: np.cos(x[0] - 0.5 * x[1]) * (1.0 + xi[0] ** 2 + 4.0 * xi[1] ** 2) ** -0.5,
+    m=-1.0,
+    rho=1.0,
+    delta=0.0,
+    n=2,
+)
 
 
 def bump(spec: GridSpec, width: float = 1.5) -> GridFunction:
@@ -139,7 +145,7 @@ class TestApply:
         a = bessel(-2.0)
         f = bump(spec)
         fast = apply(a, f)
-        slow = apply(a, f, method="direct")
+        slow = direct_quadrature(a, f)
         assert np.max(np.abs(fast.values - slow.values)) < 1e-10
 
     def test_x_dependent_direct_matches_dense_kernel(self):
@@ -152,9 +158,25 @@ class TestApply:
             n=1,
         )
         f = bump(spec, width=0.9)
-        via_quadrature = apply(a, f)
-        M = kernel_matrix(a, spec)
+        via_quadrature = direct_quadrature(a, f)
+        M = symbol_operator(a, spec).matrix()
         assert np.max(np.abs(M @ f.values - via_quadrature.values)) < 1e-10
+        scale = np.max(np.abs(via_quadrature.values))
+        assert np.max(np.abs(apply(a, f).values - via_quadrature.values)) < 1e-12 * scale
+
+    def test_general_symbol_matches_quadrature_in_2d(self):
+        spec = GridSpec(2, 1, 3)
+        f = make_corpus(spec, seed=5, count=4)[3]
+        want = direct_quadrature(GENERAL_2D, f).values
+        got = apply(GENERAL_2D, f).values
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_function_on_another_grid_refused(self):
+        handle = symbol_operator(bessel(-1.0), SPEC)
+        f = bump(GridSpec(1, 1, 5), width=0.9)
+        for run in (handle, handle.apply):
+            with pytest.raises(ValueError, match="given to an operator"):
+                run(f)
 
     def test_support_guard(self):
         near_edge = Box((Fraction(3),), (Fraction(7, 2),))
@@ -199,12 +221,22 @@ class TestFrequencyPieces:
             total += lp_piece_apply(a, FAM, j, f).values
         assert np.max(np.abs(total - apply(a, f).values)) < 1e-10
 
+    def test_general_band_piece_matches_quadrature(self):
+        a = custom_symbol(
+            lambda x, xi: np.cos(x[0]) * (1.0 + xi[0] ** 2) ** -0.5, m=-1.0, rho=1.0, delta=0.0
+        )
+        f = bump(SPEC)
+        j = 5
+        want = direct_quadrature(a, f, FAM.band(j, np.abs(SPEC.freqs()))).values
+        got = lp_piece_apply(a, FAM, j, f).values
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_band_operator_handle(self):
         f = bump(SPEC)
         handle = band_operator(bessel(-1.0), FAM, 3, SPEC)
         direct = lp_piece_apply(bessel(-1.0), FAM, 3, f)
         assert np.array_equal(handle(f).values, direct.values)
-        M = handle.matrix_fn()
+        M = handle.matrix()
         assert np.max(np.abs(M @ f.values - direct.values)) < 1e-10
 
 
@@ -245,13 +277,13 @@ class TestSpatialPieces:
         idx = PieceIndex(2, 2, 0.25)
         f = bump(SPEC)
         handle = piece_operator(a, FAM, idx, SPEC)
-        M = handle.matrix_fn()
+        M = handle.matrix()
         assert np.max(np.abs(M @ f.values - handle(f).values)) < 1e-10
 
 
 class TestKernelSlices:
     def test_identity_row_is_discrete_delta(self):
-        row = full_kernel_row(bessel(0.0), SPEC, (0,))
+        row = symbol_operator(bessel(0.0), SPEC).row((0,))
         h = float(SPEC.h)
         assert row[0] == pytest.approx(1.0 / h, rel=1e-10)
         assert np.max(np.abs(row[1:])) < 1e-10 / h
@@ -334,14 +366,14 @@ class TestLocalized:
 class TestDenseKernels:
     def test_multiplication_matrix_is_diagonal(self):
         spec = GridSpec(1, 1, 5)
-        M = kernel_matrix(multiplication("cosine"), spec)
+        M = symbol_operator(multiplication("cosine"), spec).matrix()
         phi = np.cos(np.pi * spec.centers() / 4.0)
         assert np.max(np.abs(M - np.diag(phi))) < 1e-12
 
     def test_symbol_operator_matrix(self):
         f = bump(SPEC)
         handle = symbol_operator(bessel(-2.0), SPEC)
-        M = handle.matrix_fn()
+        M = handle.matrix()
         assert np.max(np.abs(M @ f.values - handle(f).values)) < 1e-10
 
     @pytest.mark.parametrize(
@@ -349,15 +381,7 @@ class TestDenseKernels:
         [
             bessel(-1.0, n=2),
             multiplication("cosine", n=2),
-            custom_symbol(
-                # not symmetric under swapping the axes, in x or in xi
-                lambda x, xi: np.cos(x[0] - 0.5 * x[1])
-                * (1.0 + xi[0] ** 2 + 4.0 * xi[1] ** 2) ** -0.5,
-                m=-1.0,
-                rho=1.0,
-                delta=0.0,
-                n=2,
-            ),
+            GENERAL_2D,
         ],
         ids=["multiplier", "separable", "general"],
     )
@@ -377,7 +401,10 @@ class TestDenseKernels:
     )
     @pytest.mark.parametrize(
         "op",
-        [lambda a, spec: apply(a, GridFunction.zeros(spec)), kernel_matrix],
+        [
+            lambda a, spec: apply(a, GridFunction.zeros(spec)),
+            lambda a, spec: symbol_operator(a, spec).matrix(),
+        ],
         ids=["apply", "kernel_matrix"],
     )
     def test_one_dimensional_symbol_on_a_2d_grid_raises(self, a, op):
@@ -386,7 +413,7 @@ class TestDenseKernels:
 
     def test_oversized_matrix_refused(self):
         with pytest.raises(ValueError, match="too large"):
-            kernel_matrix(bessel(-1.0), GridSpec(1, 4, 9))
+            symbol_operator(bessel(-1.0), GridSpec(1, 4, 9)).matrix()
 
 
 def test_default_nu_clamps():

@@ -13,7 +13,6 @@ from sparselab.pdo import (
     PieceIndex,
     band_operator,
     default_cutoffs,
-    kernel_matrix,
     piece_operator,
     symbol_operator,
 )
@@ -303,7 +302,7 @@ class TestKernelDifference:
         # base points one cell apart along axis 1
         fit = kernel_difference_probe(a, spec, (c[16], c[16]), (c[16], c[15]), cfg)
         # M[i, j] = h**2 K(x_i, y_j) over flat cell indices
-        M = kernel_matrix(a, spec)
+        M = symbol_operator(a, spec).matrix()
         diff = np.abs(M[16 * N + 16] - M[16 * N + 15]).reshape(N, N) / h2
         X, Y = np.meshgrid(c, c, indexing="ij")
         dist = np.hypot(X - c[16], Y - c[15])
