@@ -312,38 +312,20 @@ def _osc(vals: np.ndarray, P: np.ndarray, corners, w: int) -> np.ndarray:
     return out
 
 
-def sharp_maximal(
-    f: GridFunction,
-    radius_cap: float | None = None,
-    mode: str = "ladder",
-) -> np.ndarray:
+def sharp_maximal(f: GridFunction, radius_cap: float | None = None) -> np.ndarray:
     """Mean-oscillation maximal: sup over windows containing the cell of the
     window average of ``|f - window mean|``.
 
     ``radius_cap`` bounds the window half-width in physical units, so the
     composed reach of this operator is twice the cap.  Windows run over the
-    geometric ladder by default (resolution-stable, see ladder_widths);
-    mode='all' sweeps every cell count and is meant for small oracles.
+    geometric ladder of side lengths (resolution-stable, see ladder_widths);
+    the sweep over every side length is the tests' oracle.
     """
-    if mode not in ("ladder", "all"):
-        raise ValueError("mode must be 'ladder' or 'all'")
     spec = f.spec
-    N = spec.N
-    h = float(spec.h)
-    cap_cells = N if radius_cap is None else int(math.floor(2.0 * radius_cap / h))
-    cap_cells = min(cap_cells, N)
-    if cap_cells < 1:
-        return np.zeros(spec.shape)
-    if mode == "ladder":
-        widths = ladder_widths(N, cap_cells)
-    else:
-        widths = list(range(1, cap_cells + 1))
-        if spec.n == 2 and N > 128:
-            raise ValueError("2D exhaustive oscillation sweep is limited to 128 cells per axis")
-
+    cap_cells = None if radius_cap is None else int(math.floor(2.0 * radius_cap / float(spec.h)))
     P = _prefix_sums(f.values)
     corners = _corners(spec.n)
     best = np.zeros(spec.shape)
-    for w in widths:
+    for w in ladder_widths(spec.N, cap_cells):
         np.maximum(best, _window_max_all_axes(_osc(f.values, P, corners, w), w), out=best)
     return best

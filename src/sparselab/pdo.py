@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .sample import GridFunction, GridSpec
-from .symbol import LocalizedAmplitude, SymbolClass, _norm
+from .symbol import SymbolClass, _norm
 
 __all__ = [
     "CutoffFamily",
@@ -49,10 +49,10 @@ __all__ = [
     "lp_piece_apply",
     "spatial_piece_apply",
     "kernel_slice",
-    "apply_localized",
     "symbol_operator",
     "band_operator",
     "piece_operator",
+    "localized_operator",
     "forward_transform",
     "inverse_eval",
 ]
@@ -224,10 +224,6 @@ def _window_values(fam: CutoffFamily, idx: PieceIndex, spec: GridSpec) -> np.nda
     return fam.window(idx.j, idx.ell, idx.nu, _z_radius(spec))
 
 
-def _localization_window(spec: GridSpec, ell1: int) -> np.ndarray:
-    return CutoffFamily().psi0(_z_radius(spec) * 2.0**-ell1)
-
-
 # ---------------------------------------------------------------------------
 # the operator record
 
@@ -348,6 +344,22 @@ def piece_operator(
     return OperatorHandle(a, spec, mult, window)
 
 
+def localized_operator(a: SymbolClass, ell1: int, spec: GridSpec) -> OperatorHandle:
+    """The operator of ``a(x, xi) psi0(2**-ell1 (x - y))``: kernel rows cut
+    off at radius ``2**ell1``.
+
+    Apply it with the unguarded ``apply``: the kernel reach is exactly
+    ``2**ell1``, so the periodic evaluation is the intended one for any
+    input (constants included) as long as the reach stays below half the
+    domain.
+    """
+    if ell1 < 0:
+        raise ValueError("localization exponent must be nonnegative")
+    if 2.0**ell1 > float(spec.halfwidth):
+        raise ValueError("wraparound risk: the localization radius exceeds half the domain")
+    return OperatorHandle(a, spec, window=CutoffFamily().psi0(_z_radius(spec) * 2.0**-ell1))
+
+
 def apply(a: SymbolClass, f: GridFunction) -> GridFunction:
     """Full operator ``a(x, D) f`` by quadrature over all grid frequencies."""
     return symbol_operator(a, f.spec)(f)
@@ -391,16 +403,3 @@ def kernel_slice(
     scalar x is that coordinate on every axis."""
     return piece_operator(a, fam, idx, spec).row(_nearest_cell(_as_point(x, spec), spec))
 
-
-def apply_localized(atilde: LocalizedAmplitude, f: GridFunction) -> GridFunction:
-    """Operator of the window-localized amplitude ``a(x, xi) psi0(2**-ell1 (x-y))``.
-
-    No support guard here: the kernel reach is exactly 2**ell1, so the
-    periodic evaluation is the intended one for any input (constants
-    included) as long as the reach stays below half the domain.
-    """
-    spec = f.spec
-    if 2.0**atilde.ell1 > float(spec.halfwidth):
-        raise ValueError("wraparound risk: the localization radius exceeds half the domain")
-    window = _localization_window(spec, atilde.ell1)
-    return OperatorHandle(atilde.symbol, spec, window=window).apply(f)

@@ -156,6 +156,13 @@ class GridSpec:
         return flat
 
 
+def _lp_h(v: np.ndarray, p: float, hn: float) -> float:
+    """Grid L^p norm of the values ``v`` with cell volume ``hn``."""
+    if math.isinf(p):
+        return float(np.max(np.abs(v))) if v.size else 0.0
+    return float((np.sum(np.abs(v) ** p) * hn) ** (1.0 / p))
+
+
 class GridFunction:
     """Complex samples at the cell centers of a :class:`GridSpec`."""
 
@@ -207,11 +214,7 @@ class GridFunction:
         return Box(tuple(lower), tuple(upper))
 
     def lp_norm(self, p: float) -> float:
-        a = np.abs(self.values)
-        if math.isinf(p):
-            return float(a.max(initial=0.0))
-        hn = float(self.spec.h) ** self.spec.n
-        return float((hn * np.sum(a**p)) ** (1.0 / p))
+        return _lp_h(self.values, p, float(self.spec.h) ** self.spec.n)
 
     def restrict_box(self, region: Box | DyadicCube) -> "GridFunction":
         vals = np.zeros(self.spec.shape, dtype=np.complex128)

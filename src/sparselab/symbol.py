@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "SymbolClass",
-    "LocalizedAmplitude",
     "bessel",
     "oscillatory_ct",
     "rough_bump",
@@ -80,23 +79,6 @@ class SymbolClass:
         if self.x_factor is not None:
             return "separable"
         return "general" if self.xi_factor is None else "multiplier"
-
-
-@dataclass(frozen=True)
-class LocalizedAmplitude:
-    """Symbol multiplied by a smooth cutoff in ``x - y`` of radius ``2**ell1``.
-
-    The window factor is attached at application time (the operator module
-    owns the cutoff shape); this record only carries the symbol and the
-    localization exponent.
-    """
-
-    symbol: SymbolClass
-    ell1: int
-
-    def __post_init__(self) -> None:
-        if self.ell1 < 0:
-            raise ValueError("localization exponent must be nonnegative")
 
 
 def _factored(

@@ -24,16 +24,16 @@ from .pdo import (
     OperatorHandle,
     PieceIndex,
     _as_point,
-    _localization_window,
     _nearest_cell,
-    apply_localized,
     band_operator,
     default_cutoffs,
     kernel_slice,
+    localized_operator,
+    symbol_operator,
 )
-from .sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
+from .sample import ExponentPair, GridFunction, GridSpec, _lp_h, average_p, make_corpus
 from .sparse import SparseCollection, verify_sparsity
-from .symbol import LocalizedAmplitude, SymbolClass, _norm
+from .symbol import SymbolClass, _norm
 
 __all__ = [
     "DENOM_FLOOR",
@@ -142,13 +142,6 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op)
 
 
-def _lp_h(v: np.ndarray, p: float, hn: float) -> float:
-    """Grid L^p norm with cell volume ``hn``."""
-    if math.isinf(p):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float((np.sum(np.abs(v) ** p) * hn) ** (1.0 / p))
-
-
 def _kernel_sup(A: np.ndarray, p: float, axis: int, hn: float) -> np.ndarray:
     """Grid L^p norm of each column (``axis=0``) or row (``axis=1``) of the
     kernel ``A = |M| / hn``; the largest is the mixed sup norm that the
@@ -246,8 +239,6 @@ def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> Nor
 class SchurReport:
     product_bound: float
     sum_variant: float
-    col_sup: float
-    row_sup: float
     p: float
     theta: float
 
@@ -273,8 +264,6 @@ def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     return SchurReport(
         product_bound=product,
         sum_variant=col ** (1.0 - theta) + row**theta,
-        col_sup=col,
-        row_sup=row,
         p=p,
         theta=theta,
     )
@@ -289,9 +278,7 @@ class NormFit:
     mode: str
     indices: list[int]
     values: list[float]  # the measured norms B_index
-    log2_values: list[float]
     slope: float
-    intercept: float
     residual: float  # max |log2 value - fitted line|
     total: float  # summability proxy: sum of the norms
     predicted_slope: float | None
@@ -307,12 +294,12 @@ def predicted_band_slope(mode: str, a: SymbolClass, pair: ExponentPair | None = 
     return a.m + a.n * max(0.0, (a.delta - a.rho) * s_inv) + a.n * (1.0 / use.r - s_inv)
 
 
-def _fit_line(xs, ys) -> tuple[float, float, float]:
+def _fit_line(xs, ys) -> tuple[float, float]:
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     coef = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - np.polyval(coef, x)))) if len(x) > 2 else 0.0
-    return float(coef[0]), float(coef[1]), resid
+    return float(coef[0]), resid
 
 
 def _fit(
@@ -324,10 +311,10 @@ def _fit(
 ) -> NormFit:
     """Line through log2 of the values against the indices, as a NormFit."""
     logs = [math.log2(max(v, 1e-300)) for v in values]
-    slope, intercept, resid = _fit_line(indices, logs)
+    slope, resid = _fit_line(indices, logs)
     excess = None if predicted is None else slope - predicted
-    return NormFit(mode, indices, values, logs, slope, intercept, resid, float(sum(values)),
-                   predicted, excess, kinds or [])
+    return NormFit(mode, indices, values, slope, resid, float(sum(values)), predicted, excess,
+                   kinds or [])
 
 
 def _mode_pair(mode: str, pair: ExponentPair | None) -> ExponentPair:
@@ -443,8 +430,10 @@ def kernel_difference_probe(
     hstep = float(spec.h)
     N, c = spec.N, spec.centers()
     ia, ib = _nearest_cell(x, spec), _nearest_cell(x_b, spec)
-    window = None if window_ell1 is None else _localization_window(spec, window_ell1)
-    op = OperatorHandle(a, spec, window=window)
+    if window_ell1 is None:
+        op = symbol_operator(a, spec)
+    else:
+        op = localized_operator(a, window_ell1, spec)
     row_a, row_b = op.row(ia), op.row(ib)
     # row[t] is the kernel at second argument y = center[i] - t*h (FFT order,
     # per axis), so the value at y-cell u is row[(i - u) mod N]
@@ -529,8 +518,6 @@ class DominationReport:
     constant: float  # max |Tf| / D over covered cells
     covered_fraction: float
     uncovered_count: int  # cells with |Tf| above floor but D == 0
-    uncovered_max: float
-    floor: float
 
 
 def pointwise_domination_check(
@@ -555,15 +542,11 @@ def pointwise_domination_check(
         np.add.at(flat, cells, avg)
     Ta = np.abs(Tf.values)
     covered = D > 0
-    sig = Ta > DENOM_FLOOR
-    uncov = sig & ~covered
     ratios = Ta[covered] / D[covered]
     return DominationReport(
         constant=float(np.max(ratios)) if ratios.size else 0.0,
         covered_fraction=float(np.mean(covered)),
-        uncovered_count=int(np.count_nonzero(uncov)),
-        uncovered_max=float(np.max(Ta[uncov])) if np.any(uncov) else 0.0,
-        floor=DENOM_FLOOR,
+        uncovered_count=int(np.count_nonzero((Ta > DENOM_FLOOR) & ~covered)),
     )
 
 
@@ -571,12 +554,11 @@ def pointwise_domination_check(
 # composed sharp-maximal operator and its audits
 
 
-def composed_sharp_apply(
-    atilde: LocalizedAmplitude, ell2: float, f: GridFunction
-) -> np.ndarray:
-    """Values of the capped oscillation maximal applied to the localized
-    operator image; the composition reaches ``2**ell1 + 2*ell2``."""
-    return sharp_maximal(apply_localized(atilde, f), radius_cap=ell2)
+def composed_sharp_apply(a: SymbolClass, ell1: int, ell2: float, f: GridFunction) -> np.ndarray:
+    """Values of the capped oscillation maximal applied to the image of the
+    operator localized at radius ``2**ell1``; the composition reaches
+    ``2**ell1 + 2*ell2``."""
+    return sharp_maximal(localized_operator(a, ell1, f.spec).apply(f), radius_cap=ell2)
 
 
 @dataclass
@@ -585,7 +567,6 @@ class SharpRatioReport:
     median_ratio: float
     active_cells: int
     flagged: int  # numerator above floor where the denominator is not
-    floor: float
 
 
 def sharp_ratio_probe(
@@ -604,12 +585,11 @@ def sharp_ratio_probe(
     """
     if isinstance(fs, GridFunction):
         fs = [fs]
-    at = LocalizedAmplitude(a, ell1)
     ratios_all = []
     flagged = 0
     active_total = 0
     for k, f in enumerate(fs):
-        S = composed_sharp_apply(at, ell2, f)
+        S = composed_sharp_apply(a, ell1, ell2, f)
         Mp = maximal_p(f, p) if precomputed_max is None else precomputed_max[k]
         active = S > DENOM_FLOOR
         flagged += int(np.count_nonzero(active & (Mp <= DENOM_FLOOR)))
@@ -622,13 +602,12 @@ def sharp_ratio_probe(
         mx, med = float(np.max(cat)), float(np.median(cat))
     else:
         mx = med = 0.0
-    return SharpRatioReport(mx, med, active_total, flagged, DENOM_FLOOR)
+    return SharpRatioReport(mx, med, active_total, flagged)
 
 
 @dataclass
 class AuditReport:
     base_lhs: float
-    base_rhs: float
     base_residual: float  # relative gap of the localization identity
     pairing: float  # global integral |Tf| |g|
     pairing_captured: float  # rank-0 share of the global pairing
@@ -638,9 +617,7 @@ class AuditReport:
     a4: float
     c0: float
     rank_lhs: list[float]
-    rank_forms: list[float]
     rank_ok: list[bool]
-    rank_slack: list[float]  # (c0*S + next lhs) - lhs, >= 0 when ok
     total_form: float
     final_constant: float  # base pairing / total form
     volume_ratios: list[float]  # per-rank total core volume shrinkage
@@ -682,14 +659,13 @@ def endpoint_audit(
         raise ValueError("the endpoint audit runs on Whitney-type families")
     spec = f.spec
     hn = float(spec.h) ** spec.n
-    at = LocalizedAmplitude(a, ell1)
     r = pair.r
     rp = pair.r_prime
     sp = pair.s_prime
     g_abs = np.abs(g.values)
 
     def T(u: GridFunction) -> np.ndarray:
-        return composed_sharp_apply(at, ell2, u)
+        return composed_sharp_apply(a, ell1, ell2, u)
 
     def pair_with_g(tvals: np.ndarray, cells: np.ndarray) -> float:
         return float(np.sum(tvals.reshape(-1)[cells] * g_abs.reshape(-1)[cells]) * hn)
@@ -759,13 +735,11 @@ def endpoint_audit(
             af, ag = avgs[i]
             form += float(coll.entries[i].cube.volume()) * af * ag
         rank_forms.append(form)
-    rank_ok, rank_slack = [], []
+    rank_ok = []
     for q in ranks:
         nxt = rank_lhs[q + 1] if q + 1 < len(rank_lhs) else 0.0
         rhs = c0 * rank_forms[q] + nxt
-        slack = rhs - rank_lhs[q]
-        rank_slack.append(slack)
-        rank_ok.append(slack >= -1e-9 * max(rhs, 1.0))
+        rank_ok.append(rhs - rank_lhs[q] >= -1e-9 * max(rhs, 1.0))
 
     total_form = float(sum(rank_forms))
     final_constant = base_lhs / total_form if total_form > DENOM_FLOOR else 0.0
@@ -794,7 +768,6 @@ def endpoint_audit(
     )
     return AuditReport(
         base_lhs=base_lhs,
-        base_rhs=base_rhs,
         base_residual=base_residual,
         pairing=pairing,
         pairing_captured=base_lhs / pairing if pairing > DENOM_FLOOR else 1.0,
@@ -804,9 +777,7 @@ def endpoint_audit(
         a4=a4,
         c0=c0,
         rank_lhs=rank_lhs,
-        rank_forms=rank_forms,
         rank_ok=rank_ok,
-        rank_slack=rank_slack,
         total_form=total_form,
         final_constant=final_constant,
         volume_ratios=volume_ratios,

@@ -13,7 +13,7 @@ another way, or a piece of exact geometry that only the checks need:
 * ``direct_quadrature``: ``a(x, D) f`` as the literal double sum over
   cells and frequencies; the package applies the operator by transforms
   or by kernel rows.
-* ``localized_matrix`` and ``dense_l2_norm``: dense forms of operators.
+* ``dense_l2_norm``: the 2 -> 2 norm by a full SVD of the dense matrix.
 * ``third_partition_residual``: the central thirds of the three shift
   classes reassemble a function.
 """
@@ -35,10 +35,10 @@ from sparselab.dyadic import (
     shift_sign,
     third_dilate,
 )
-from sparselab.pdo import OperatorHandle, _localization_window, forward_transform
+from sparselab.pdo import OperatorHandle, forward_transform
 from sparselab.sample import GridFunction, GridSpec, average_p
 from sparselab.sparse import SparseCollection, SparseEntry, StoppingConfig
-from sparselab.symbol import LocalizedAmplitude, SymbolClass
+from sparselab.symbol import SymbolClass
 
 
 def dfs_stopping_time(f: GridFunction, g: GridFunction, config: StoppingConfig) -> SparseCollection:
@@ -162,13 +162,6 @@ def direct_quadrature(
         phase = sum(q * x for q, x in zip(xi, xb))
         out[lo : lo + B] = (amp * np.exp(1j * phase)).reshape(B, -1) @ fhd
     return f.with_values(out.reshape(spec.shape))
-
-
-def localized_matrix(atilde: LocalizedAmplitude, spec: GridSpec) -> np.ndarray:
-    """Dense matrix of ``apply_localized(atilde, .)``: the operator record of
-    the symbol with the localization window applied to its rows."""
-    window = _localization_window(spec, atilde.ell1)
-    return OperatorHandle(atilde.symbol, spec, window=window).matrix()
 
 
 def dense_l2_norm(op, spec: GridSpec) -> float:

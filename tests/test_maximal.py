@@ -255,44 +255,41 @@ class TestSharpMaximal:
     def test_ladder_below_exhaustive(self):
         spec = GridSpec(1, 1, 4)
         f = make_corpus(spec, seed=8, count=1)[0]
-        ladder = sharp_maximal(f, mode="ladder")
-        every = sharp_maximal(f, mode="all")
+        ladder = sharp_maximal(f)
+        every = _brute_force(f, 1.0)[2]
         assert np.max(ladder - every) < 1e-12
         assert np.max(every) >= np.max(ladder)
 
-    def test_mode_validation(self):
-        f = indicator(SPEC, 0, 1)
-        with pytest.raises(ValueError, match="ladder"):
-            sharp_maximal(f, mode="windows")
-
-    def test_2d_constant_and_guard(self):
+    def test_2d_constant(self):
         spec = GridSpec(2, 1, 3)
         ones = GridFunction(spec, np.ones(spec.shape, dtype=np.complex128))
         assert np.max(sharp_maximal(ones)) == 0.0
-        big = GridFunction.zeros(GridSpec(2, 2, 5))
-        with pytest.raises(ValueError, match="limited"):
-            sharp_maximal(big, mode="all")
 
 
 def _brute_force(f: GridFunction, p: float) -> tuple[np.ndarray, ...]:
     """Uncentred and centred p-maximal and the sharp maximal over every
-    cell-aligned window (side w on every axis), one window at a time."""
+    cell-aligned window (side w on every axis), one window at a time, and
+    the sharp maximal over the windows whose side is a power of two (the
+    ladder)."""
     v = f.values
     n, N = f.spec.n, f.spec.N
     u = np.abs(v) ** p
-    unc, cen, osc = np.zeros(v.shape), np.zeros(v.shape), np.zeros(v.shape)
+    unc, cen, osc, osc_ladder = (np.zeros(v.shape) for _ in range(4))
     for w in range(1, N + 1):
         for start in itertools.product(range(N - w + 1), repeat=n):
             box = tuple(slice(a, a + w) for a in start)
             unc[box] = np.maximum(unc[box], u[box].mean())
             window = v[box]
-            osc[box] = np.maximum(osc[box], np.abs(window - window.mean()).mean())
+            dev = np.abs(window - window.mean()).mean()
+            osc[box] = np.maximum(osc[box], dev)
+            if w & (w - 1) == 0:
+                osc_ladder[box] = np.maximum(osc_ladder[box], dev)
     for w in range(1, 2 * N, 2):
         k = (w - 1) // 2
         for cell in itertools.product(range(N), repeat=n):
             box = tuple(slice(max(i - k, 0), min(i + k + 1, N)) for i in cell)
             cen[cell] = max(cen[cell], u[box].sum() / w**n)
-    return unc ** (1.0 / p), cen ** (1.0 / p), osc
+    return unc ** (1.0 / p), cen ** (1.0 / p), osc, osc_ladder
 
 
 class TestBruteForce:
@@ -305,7 +302,7 @@ class TestBruteForce:
         vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
         vals[rng.random(spec.shape) < 0.3] = 0.0
         f = GridFunction(spec, vals)
-        unc, cen, osc = _brute_force(f, p)
+        unc, cen, _, osc_ladder = _brute_force(f, p)
         np.testing.assert_allclose(maximal_p(f, p), unc, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(maximal_p(f, p, centred=True), cen, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(sharp_maximal(f, mode="all"), osc, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(sharp_maximal(f), osc_ladder, rtol=1e-12, atol=1e-13)

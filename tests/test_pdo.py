@@ -11,20 +11,20 @@ from sparselab.pdo import (
     CutoffFamily,
     PieceIndex,
     apply,
-    apply_localized,
     band_operator,
     forward_transform,
     inverse_eval,
     kernel_slice,
+    localized_operator,
     lp_piece_apply,
     piece_operator,
     spatial_piece_apply,
     symbol_operator,
 )
 from sparselab.sample import GridFunction, GridSpec, make_corpus
-from sparselab.symbol import LocalizedAmplitude, bessel, custom_symbol, multiplication
+from sparselab.symbol import bessel, custom_symbol, multiplication
 
-from oracles import default_truncation, direct_quadrature, localized_matrix
+from oracles import default_truncation, direct_quadrature
 
 SPEC = GridSpec(1, 2, 6)
 FAM = CutoffFamily()
@@ -334,7 +334,7 @@ class TestLocalized:
         f = bump(SPEC)
         phi = np.cos(np.pi * SPEC.centers() / 4.0)
         for ell1 in (0, 1, 2):
-            g = apply_localized(LocalizedAmplitude(multiplication("cosine"), ell1), f)
+            g = localized_operator(multiplication("cosine"), ell1, SPEC).apply(f)
             assert np.max(np.abs(g.values - phi * f.values)) < 1e-12
 
     def test_reach_bound(self):
@@ -343,7 +343,7 @@ class TestLocalized:
         vals = np.zeros(SPEC.shape, dtype=np.complex128)
         i0 = SPEC.N // 2
         vals[i0] = 1.0
-        g = apply_localized(LocalizedAmplitude(a, ell1), GridFunction(SPEC, vals))
+        g = localized_operator(a, ell1, SPEC).apply(GridFunction(SPEC, vals))
         c = SPEC.centers()
         dist = np.abs(c - c[i0])
         dist = np.minimum(dist, 2.0 * float(SPEC.halfwidth) - dist)
@@ -352,15 +352,15 @@ class TestLocalized:
         assert np.max(np.abs(g.values[dist >= 2.0**ell1])) < 1e-13 * peak
 
     def test_domain_guard(self):
-        f = bump(SPEC)
-        with pytest.raises(ValueError, match="wraparound"):
-            apply_localized(LocalizedAmplitude(bessel(-1.0), 3), f)
+        with pytest.raises(ValueError, match="localization exponent must be nonnegative"):
+            localized_operator(bessel(-1.0), -1, SPEC)
+        with pytest.raises(ValueError, match="wraparound risk: the localization radius"):
+            localized_operator(bessel(-1.0), 3, SPEC)
 
     def test_handle_matches_function(self):
         f = bump(SPEC)
-        atilde = LocalizedAmplitude(bessel(-1.0), 2)
-        M = localized_matrix(atilde, SPEC)
-        assert np.max(np.abs(M @ f.values - apply_localized(atilde, f).values)) < 1e-10
+        op = localized_operator(bessel(-1.0), 2, SPEC)
+        assert np.max(np.abs(op.matrix() @ f.values - op.apply(f).values)) < 1e-10
 
 
 class TestDenseKernels:
@@ -391,10 +391,11 @@ class TestDenseKernels:
         for handle in (
             symbol_operator(a, spec),
             piece_operator(a, FAM, PieceIndex(2, 1, 0.5), spec),
+            localized_operator(a, 1, spec),
         ):
             M = handle.matrix()
             assert M.shape == (spec.N**2, spec.N**2)
-            assert np.max(np.abs(M @ f.values.ravel() - handle(f).values.ravel())) < 1e-10
+            assert np.max(np.abs(M @ f.values.ravel() - handle.apply(f).values.ravel())) < 1e-10
 
     @pytest.mark.parametrize(
         "a", [bessel(-1.0), multiplication("cosine")], ids=["multiplier", "separable"]

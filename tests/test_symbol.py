@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparselab.symbol import (
-    LocalizedAmplitude,
     bessel,
     custom_symbol,
     multiplication,
@@ -57,12 +56,6 @@ class TestFamilies:
         v2 = a.fn((x,), (np.array([100.0]),))
         assert v1 == v2
         assert a.structure == "separable"
-
-    def test_localized_amplitude_validation(self):
-        with pytest.raises(ValueError):
-            LocalizedAmplitude(bessel(-1.0), -1)
-        at = LocalizedAmplitude(bessel(-1.0), 2)
-        assert at.ell1 == 2
 
 
 class TestSeminormProbe:

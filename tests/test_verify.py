@@ -23,7 +23,7 @@ from sparselab.sparse import (
     WhitneyConfig,
     build_whitney_sparse,
 )
-from sparselab.symbol import LocalizedAmplitude, bessel, custom_symbol, multiplication
+from sparselab.symbol import bessel, custom_symbol, multiplication
 from sparselab.verify import (
     DecayProbeConfig,
     ProbeReport,
@@ -404,7 +404,7 @@ class TestSharpRatio:
         vals = np.zeros(spec.shape, dtype=np.complex128)
         i0 = spec.N // 2
         vals[i0] = 1.0
-        S = composed_sharp_apply(LocalizedAmplitude(bessel(-1.0), 1), 1.0, GridFunction(spec, vals))
+        S = composed_sharp_apply(bessel(-1.0), 1, 1.0, GridFunction(spec, vals))
         c = spec.centers()
         dist = np.abs(c - c[i0])
         dist = np.minimum(dist, 2.0 * float(spec.halfwidth) - dist)
