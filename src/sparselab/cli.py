@@ -619,13 +619,11 @@ def _cmd_sweep(args) -> int:
         for value in values:
             data = cfg.as_dict()
             data.setdefault(section, {})[option] = value
+            # as_dict copies [DEFAULT] into every section; kept as defaults too,
+            # they pass reject_unread as in the base config, so only the axis can fail
+            data[cfg.cp.default_section] = cfg.cp.defaults()
             vcfg = _config_from_dict(data, path=f"<{args.axis}={value}>")
-            names = _probe_list(vcfg)
-            _build_context(vcfg, args.seed)
-            # the other options are the checked ones of the base config
-            if (section, option) not in vcfg.read:
-                raise vcfg.unknown(section, option)
-            swept.append((value, vcfg, names))
+            swept.append((value, vcfg, _checked_probes(vcfg, args.seed)))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ import numpy as np
 
 from .sample import GridFunction
 
-__all__ = ["maximal_p", "sharp_maximal", "ladder_widths"]
+__all__ = ["maximal_p", "centred_level_set", "sharp_maximal", "ladder_widths"]
 
 _2D_EXHAUSTIVE_LIMIT = 512
 _NARROW = 16  # 1D windows up to this many cells come from the sweep
@@ -231,12 +231,7 @@ def _crossing_max(P: np.ndarray) -> np.ndarray:
     return best
 
 
-def maximal_p(
-    f: GridFunction,
-    p: float,
-    centred: bool = False,
-    threshold: float | None = None,
-) -> np.ndarray:
+def maximal_p(f: GridFunction, p: float, centred: bool = False) -> np.ndarray:
     """Windowed p-average maximal function at every cell center.
 
     Returns ``sup_W (avg_W |f|**p)**(1/p)`` over cell-aligned windows W
@@ -250,34 +245,41 @@ def maximal_p(
     ones from hull tangents (``_crossing_max``).  A value never exceeds the
     full sweep's and equals it unless windows tie within rounding, as in
     the flat parts of an indicator, where the tests bound the gap by 2 ulp.
-    There ``threshold`` is only validated.  Elsewhere the sweep visits every
-    window size, and a ``threshold`` skips the sizes that provably cannot
-    push the value above it: the result is exact on the super-level set
-    ``{maximal > threshold}`` and a lower bound elsewhere.
+    2D and centred values come from the sweep over every window size.
     """
     if not (0 < p < math.inf):
         raise ValueError("p must be finite and positive (the limit is the sup norm)")
-    if threshold is not None and threshold <= 0:
-        raise ValueError("threshold must be positive")
     spec = f.spec
-    u = np.abs(f.values) ** p
     N = spec.N
-    P = _prefix_sums(u)
+    P = _prefix_sums(np.abs(f.values) ** p)
     if spec.n == 1 and not centred:
         best = np.maximum(_sweep(P, range(1, min(N, _NARROW) + 1), False), _crossing_max(P))
         return best ** (1.0 / p)
-
-    if centred:
-        widths = range(1, 2 * N, 2)
-    else:
-        widths = range(1, N + 1)
-        if threshold is None and N > _2D_EXHAUSTIVE_LIMIT:
-            raise ValueError("2D exhaustive maximal is limited; pass a threshold to prune")
-    if threshold is not None:
-        h = float(spec.h)
-        cap = float(u.sum()) * h**spec.n / threshold**p
-        widths = [w for w in widths if (w * h) ** spec.n <= cap]
+    if not centred and N > _2D_EXHAUSTIVE_LIMIT:
+        raise ValueError(f"2D uncentred maximal: at most {_2D_EXHAUSTIVE_LIMIT} cells per axis")
+    widths = range(1, 2 * N, 2) if centred else range(1, N + 1)
     return _sweep(P, widths, centred) ** (1.0 / p)
+
+
+def centred_level_set(f: GridFunction, p: float, tau: float) -> np.ndarray:
+    """The super-level set ``{centred p-maximal of f > tau}`` as a boolean
+    mask; empty when f vanishes.
+
+    A window of side ``w*h`` has p-average at most ``||f||_p**p / (w*h)**n``,
+    so only sides with ``(w*h)**n <= ||f||_p**p / tau**p`` can exceed
+    ``tau``, and only those are swept: the mask is the full maximal's.
+    """
+    if not np.any(f.values):
+        return np.zeros(f.spec.shape, dtype=bool)
+    if not (0 < p < math.inf):
+        raise ValueError("p must be finite and positive (the limit is the sup norm)")
+    if tau <= 0:
+        raise ValueError("threshold must be positive")
+    n, h = f.spec.n, float(f.spec.h)
+    u = np.abs(f.values) ** p
+    cap = float(u.sum()) * h**n / tau**p
+    widths = [w for w in range(1, 2 * f.spec.N, 2) if (w * h) ** n <= cap]
+    return _sweep(_prefix_sums(u), widths, True) ** (1.0 / p) > tau
 
 
 def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:

@@ -281,9 +281,14 @@ class OperatorHandle:
         return f.with_values(out)
 
     def row(self, x_index: tuple[int, ...]) -> np.ndarray:
-        """Windowed kernel row of the cell with index ``x_index`` per axis."""
+        """Windowed kernel of the cell x with index ``x_index`` per axis at
+        every input cell y, ``K(x, x - y)``: row x of ``matrix()`` divided by
+        ``h**n``, in the grid's shape."""
+        N = self.spec.N
         (row,) = _cell_rows(self.a, self.spec, self.mult, tuple(np.array(x_index)[:, None]))
-        return self._windowed(row)
+        # the offset x - y of input cell u sits at FFT position (i - u) mod N per axis
+        u = np.arange(N)
+        return self._windowed(row)[np.ix_(*((k - u) % N for k in x_index))]
 
     def matrix(self) -> np.ndarray:
         """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
@@ -398,8 +403,8 @@ def kernel_slice(
     x: float | tuple[float, ...],
     spec: GridSpec,
 ) -> np.ndarray:
-    """Kernel row of the (j, ell) piece at the cell centre nearest x, times
-    the piece's spatial window, on the periodic z-grid (FFT ordering); a
+    """Kernel of the (j, ell) piece, times its spatial window, at the cell
+    centre nearest x and every input cell (:meth:`OperatorHandle.row`); a
     scalar x is that coordinate on every axis."""
     return piece_operator(a, fam, idx, spec).row(_nearest_cell(_as_point(x, spec), spec))
 

@@ -38,7 +38,7 @@ from .dyadic import (
     shift_sign,
     whitney_decompose,
 )
-from .maximal import maximal_p
+from .maximal import centred_level_set
 from .sample import ExponentPair, GridFunction, GridSpec, average_p
 
 __all__ = [
@@ -111,6 +111,10 @@ class StoppingConfig:
     pair: ExponentPair
     threshold_base: float = 4.0
     roots: tuple[DyadicCube, ...] | None = None  # default: every shift class at scale -(K+1)
+
+    def __post_init__(self) -> None:
+        if self.threshold_base <= 1:
+            raise ValueError("threshold base must exceed 1")
 
 
 def _support_window(spec: GridSpec, *fns: GridFunction) -> Box | None:
@@ -224,8 +228,6 @@ def build_stopping_time(
     r = config.pair.r
     sp = config.pair.s_prime
     base = config.threshold_base
-    if base <= 1:
-        raise ValueError("threshold base must exceed 1")
     jump_f = base ** (1.0 / r)
     jump_g = base ** (1.0 / sp)
 
@@ -264,6 +266,10 @@ class WhitneyConfig:
     ell2: float = 1.0  # oscillation maximal half-width cap, physical units
     eta: Fraction = Fraction(1, 2)  # survivor fraction target per core
 
+    def __post_init__(self) -> None:
+        if not (0 < self.eta < 1):
+            raise ValueError("eta must lie in (0, 1)")
+
 
 def _weak_constant(n: int, p: float) -> float:
     """Weak-type surrogate for the centred p-average maximal function."""
@@ -297,8 +303,6 @@ def build_whitney_sparse(
         return coll
     if not spec.central_half().contains_box(window):
         raise ValueError("wraparound risk: supports must sit in the central half")
-    if not (0 < config.eta < 1):
-        raise ValueError("eta must lie in (0, 1)")
 
     # smallest core side 2**-k0 >= 1 that covers the reach
     reach = 2.0**config.ell1 + 2.0 * config.ell2
@@ -319,11 +323,6 @@ def build_whitney_sparse(
     zero = (0,) * spec.n
     cores = list(enumerate_cubes(k0, zero, window))
 
-    def level_mask(u: GridFunction, p: float, tau: float) -> np.ndarray:
-        if tau == 0.0 or not np.any(u.values):
-            return np.zeros(spec.shape, dtype=bool)
-        return maximal_p(u, p, centred=True, threshold=tau) > tau
-
     stack: list[tuple[DyadicCube, int, int]] = [(q, -1, 0) for q in reversed(cores)]
     while stack:
         q, parent_idx, rank = stack.pop()
@@ -331,8 +330,8 @@ def build_whitney_sparse(
         tbox = concentric_dilate(qbox, 3)
         tau_f = cf * average_p(f, tbox, r)
         tau_g = cg * average_p(g, q, sp)
-        mask = level_mask(f.restrict_box(tbox), r, tau_f)
-        mask |= level_mask(g.restrict_box(q), sp, tau_g)
+        mask = centred_level_set(f.restrict_box(tbox), r, tau_f)
+        mask |= centred_level_set(g.restrict_box(q), sp, tau_g)
         kids: list[DyadicCube] = []
         if mask.any():
             kids = [

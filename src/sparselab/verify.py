@@ -434,12 +434,7 @@ def kernel_difference_probe(
         op = symbol_operator(a, spec)
     else:
         op = localized_operator(a, window_ell1, spec)
-    row_a, row_b = op.row(ia), op.row(ib)
-    # row[t] is the kernel at second argument y = center[i] - t*h (FFT order,
-    # per axis), so the value at y-cell u is row[(i - u) mod N]
-    u = np.arange(N)
-    ya, yb = (np.ix_(*((k - u) % N for k in i)) for i in (ia, ib))
-    diff = np.abs(row_a[ya] - row_b[yb])
+    diff = np.abs(op.row(ia) - op.row(ib))
     dist = _norm(tuple(t - c[i] for t, i in zip(spec.grid_coords(c), ib)))
     zmax = N * hstep / 4.0  # stay clear of the periodic wrap
     base = config.tau**config.theta

@@ -377,6 +377,13 @@ class TestSweep:
         assert run_cli("sweep", ini, "--axis", "grid.K", "--values", "1,2", "--out", str(out)) == 0
         assert (out / "k=1" / "summary.csv").is_file()
 
+    def test_default_section_options_stay_defaults(self, tmp_path):
+        # a [DEFAULT] option that one section reads is read in every swept config
+        ini = write(tmp_path, "[DEFAULT]\ncount = 1\n\n" + IDENTITY_INI + "\n[corpus]\n")
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", ini, "--axis", "grid.kappa", "--values", "4", "--out", str(out)) == 0
+        assert (out / "kappa=4" / "summary.csv").is_file()
+
     def test_bad_swept_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         ini = write(tmp_path, IDENTITY_INI)

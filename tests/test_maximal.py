@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from sparselab.dyadic import Box
-from sparselab.maximal import _NARROW, _prefix_sums, _sweep, ladder_widths, maximal_p, sharp_maximal
+from sparselab import maximal
+from sparselab.maximal import (
+    _NARROW,
+    _prefix_sums,
+    _sweep,
+    centred_level_set,
+    ladder_widths,
+    maximal_p,
+    sharp_maximal,
+)
 from sparselab.sample import GridFunction, GridSpec, make_corpus
 
 SPEC = GridSpec(1, 2, 4)
@@ -87,26 +96,24 @@ class TestMaximalP:
         assert u[i0 + 1] == pytest.approx(0.5, rel=1e-12)
         assert c[i0 + 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_threshold_prunes_exactly_above(self):
-        f = make_corpus(SPEC, seed=11, count=1)[0]
-        full = maximal_p(f, 1.0)
-        t = float(np.quantile(full, 0.6))
-        pruned = maximal_p(f, 1.0, threshold=t)
-        assert np.max(pruned - full) < 1e-12
-        above = full > t
-        assert np.max(np.abs(pruned[above] - full[above])) < 1e-12
-        # the 1D uncentred path is exact everywhere and ignores the threshold
-        assert np.array_equal(pruned, full)
-
-    def test_centred_threshold_prunes_exactly_above(self):
+    def test_centred_threshold_prunes_exactly_above(self, monkeypatch):
         f = make_corpus(SPEC, seed=11, count=1)[0]
         full = maximal_p(f, 1.0, centred=True)
         t = float(np.quantile(full, 0.6))
-        pruned = maximal_p(f, 1.0, centred=True, threshold=t)
-        assert np.all(pruned <= full)
-        above = full > t
-        assert np.array_equal(pruned[above], full[above])
-        assert not np.array_equal(pruned, full)
+        swept = []
+
+        def spy(P, widths, centred):
+            swept.append(list(widths))
+            return _sweep(P, widths, centred)
+
+        monkeypatch.setattr(maximal, "_sweep", spy)
+        mask = centred_level_set(f, 1.0, t)
+        assert np.array_equal(mask, full > t)
+        assert mask.any() and not mask.all()
+        # the level set skips the widest windows
+        (widths,) = swept
+        assert widths == list(range(1, widths[-1] + 1, 2))
+        assert widths[-1] < 2 * SPEC.N - 1
 
     def test_parameter_validation(self):
         f = indicator(SPEC, 0, 1)
@@ -114,13 +121,16 @@ class TestMaximalP:
             maximal_p(f, float("inf"))
         with pytest.raises(ValueError, match="finite and positive"):
             maximal_p(f, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            maximal_p(f, 1.0, threshold=-1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            centred_level_set(f, float("inf"), 1.0)
+        for tau in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                centred_level_set(f, 1.0, tau)
 
     def test_2d_exhaustive_guard(self):
         spec = GridSpec(2, 1, 8)
         f = GridFunction.zeros(spec)
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(ValueError, match="at most 512 cells per axis"):
             maximal_p(f, 1.0)
 
     def test_2d_constant_and_half_plane(self):
@@ -133,6 +143,32 @@ class TestMaximalP:
         m = maximal_p(half, 1.0)
         i = cell_index(spec, Fraction(-1))
         assert m[i, i] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestCentredLevelSet:
+    """The pruned level set against the full centred maximal, at quantiles
+    of that maximal and at Whitney-type levels (a constant times the
+    p-average of f)."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0])
+    def test_matches_full_maximal(self, spec, p):
+        n = spec.n
+        for f in make_corpus(spec, seed=17, count=8):
+            full = maximal_p(f, p, centred=True)
+            avg = float(np.mean(np.abs(f.values) ** p)) ** (1.0 / p)
+            weak = 3.0 ** (n / p)
+            levels = [float(q) for q in np.quantile(full, [0.1, 0.5, 0.9, 0.99])]
+            levels += [avg, weak * avg, (3.0 ** (n + 1) / 0.5) ** (1.0 / p) * weak * avg]
+            for tau in levels:
+                assert np.array_equal(centred_level_set(f, p, tau), full > tau), (f.name, tau)
+
+    def test_vanishing_function_gives_empty_mask(self):
+        for spec in (SPEC, GridSpec(2, 1, 3)):
+            z = GridFunction.zeros(spec)
+            for tau in (0.0, 1.0):
+                mask = centred_level_set(z, 2.0, tau)
+                assert mask.shape == spec.shape and mask.dtype == bool and not mask.any()
 
 
 def sweep_maximal(f: GridFunction, p: float) -> np.ndarray:

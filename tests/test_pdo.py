@@ -22,12 +22,15 @@ from sparselab.pdo import (
     symbol_operator,
 )
 from sparselab.sample import GridFunction, GridSpec, make_corpus
-from sparselab.symbol import bessel, custom_symbol, multiplication
+from sparselab.symbol import bessel, custom_symbol, multiplication, rough_bump
 
 from oracles import default_truncation, direct_quadrature
 
 SPEC = GridSpec(1, 2, 6)
 FAM = CutoffFamily()
+GENERAL_1D = custom_symbol(
+    lambda x, xi: np.cos(x[0]) * (1.0 + xi[0] ** 2) ** -0.5, m=-1.0, rho=1.0, delta=0.0
+)
 GENERAL_2D = custom_symbol(
     # not symmetric under swapping the axes, in x or in xi
     lambda x, xi: np.cos(x[0] - 0.5 * x[1]) * (1.0 + xi[0] ** 2 + 4.0 * xi[1] ** 2) ** -0.5,
@@ -292,16 +295,15 @@ class TestKernelSlices:
     def test_slice_window_support(self):
         idx = PieceIndex(3, 1, 0.0)
         row = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)
-        # offsets of the periodic z-grid in FFT order
-        inner = np.abs(np.fft.fftfreq(SPEC.N) * SPEC.N * float(SPEC.h)) <= 0.5
+        # the shell window vanishes within 0.5 of the cell nearest x = 0
+        c = SPEC.centers()
+        inner = np.abs(c - c[np.argmin(np.abs(c))]) <= 0.5
         assert np.max(np.abs(row[inner])) == 0.0
         assert np.max(np.abs(row)) > 0.0
 
     def test_slice_snaps_to_cell_center(self):
         # an x-dependent symbol, so rows at neighbouring cells differ
-        a = custom_symbol(
-            lambda x, xi: np.cos(x[0]) * (1.0 + xi[0] ** 2) ** -0.5, m=-1.0, rho=1.0, delta=0.0
-        )
+        a = GENERAL_1D
         idx = PieceIndex(2, 0, 0.0)
         c = SPEC.centers()
         i = int(np.argmin(np.abs(c - 0.26)))
@@ -324,8 +326,35 @@ class TestKernelSlices:
         idx = PieceIndex(3, 2, 0.0)
         row = kernel_slice(bessel(-1.0), FAM, idx, 0.0, SPEC)
         assert np.max(np.abs(row.imag)) < 1e-12
-        interior = row[1:]
-        assert np.max(np.abs(interior - interior[::-1])) < 1e-12
+        # K(x, x + t) = K(x, x - t) around the cell x nearest 0, periodically
+        i, t = int(np.argmin(np.abs(SPEC.centers()))), np.arange(SPEC.N)
+        assert np.max(np.abs(row[(i + t) % SPEC.N] - row[(i - t) % SPEC.N])) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["multiplier", "separable_sign", "separable_cos", "general"])
+    def test_row_is_matrix_row(self, kind, n):
+        spec = GridSpec(1, 2, 4) if n == 1 else GridSpec(2, 1, 3)
+        a = {
+            "multiplier": bessel(-1.0, n=n),
+            "separable_sign": rough_bump(-1.0, 1.0, n=n),
+            "separable_cos": multiplication("cosine", n=n),
+            "general": GENERAL_1D if n == 1 else GENERAL_2D,
+        }[kind]
+        hn = float(spec.h) ** n
+        last = spec.N - 1
+        cells = [(0,) * n, (last,) * n, (spec.N // 2 - 1,) * n, (3, last - 5)[:n]]
+        for op in (
+            symbol_operator(a, spec),
+            band_operator(a, FAM, 2, spec),
+            piece_operator(a, FAM, PieceIndex(2, 1, 0.5), spec),
+            localized_operator(a, 1, spec),
+        ):
+            M = op.matrix()
+            for c in cells:
+                row = op.row(c)
+                assert row.shape == spec.shape
+                want = M[np.ravel_multi_index(c, spec.shape)].reshape(spec.shape)
+                assert np.array_equal(row * hn, want)
 
 
 class TestLocalized:

@@ -88,8 +88,10 @@ class TestStoppingTime:
 
     def test_input_validation(self):
         f, g = spike_inputs(SPEC)
-        with pytest.raises(ValueError, match="exceed 1"):
-            build_stopping_time(f, g, StoppingConfig(pair=PAIR_1_INF, threshold_base=1.0))
+        # the config refuses its own base when it is built
+        for base in (1.0, 0.5, -2.0):
+            with pytest.raises(ValueError, match="exceed 1"):
+                StoppingConfig(pair=PAIR_1_INF, threshold_base=base)
         other = GridFunction.zeros(GridSpec(1, 2, 4))
         with pytest.raises(ValueError, match="share a grid"):
             build_stopping_time(f, other, StoppingConfig(pair=PAIR_1_INF))
@@ -238,10 +240,11 @@ class TestWhitneySparse:
             build_whitney_sparse(f, f, config)
 
     def test_eta_validation(self):
-        f, _ = self.flat()
-        config = WhitneyConfig(pair=ExponentPair(2.0, 2.0), eta=Fraction(3, 2))
-        with pytest.raises(ValueError, match="eta"):
-            build_whitney_sparse(f, f, config)
+        # refused when the config is built, so vanishing data, which gives
+        # an empty family, cannot carry an invalid eta into it
+        for eta in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="eta must lie in"):
+                WhitneyConfig(pair=ExponentPair(2.0, 2.0), eta=eta)
 
     def test_corpus_families_verify(self):
         spec = self.SPEC3
