@@ -254,15 +254,22 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
         raise cfg.fail("pieces", "j_min", "empty band index range")
     if ctx["flavor"] not in ("stopping", "whitney"):
         raise cfg.fail("sparse", "flavor", "flavor must be stopping or whitney")
+    if ctx["flavor"] == "whitney":
+        try:
+            _whitney_config(ctx)
+        except ValueError as exc:
+            raise cfg.fail("sparse", "flavor", str(exc)) from exc
     ctx["corpus"] = make_corpus(spec, seed=seed, count=count)
     return ctx
 
 
+def _whitney_config(ctx: dict) -> WhitneyConfig:
+    return WhitneyConfig(pair=ctx["pair"], ell1=ctx["ell1"], ell2=ctx["ell2"], eta=ctx["eta"])
+
+
 def _build_collection(ctx: dict, f: GridFunction, g: GridFunction):
     if ctx["flavor"] == "whitney":
-        return build_whitney_sparse(
-            f, g, WhitneyConfig(pair=ctx["pair"], ell1=ctx["ell1"], ell2=ctx["ell2"], eta=ctx["eta"])
-        )
+        return build_whitney_sparse(f, g, _whitney_config(ctx))
     return build_stopping_time(f, g, StoppingConfig(pair=ctx["pair"], threshold_base=ctx["base"]))
 
 
@@ -361,9 +368,9 @@ def probe_schur_piece(ctx) -> V.ProbeReport:
     bounds, emps = [], []
     for ell in range(ctx["ell_min"], ctx["ell_max"] + 1):
         idx = PieceIndex(ctx["j_fixed"], ell, ctx["nu"])
-        M = piece_operator(ctx["symbol"], fam, idx, spec).matrix()
-        b = V.schur_bound(M, pair, spec).product_bound
-        e = V.empirical_norm(M, pair, spec, seed=ctx["seed"]).value
+        op = piece_operator(ctx["symbol"], fam, idx, spec)
+        b = V.schur_bound(op, pair, spec).product_bound
+        e = V.empirical_norm(op, pair, spec, seed=ctx["seed"]).value
         bounds.append(b)
         emps.append(e)
         worst_slack = min(worst_slack, b - e)
@@ -437,9 +444,7 @@ def probe_sharp_ratio(ctx) -> V.ProbeReport:
 
 def probe_endpoint_audit(ctx) -> V.ProbeReport:
     f, g = ctx["corpus"][0], ctx["corpus"][1 % len(ctx["corpus"])]
-    coll = build_whitney_sparse(
-        f, g, WhitneyConfig(pair=ctx["pair"], ell1=ctx["ell1"], ell2=ctx["ell2"], eta=ctx["eta"])
-    )
+    coll = build_whitney_sparse(f, g, _whitney_config(ctx))
     rep = V.endpoint_audit(f, g, coll, ctx["symbol"], ctx["ell1"], ctx["ell2"], ctx["pair"])
     return V.ProbeReport(
         "endpoint_audit",

@@ -20,6 +20,9 @@ kernel offset ``z`` (a spatial shell, or the localization cutoff).  The
 record alone decides how it is applied: multiplier and separable symbols
 by transforms, general symbols by contracting kernel rows block by block.
 The literal double sum over cells and frequencies is the tests' oracle.
+The same record gives the reads that operator norms need, the Gram map
+``M^H M`` and the grid L^p norms of kernel rows and columns, from one
+kernel row and the x-factor when the symbol has that structure.
 
 Frequency truncation: band pieces are summed up to ``J = kappa + 3`` by
 default, the smallest truncation whose low-pass plateau covers every
@@ -31,12 +34,13 @@ full operator exact on the grid.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sample import GridFunction, GridSpec
+from .sample import GridFunction, GridSpec, _lp_h
 from .symbol import SymbolClass, _norm
 
 __all__ = [
@@ -240,7 +244,8 @@ class OperatorHandle:
     windowed x-free kernel row when there is one.  A general symbol is
     applied by contracting its windowed kernel rows with ``f``, ``_BLOCK``
     cells at a time.  ``row`` and ``matrix`` give the same kernel cell by
-    cell and as a dense matrix.
+    cell and as a dense matrix.  ``gram`` and ``kernel_norms`` are what the
+    operator norms read; only a general symbol builds ``matrix()`` for them.
     """
 
     a: SymbolClass
@@ -311,6 +316,60 @@ class OperatorHandle:
             M[flat] = hn * np.take_along_axis(rows.reshape(len(rows), -1), idx[flat], axis=1)
         return M
 
+    def gram(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The map ``v -> M^H M v`` on flat (C order) vectors, ``M = matrix()``.
+
+        A multiplier or separable handle is ``M = diag(b) C`` with C
+        circulant, so the map is two FFT pairs with ``R = h**n fft(row)``
+        and ``|b|**2``.  A general handle builds ``matrix()`` once.
+        """
+        if self.a.structure == "general":
+            return _dense_gram(self.matrix())
+        spec = self.spec
+        row, xf = self._free_row()
+        fft, ifft = _dft(spec.n)
+        R = float(spec.h) ** spec.n * fft(row)
+        b2 = 1.0 if xf is None else np.abs(xf) ** 2
+
+        def gram(v: np.ndarray) -> np.ndarray:
+            u = b2 * ifft(R * fft(v.reshape(spec.shape)))
+            return ifft(np.conj(R) * fft(u)).ravel()
+
+        return gram
+
+    def kernel_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """Grid L^p norms (``p`` may be inf) of the kernel's rows ``K(x, .)``
+        and columns ``K(., y)``, flat over the cells in C order.
+
+        A multiplier or separable kernel has ``|K(x, y)| = |b(x)|
+        |row(x - y)|``: its rows are ``|b(x)| ||row||_p``, and so are its
+        columns when ``|b|`` is constant.  Otherwise a column's p-th power
+        is the correlation of ``|b|**p`` with ``|row|**p``, by FFT (its
+        rounding is relative to the largest column), and at p = inf the
+        largest ``|b(y + z)| |row(z)|`` over the offsets z.  A general
+        kernel is read off ``matrix()``.
+        """
+        spec = self.spec
+        hn = float(spec.h) ** spec.n
+        if self.a.structure == "general":
+            return _dense_kernel_norms(self.matrix(), p, hn)
+        row, xf = self._free_row()
+        u = np.abs(row)
+        b = np.broadcast_to(1.0 if xf is None else np.abs(xf), spec.shape)
+        norm = _lp_h(u, p, hn)
+        rows = (b * norm).ravel()
+        if b.min() == b.max():
+            return rows, np.full(rows.size, b.flat[0] * norm)
+        if math.isinf(p):
+            cols = np.zeros(spec.shape)
+            for z in zip(*np.nonzero(u)):
+                shifted = np.roll(b, [-k for k in z], axis=tuple(range(spec.n)))
+                cols = np.maximum(cols, u[z] * shifted)
+            return rows, cols.ravel()
+        fft, ifft = _dft(spec.n)
+        corr = ifft(fft(b**p) * np.conj(fft(u**p))).real
+        return rows, ((np.maximum(corr, 0.0) * hn) ** (1.0 / p)).ravel()
+
     def _windowed(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.window is None else rows * self.window
 
@@ -329,6 +388,20 @@ class OperatorHandle:
         for lo in range(0, cells.shape[1], _BLOCK):
             block = tuple(cells[:, lo : lo + _BLOCK])
             yield lo, block, self._windowed(_cell_rows(self.a, spec, self.mult, block))
+
+
+def _dense_gram(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``v -> M^H M v`` by two products with ``M``, without a copy of ``M^H``."""
+    return lambda v: np.conj(np.conj(M @ v) @ M)
+
+
+def _dense_kernel_norms(M: np.ndarray, p: float, hn: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid L^p norms of the rows and the columns of the kernel ``|M| / hn``."""
+    A = np.abs(M) / hn
+    if math.isinf(p):
+        return np.max(A, axis=1), np.max(A, axis=0)
+    Ap = A**p
+    return (np.sum(Ap, axis=1) * hn) ** (1.0 / p), (np.sum(Ap, axis=0) * hn) ** (1.0 / p)
 
 
 def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:

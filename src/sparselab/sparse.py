@@ -269,6 +269,11 @@ class WhitneyConfig:
     def __post_init__(self) -> None:
         if not (0 < self.eta < 1):
             raise ValueError("eta must lie in (0, 1)")
+        if self.pair.s == 1:
+            raise ValueError(
+                "Whitney families need s > 1: at s = 1 the g level set would take the "
+                "s'-maximal function with s' infinite"
+            )
 
 
 def _weak_constant(n: int, p: float) -> float:

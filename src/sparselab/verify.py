@@ -24,6 +24,8 @@ from .pdo import (
     OperatorHandle,
     PieceIndex,
     _as_point,
+    _dense_gram,
+    _dense_kernel_norms,
     _nearest_cell,
     band_operator,
     default_cutoffs,
@@ -121,11 +123,13 @@ def form_threshold_order(n: int, rho: float, delta: float, pair: ExponentPair) -
 class NormEstimate:
     """An operator-norm estimate and what it certifies.
 
-    ``kind`` is "exact" (a closed form), "iterated" (a converged 2 -> 2
-    Lanczos estimate), "capped" (a 2 -> 2 estimate that reached the
-    iteration cap first; still a lower bound) or "lower_bound".  For the
-    2 -> 2 kinds, with ``theta = value**2``, some eigenvalue of ``M^H M``
-    lies within ``residual * theta`` of ``theta``.
+    ``kind`` is "exact" (a closed form: the largest kernel row norm into
+    L^inf, the largest column norm from L^1), "iterated" (a converged
+    2 -> 2 Lanczos estimate), "capped" (a 2 -> 2 estimate that reached the
+    iteration cap first; still a lower bound) or "lower_bound" (the best
+    ratio over a set of test functions).  For the 2 -> 2 kinds, with
+    ``theta = value**2``, some eigenvalue of ``M^H M`` lies within
+    ``residual * theta`` of ``theta``.
     """
 
     value: float
@@ -136,19 +140,30 @@ class NormEstimate:
     residual: float = 0.0
 
 
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, OperatorHandle):
-        return op.matrix()
-    return np.asarray(op)
+@dataclass(frozen=True, eq=False)
+class _Matrix:
+    """A raw matrix with the reads that the norms take from an
+    :class:`OperatorHandle`; the tests' dense oracles pass matrices."""
+
+    M: np.ndarray
+    spec: GridSpec
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        return f.with_values((self.M @ f.values.ravel()).reshape(self.spec.shape))
+
+    def row(self, x_index: tuple[int, ...]) -> np.ndarray:
+        i = np.ravel_multi_index(x_index, self.spec.shape)
+        return self.M[i].reshape(self.spec.shape) / float(self.spec.h) ** self.spec.n
+
+    def gram(self):
+        return _dense_gram(self.M)
+
+    def kernel_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        return _dense_kernel_norms(self.M, p, float(self.spec.h) ** self.spec.n)
 
 
-def _kernel_sup(A: np.ndarray, p: float, axis: int, hn: float) -> np.ndarray:
-    """Grid L^p norm of each column (``axis=0``) or row (``axis=1``) of the
-    kernel ``A = |M| / hn``; the largest is the mixed sup norm that the
-    closed forms and the Schur test read."""
-    if math.isinf(p):
-        return np.max(A, axis=axis)
-    return (np.sum(A**p, axis=axis) * hn) ** (1.0 / p)
+def _operator(op, spec: GridSpec):
+    return op if isinstance(op, OperatorHandle) else _Matrix(np.asarray(op), spec)
 
 
 # random corpus size of the lower-bound branch; Lanczos stopping rule
@@ -157,8 +172,9 @@ _TOL = 1e-8
 _MAX_ITER = 400
 
 
-def _lanczos_l2(M: np.ndarray, pair: ExponentPair, seed: int) -> NormEstimate:
-    """2 -> 2 norm of ``M`` as the root of the top eigenvalue of ``M^H M``.
+def _lanczos_l2(gram, N: int, pair: ExponentPair, seed: int) -> NormEstimate:
+    """2 -> 2 norm of ``M`` as the root of the top eigenvalue of ``M^H M``,
+    given the map ``gram: v -> M^H M v`` on vectors of length ``N``.
 
     Symmetric Lanczos from a random start, with full reorthogonalization.
     The top Ritz pair ``(theta, u)`` of the k x k tridiagonal has residual
@@ -168,7 +184,6 @@ def _lanczos_l2(M: np.ndarray, pair: ExponentPair, seed: int) -> NormEstimate:
     tridiagonal is solved every eighth step, or when ``beta_k`` alone
     already meets the tolerance.
     """
-    N = M.shape[1]
     steps = min(_MAX_ITER, N)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -176,7 +191,7 @@ def _lanczos_l2(M: np.ndarray, pair: ExponentPair, seed: int) -> NormEstimate:
     V[0] = v / np.linalg.norm(v)
     alpha, beta = np.zeros(steps), np.zeros(steps)
     for k in range(steps):
-        w = np.conj(np.conj(M @ V[k]) @ M)  # M^H M v without a copy of M^H
+        w = gram(V[k])
         Vk = V[: k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
             c = np.conj(Vk @ np.conj(w))
@@ -196,34 +211,39 @@ def _lanczos_l2(M: np.ndarray, pair: ExponentPair, seed: int) -> NormEstimate:
 
 
 def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> NormEstimate:
-    """Operator norm between Lebesgue spaces on the grid.
+    """Operator norm between Lebesgue spaces on the grid, of an
+    :class:`OperatorHandle` or of a raw matrix ``M`` (``(T f)_i = sum_j
+    M[i, j] f_j`` over the flat cells).
 
-    Exact closed forms where they exist (from L^1, or into L^inf), Lanczos
-    on ``M^H M`` for the 2 -> 2 norm, and a corpus-plus-extremizer lower bound
-    for every other pair (reported as such, never as the norm).
+    Exact closed forms where they exist: into L^inf the largest kernel row
+    norm in L^r', from L^1 the largest column norm in L^s.  Lanczos on
+    ``M^H M`` for the 2 -> 2 norm.  For every other pair a lower bound from
+    a corpus, a point mass on the heaviest column and the extremizers of
+    the heaviest rows, reported as such, never as the norm.  A handle
+    supplies the Gram map and the kernel norms (``OperatorHandle.gram``,
+    ``OperatorHandle.kernel_norms``): from one kernel row and the x-factor
+    for multiplier and separable symbols, from ``matrix()`` for general ones.
     """
-    M = _as_matrix(op)
+    T = _operator(op, spec)
     r, s = pair.r, pair.s
     if r == 2 and s == 2:
-        return _lanczos_l2(M, pair, seed)
+        return _lanczos_l2(T.gram(), spec.N**spec.n, pair, seed)
     hn = float(spec.h) ** spec.n  # cell volume
-    A = np.abs(M) / hn  # kernel modulus on the grid
     rp = pair.r_prime
     if math.isinf(s):  # rows in L^r'
-        return NormEstimate(float(np.max(_kernel_sup(A, rp, 1, hn))), "exact", r, s)
+        return NormEstimate(float(np.max(T.kernel_norms(rp)[0])), "exact", r, s)
     if r == 1:  # columns in L^s
-        return NormEstimate(float(np.max(_kernel_sup(A, s, 0, hn))), "exact", r, s)
+        return NormEstimate(float(np.max(T.kernel_norms(s)[1])), "exact", r, s)
 
     # general pair: certified lower bound from test functions
     best = 0.0
-    N = M.shape[1]
-    cands = [f.values.ravel() for f in make_corpus(spec, seed=seed, count=_TRIALS)]
-    j_star = int(np.argmax(_kernel_sup(A, 1.0, 0, hn)))
-    delta = np.zeros(N, dtype=np.complex128)
-    delta[j_star] = 1.0 / hn
+    cands = [f.values for f in make_corpus(spec, seed=seed, count=_TRIALS)]
+    rows, cols = T.kernel_norms(1.0)
+    delta = np.zeros(spec.shape, dtype=np.complex128)
+    delta[np.unravel_index(int(np.argmax(cols)), spec.shape)] = 1.0 / hn
     cands.append(delta)
-    for i in np.argsort(-_kernel_sup(A, 1.0, 1, hn))[:4]:
-        row = M[i] / hn
+    for i in np.argsort(-rows, kind="stable")[:4]:
+        row = T.row(np.unravel_index(i, spec.shape))
         # r-unit-ball extremizer of the single output at row i
         if np.max(np.abs(row)) > 0:
             cands.append(np.abs(row) ** (rp - 1.0) * np.exp(-1j * np.angle(row)))
@@ -231,7 +251,7 @@ def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> Nor
         nf = _lp_h(v, r, hn)
         if nf < DENOM_FLOOR:
             continue
-        best = max(best, _lp_h(M @ v, s, hn) / nf)
+        best = max(best, _lp_h(T.apply(GridFunction(spec, v)).values, s, hn) / nf)
     return NormEstimate(best, "lower_bound", r, s)
 
 
@@ -253,13 +273,10 @@ def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     comparison; the product is the certified bound (it matches the rank-one
     and point-mass oracles exactly, the sum overshoots by a factor 2).
     """
-    M = _as_matrix(op)
-    hn = float(spec.h) ** spec.n  # cell volume
-    A = np.abs(M) / hn
     p = pair.schur_p
     theta = 0.0 if math.isinf(pair.r_prime) else p / pair.r_prime
-    col = float(np.max(_kernel_sup(A, p, 0, hn)))
-    row = float(np.max(_kernel_sup(A, p, 1, hn)))
+    rows, cols = _operator(op, spec).kernel_norms(p)
+    col, row = float(np.max(cols)), float(np.max(rows))
     product = col ** (1.0 - theta) * row**theta
     return SchurReport(
         product_bound=product,

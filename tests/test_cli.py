@@ -309,6 +309,17 @@ class TestConfigErrors:
         assert f"{ini}:{line}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_whitney_at_s_one_is_line_anchored(self, tmp_path, capsys):
+        text = IDENTITY_INI.replace("identity", "sparse") + (
+            "\n[exponents]\nr = 1\ns = 1\n\n[sparse]\nflavor = whitney\n"
+        )
+        line = text.splitlines().index("flavor = whitney") + 1
+        ini = write(tmp_path, text)
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--out", str(out)) == 2
+        assert f"{ini}:{line}: Whitney families need s > 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corpus_seed_is_known_under_seed_flag(self, tmp_path):
         # --seed overrides corpus.seed, which still counts as read; the same
         # config also serves lab corpus, which has no [probes] to read

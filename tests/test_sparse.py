@@ -246,6 +246,11 @@ class TestWhitneySparse:
             with pytest.raises(ValueError, match="eta must lie in"):
                 WhitneyConfig(pair=ExponentPair(2.0, 2.0), eta=eta)
 
+    def test_s_one_is_refused(self):
+        # at s = 1 the g level set would need the sup-norm maximal function
+        with pytest.raises(ValueError, match="need s > 1"):
+            WhitneyConfig(pair=ExponentPair(1.0, 1.0))
+
     def test_corpus_families_verify(self):
         spec = self.SPEC3
         fs = make_corpus(spec, seed=30, count=4)

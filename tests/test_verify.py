@@ -10,6 +10,7 @@ import pytest
 from sparselab import verify
 from sparselab.dyadic import Box, DyadicCube
 from sparselab.pdo import (
+    OperatorHandle,
     PieceIndex,
     band_operator,
     default_cutoffs,
@@ -23,7 +24,7 @@ from sparselab.sparse import (
     WhitneyConfig,
     build_whitney_sparse,
 )
-from sparselab.symbol import bessel, custom_symbol, multiplication
+from sparselab.symbol import SymbolClass, bessel, custom_symbol, multiplication, rough_bump
 from sparselab.verify import (
     DecayProbeConfig,
     ProbeReport,
@@ -153,6 +154,111 @@ class TestEmpiricalNorm:
     def test_dense_oracle_size_guard(self):
         with pytest.raises(ValueError, match="1024"):
             dense_l2_norm(np.zeros((2048, 2048)), GridSpec(1, 4, 6))
+
+
+def _structured_symbol(kind: str, n: int):
+    if kind == "multiplier":
+        return bessel(-1.0, 0.5, n=n)
+    if kind == "unit_b":  # separable, |b| = 1
+        return rough_bump(-0.5, 0.5, n=n)
+    if kind == "cos_b":  # separable; |b| varies, and neither |b| nor |row| is even
+
+        def x_fact(x):
+            return np.cos(np.pi * (x[0] - 0.5) / 4.0)
+
+        def xi_fact(xi):
+            return np.exp(-0.3j * xi[0]) / np.sqrt(1.0 + sum(c * c for c in xi))
+
+        return SymbolClass("custom", -1.0, 1.0, 0.0, "smooth", n,
+                           lambda x, xi: x_fact(x) * xi_fact(xi), x_fact, xi_fact)
+    return custom_symbol(
+        lambda x, xi: np.cos(x[0]) / np.sqrt(1.0 + sum(c * c for c in xi)),
+        m=-1.0, rho=1.0, delta=1.0, n=n,
+    )
+
+
+def _structured_piece(kind: str, piece: str, spec: GridSpec):
+    a, fam = _structured_symbol(kind, spec.n), default_cutoffs()
+    if piece == "band":
+        return band_operator(a, fam, 3, spec)
+    return piece_operator(a, fam, PieceIndex(3, 1, 0.45), spec)
+
+
+def _kernel_lp(A: np.ndarray, p: float, axis: int, hn: float) -> np.ndarray:
+    """Grid L^p norms of the kernel ``A`` along one axis, summed directly."""
+    if math.isinf(p):
+        return np.max(A, axis=axis)
+    return (np.sum(A**p, axis=axis) * hn) ** (1.0 / p)
+
+
+class TestStructuredNorms:
+    """A handle's norms, read from its structure, against the dense path
+    (the handle's matrix passed as a raw array)."""
+
+    KINDS = ["multiplier", "unit_b", "cos_b", "general"]
+    EXACT_PAIRS = [
+        ExponentPair(2.0, math.inf),
+        ExponentPair(4.0 / 3.0, math.inf),
+        ExponentPair(1.0, math.inf),
+        ExponentPair(1.0, 2.0),
+        ExponentPair(1.0, 4.0),
+    ]
+    SCHUR_PAIRS = [PAIR22, ExponentPair(4.0 / 3.0, 4.0), *EXACT_PAIRS]
+
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("piece", ["band", "window"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_handle_matches_dense(self, kind, piece, spec):
+        op = _structured_piece(kind, piece, spec)
+        M, hn = op.matrix(), float(spec.h) ** spec.n
+        for p in (1.0, math.inf):
+            rows, cols = op.kernel_norms(p)
+            for got, axis in ((rows, 1), (cols, 0)):
+                want = _kernel_lp(np.abs(M) / hn, p, axis, hn)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * want.max())
+        est = empirical_norm(op, PAIR22, spec)
+        assert est.kind == "iterated"
+        assert est.value == pytest.approx(dense_l2_norm(M, spec), rel=1e-9)
+        for pair in self.EXACT_PAIRS:
+            est, dense = empirical_norm(op, pair, spec), empirical_norm(M, pair, spec)
+            assert (est.kind, dense.kind) == ("exact", "exact")
+            assert est.value == pytest.approx(dense.value, rel=1e-12)
+        for pair in self.SCHUR_PAIRS:
+            got, want = schur_bound(op, pair, spec), schur_bound(M, pair, spec)
+            assert got.product_bound == pytest.approx(want.product_bound, rel=1e-12)
+            assert got.sum_variant == pytest.approx(want.sum_variant, rel=1e-12)
+        pair = ExponentPair(4.0 / 3.0, 4.0)
+        low = empirical_norm(op, pair, spec)
+        assert low.kind == "lower_bound"
+        assert 0.0 < low.value <= schur_bound(op, pair, spec).product_bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("kind", ["multiplier", "unit_b", "cos_b"])
+    def test_structured_handles_build_no_matrix(self, kind, spec, monkeypatch):
+        ops = [_structured_piece(kind, piece, spec) for piece in ("band", "window")]
+
+        def refuse(self):
+            raise AssertionError("matrix() built for a structured handle")
+
+        monkeypatch.setattr(OperatorHandle, "matrix", refuse)
+        for op in ops:
+            for pair in self.SCHUR_PAIRS:
+                empirical_norm(op, pair, spec)
+                schur_bound(op, pair, spec)
+
+    def test_multiplier_fit_past_the_dense_limit(self):
+        # N = 32768 cells, where matrix() refuses
+        spec = GridSpec(1, 2, 12)
+        a = bessel(-1.0, 0.5)
+        with pytest.raises(ValueError, match="too large"):
+            band_operator(a, default_cutoffs(), 5, spec).matrix()
+        js = [5, 6, 7]
+        fit = norm_scaling_fit(a, spec, "l1_linf", js=js)
+        assert fit.kinds == ["exact"] * 3
+        assert fit.excess is not None and fit.excess <= 0.3
+        fit = norm_scaling_fit(a, spec, "l2_l2", js=js)
+        assert fit.kinds == ["iterated"] * 3
+        assert fit.excess is not None and fit.excess <= 0.3
 
 
 class TestSchurBounds:
