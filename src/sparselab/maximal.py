@@ -18,6 +18,12 @@ uncentred windows are the steepest chords of the prefix-sum graph with one
 end on each side of a block midpoint, found by hull tangents (Chung and Lu,
 SIAM J. Comput. 2004; Goldwasser, Kao and Lu, J. Comput. Syst. Sci. 2005),
 so the exact 1D uncentred maximal costs O(N log**2 N) instead of O(N**2).
+
+The sharp maximal builds ``|f - window mean|`` in blocks of about
+``_OSC_CHUNK`` elements, written into two buffers that stay in cache; the
+block size does not change a bit of the result.  Real data runs in real arithmetic,
+and a ``region`` restricts the work to the cells it holds plus the ladder's
+reach.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ import math
 
 import numpy as np
 
+from .dyadic import Box, DyadicCube
 from .sample import GridFunction
 
 __all__ = ["maximal_p", "centred_level_set", "sharp_maximal", "ladder_widths"]
 
 _2D_EXHAUSTIVE_LIMIT = 512
 _NARROW = 16  # 1D windows up to this many cells come from the sweep
-_OSC_CHUNK = 1 << 21  # elements per temporary in oscillation sweeps
+_OSC_CHUNK = 1 << 16  # elements per temporary in oscillation sweeps
 
 
 def _sliding_max(a: np.ndarray, w: int) -> np.ndarray:
@@ -299,22 +306,46 @@ def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:
 
 
 def _osc(vals: np.ndarray, P: np.ndarray, corners, w: int) -> np.ndarray:
-    """Mean ``|f - window mean|`` for every ``w**n``-cell window, chunked;
-    ``P`` holds the prefix sums of ``vals``."""
+    """Mean ``|f - window mean|`` for every ``w**n``-cell window that fits
+    in ``vals``, in blocks of about ``_OSC_CHUNK`` elements; ``P`` holds
+    the prefix sums of ``vals``.
+
+    Every block is written into the same two buffers, laid out as numpy
+    lays out ``view - means`` (position and window axes interleaved), so
+    the window means sum in one order, bit for bit, at any block size.
+    """
     n = vals.ndim
     means = _sliding_sums(P, corners, w) / w**n
-    M = vals.shape[0] - w + 1
-    out = np.empty((M,) * n)
+    out = np.empty(means.shape)
     view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
-    step = max(1, _OSC_CHUNK // (w**n * M ** (n - 1)))
-    for lo in range(0, M, step):
-        hi = min(lo + step, M)
-        dev = np.abs(view[lo:hi] - means[lo:hi][(...,) + (None,) * n])
-        out[lo:hi] = dev.mean(axis=tuple(range(n, 2 * n)))
+    step = max(1, min(len(out), _OSC_CHUNK // (w**n * math.prod(means.shape[1:]))))
+    layout = sum(((m, w) for m in (step,) + means.shape[1:]), ())
+    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    diff = np.empty(layout, dtype=vals.dtype).transpose(axes)
+    dev = diff if diff.dtype == np.float64 else np.empty(layout).transpose(axes)
+    for lo in range(0, len(out), step):
+        block = view[lo : lo + step]
+        k = len(block)
+        np.subtract(block, means[lo : lo + k][(...,) + (None,) * n], out=diff[:k])
+        np.abs(diff[:k], out=dev[:k])
+        out[lo : lo + k] = dev[:k].mean(axis=tuple(range(n, 2 * n)))
     return out
 
 
-def sharp_maximal(f: GridFunction, radius_cap: float | None = None) -> np.ndarray:
+def _ladder(vals: np.ndarray, widths) -> np.ndarray:
+    """Sharp maximal of the array ``vals`` over the windows of the given
+    side lengths (cells per axis) that fit in it."""
+    P = _prefix_sums(vals)
+    corners = _corners(vals.ndim)
+    best = np.zeros(vals.shape)
+    for w in widths:
+        np.maximum(best, _window_max_all_axes(_osc(vals, P, corners, w), w), out=best)
+    return best
+
+
+def sharp_maximal(
+    f: GridFunction, radius_cap: float | None = None, region: Box | DyadicCube | None = None
+) -> np.ndarray:
     """Mean-oscillation maximal: sup over windows containing the cell of the
     window average of ``|f - window mean|``.
 
@@ -322,12 +353,32 @@ def sharp_maximal(f: GridFunction, radius_cap: float | None = None) -> np.ndarra
     composed reach of this operator is twice the cap.  Windows run over the
     geometric ladder of side lengths (resolution-stable, see ladder_widths);
     the sweep over every side length is the tests' oracle.
+
+    Real data (``f.values.imag`` all zero) runs in real arithmetic, with
+    the same bits: the window means divide by a power of two, and
+    ``|x + 0j|`` is ``|x|``.
+
+    With a ``region`` (a box or cube, through ``GridSpec.cell_ranges``)
+    only the region's cells are computed: the ladder runs on them dilated
+    by its widest window less one cell, clipped to the grid, which holds
+    every window that contains a region cell.  Prefix sums then start at
+    the crop, so values move at rounding level.  The result is full-grid
+    with NaN outside the region.
     """
     spec = f.spec
     cap_cells = None if radius_cap is None else int(math.floor(2.0 * radius_cap / float(spec.h)))
-    P = _prefix_sums(f.values)
-    corners = _corners(spec.n)
-    best = np.zeros(spec.shape)
-    for w in ladder_widths(spec.N, cap_cells):
-        np.maximum(best, _window_max_all_axes(_osc(f.values, P, corners, w), w), out=best)
-    return best
+    widths = ladder_widths(spec.N, cap_cells)
+    vals = f.values
+    if not np.any(vals.imag):
+        vals = np.ascontiguousarray(vals.real)
+    if region is None:
+        return _ladder(vals, widths)
+    ranges = spec.cell_ranges(region)
+    reach = widths[-1] - 1
+    crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, spec.N)) for i0, i1 in ranges)
+    cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
+    out = np.full(spec.shape, np.nan)
+    read = tuple(slice(i0, i1) for i0, i1 in ranges)
+    if out[read].size:
+        out[read] = _ladder(vals[crop], widths)[cells]
+    return out

@@ -5,7 +5,8 @@ friendly via ``report_dict``).  Probes measure; assertions live in the test
 suite.  Ratio probes drop denominators below 1e-14 rather than divide by
 noise, and record how many cells were dropped or flagged.
 
-Operator arguments accept either an operator handle (anything callable on a
+The norm probes read an :class:`OperatorHandle`.  The sparse-form and
+domination probes accept either an operator (anything callable on a
 GridFunction) or a precomputed image GridFunction, so identity and
 multiplication oracles plug in next to the real constructions.
 """
@@ -18,14 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import CubePoset
+from .dyadic import Box, CubePoset, DyadicCube
 from .maximal import maximal_p, sharp_maximal
 from .pdo import (
     OperatorHandle,
     PieceIndex,
     _as_point,
-    _dense_gram,
-    _dense_kernel_norms,
     _nearest_cell,
     band_operator,
     default_cutoffs,
@@ -102,7 +101,10 @@ class ProbeReport:
 
 
 def _image_of(T, f: GridFunction) -> GridFunction:
-    """Accept an operator handle / callable or a ready-made image."""
+    """Accept an operator handle / callable or a ready-made image.  The
+    image branch has callers: the perfbench ``stopping`` workload applies
+    the operator once per input and passes the image to both
+    ``sparse_form_ratio`` and ``pointwise_domination_check``."""
     if isinstance(T, GridFunction):
         return T
     return T(f)
@@ -138,32 +140,6 @@ class NormEstimate:
     s: float
     iterations: int = 0
     residual: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class _Matrix:
-    """A raw matrix with the reads that the norms take from an
-    :class:`OperatorHandle`; the tests' dense oracles pass matrices."""
-
-    M: np.ndarray
-    spec: GridSpec
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return f.with_values((self.M @ f.values.ravel()).reshape(self.spec.shape))
-
-    def row(self, x_index: tuple[int, ...]) -> np.ndarray:
-        i = np.ravel_multi_index(x_index, self.spec.shape)
-        return self.M[i].reshape(self.spec.shape) / float(self.spec.h) ** self.spec.n
-
-    def gram(self):
-        return _dense_gram(self.M)
-
-    def kernel_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        return _dense_kernel_norms(self.M, p, float(self.spec.h) ** self.spec.n)
-
-
-def _operator(op, spec: GridSpec):
-    return op if isinstance(op, OperatorHandle) else _Matrix(np.asarray(op), spec)
 
 
 # random corpus size of the lower-bound branch; Lanczos stopping rule
@@ -210,10 +186,11 @@ def _lanczos_l2(gram, N: int, pair: ExponentPair, seed: int) -> NormEstimate:
     return NormEstimate(math.sqrt(theta), kind, pair.r, pair.s, k + 1, rel)
 
 
-def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> NormEstimate:
+def empirical_norm(op: OperatorHandle, pair: ExponentPair, spec: GridSpec,
+                   seed: int = 0) -> NormEstimate:
     """Operator norm between Lebesgue spaces on the grid, of an
-    :class:`OperatorHandle` or of a raw matrix ``M`` (``(T f)_i = sum_j
-    M[i, j] f_j`` over the flat cells).
+    :class:`OperatorHandle` with matrix ``M`` (``(T f)_i = sum_j M[i, j]
+    f_j`` over the flat cells).
 
     Exact closed forms where they exist: into L^inf the largest kernel row
     norm in L^r', from L^1 the largest column norm in L^s.  Lanczos on
@@ -224,26 +201,25 @@ def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> Nor
     ``OperatorHandle.kernel_norms``): from one kernel row and the x-factor
     for multiplier and separable symbols, from ``matrix()`` for general ones.
     """
-    T = _operator(op, spec)
     r, s = pair.r, pair.s
     if r == 2 and s == 2:
-        return _lanczos_l2(T.gram(), spec.N**spec.n, pair, seed)
+        return _lanczos_l2(op.gram(), spec.N**spec.n, pair, seed)
     hn = float(spec.h) ** spec.n  # cell volume
     rp = pair.r_prime
     if math.isinf(s):  # rows in L^r'
-        return NormEstimate(float(np.max(T.kernel_norms(rp)[0])), "exact", r, s)
+        return NormEstimate(float(np.max(op.kernel_norms(rp)[0])), "exact", r, s)
     if r == 1:  # columns in L^s
-        return NormEstimate(float(np.max(T.kernel_norms(s)[1])), "exact", r, s)
+        return NormEstimate(float(np.max(op.kernel_norms(s)[1])), "exact", r, s)
 
     # general pair: certified lower bound from test functions
     best = 0.0
     cands = [f.values for f in make_corpus(spec, seed=seed, count=_TRIALS)]
-    rows, cols = T.kernel_norms(1.0)
+    rows, cols = op.kernel_norms(1.0)
     delta = np.zeros(spec.shape, dtype=np.complex128)
     delta[np.unravel_index(int(np.argmax(cols)), spec.shape)] = 1.0 / hn
     cands.append(delta)
     for i in np.argsort(-rows, kind="stable")[:4]:
-        row = T.row(np.unravel_index(i, spec.shape))
+        row = op.row(np.unravel_index(i, spec.shape))
         # r-unit-ball extremizer of the single output at row i
         if np.max(np.abs(row)) > 0:
             cands.append(np.abs(row) ** (rp - 1.0) * np.exp(-1j * np.angle(row)))
@@ -251,7 +227,7 @@ def empirical_norm(op, pair: ExponentPair, spec: GridSpec, seed: int = 0) -> Nor
         nf = _lp_h(v, r, hn)
         if nf < DENOM_FLOOR:
             continue
-        best = max(best, _lp_h(T.apply(GridFunction(spec, v)).values, s, hn) / nf)
+        best = max(best, _lp_h(op.apply(GridFunction(spec, v)).values, s, hn) / nf)
     return NormEstimate(best, "lower_bound", r, s)
 
 
@@ -263,7 +239,7 @@ class SchurReport:
     theta: float
 
 
-def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
+def schur_bound(op: OperatorHandle, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     """Kernel-test bound on the r -> s norm via row/column p-norms.
 
     With ``1 + 1/s = 1/p + 1/r`` the operator maps L^1 -> L^p with the
@@ -275,7 +251,7 @@ def schur_bound(op, pair: ExponentPair, spec: GridSpec) -> SchurReport:
     """
     p = pair.schur_p
     theta = 0.0 if math.isinf(pair.r_prime) else p / pair.r_prime
-    rows, cols = _operator(op, spec).kernel_norms(p)
+    rows, cols = op.kernel_norms(p)
     col, row = float(np.max(cols)), float(np.max(rows))
     product = col ** (1.0 - theta) * row**theta
     return SchurReport(
@@ -566,11 +542,16 @@ def pointwise_domination_check(
 # composed sharp-maximal operator and its audits
 
 
-def composed_sharp_apply(a: SymbolClass, ell1: int, ell2: float, f: GridFunction) -> np.ndarray:
+def composed_sharp_apply(
+    a: SymbolClass, ell1: int, ell2: float, f: GridFunction, region: Box | DyadicCube | None = None
+) -> np.ndarray:
     """Values of the capped oscillation maximal applied to the image of the
     operator localized at radius ``2**ell1``; the composition reaches
-    ``2**ell1 + 2*ell2``."""
-    return sharp_maximal(localized_operator(a, ell1, f.spec).apply(f), radius_cap=ell2)
+    ``2**ell1 + 2*ell2``.  The operator is applied on the full grid; with a
+    ``region`` the sharp maximal computes that region's cells only and the
+    result is NaN elsewhere (see ``sharp_maximal``)."""
+    image = localized_operator(a, ell1, f.spec).apply(f)
+    return sharp_maximal(image, radius_cap=ell2, region=region)
 
 
 @dataclass
@@ -676,8 +657,8 @@ def endpoint_audit(
     sp = pair.s_prime
     g_abs = np.abs(g.values)
 
-    def T(u: GridFunction) -> np.ndarray:
-        return composed_sharp_apply(a, ell1, ell2, u)
+    def T(u: GridFunction, region: Box | DyadicCube | None = None) -> np.ndarray:
+        return composed_sharp_apply(a, ell1, ell2, u, region)
 
     def pair_with_g(tvals: np.ndarray, cells: np.ndarray) -> float:
         return float(np.sum(tvals.reshape(-1)[cells] * g_abs.reshape(-1)[cells]) * hn)
@@ -688,18 +669,19 @@ def endpoint_audit(
     if sides and min(sides) < reach:
         raise ValueError("core side is below the composed operator reach")
 
-    T_global = T(f)
+    T_global = T(f)  # full grid: the pairing reads every cell
     pairing = float(np.sum(np.abs(T_global) * g_abs) * hn)
     ranks = range(coll.max_rank() + 1)
     by_rank = {q: coll.by_rank(q) for q in ranks}
 
     regions = [coll.region(i) for i in range(len(coll))]
 
-    # per-entry localized images and pairings
+    # per-entry localized images, read on the entry's region (which holds
+    # its cube), and pairings
     loc_pair: dict[int, float] = {}
     loc_T: dict[int, np.ndarray] = {}
     for i, e in enumerate(coll.entries):
-        Ti = T(f.restrict_box(regions[i]))
+        Ti = T(f.restrict_box(regions[i]), regions[i])
         loc_T[i] = Ti
         loc_pair[i] = pair_with_g(Ti, spec.box_flat_cells(e.cube))
 
@@ -732,7 +714,7 @@ def endpoint_audit(
             if af > DENOM_FLOOR:
                 carved = f.restrict_box(tb).values.copy()
                 carved.reshape(-1)[spec.box_flat_cells(ctb)] = 0.0
-                tv = T(f.with_values(carved)).astype(np.complex128)
+                tv = T(f.with_values(carved), child.cube).astype(np.complex128)
                 a1 = max(a1, average_p(f.with_values(tv), child.cube, pair.s) / af)
             if ag > DENOM_FLOOR:
                 a4 = max(a4, average_p(g, ctb, sp) / ag)

@@ -14,6 +14,9 @@ another way, or a piece of exact geometry that only the checks need:
   cells and frequencies; the package applies the operator by transforms
   or by kernel rows.
 * ``dense_l2_norm``: the 2 -> 2 norm by a full SVD of the dense matrix.
+* ``DenseMatrix``: a raw matrix with the reads the norm probes take from
+  an operator handle, so a handle's norms can be checked against its own
+  dense form.
 * ``third_partition_residual``: the central thirds of the three shift
   classes reassemble a function.
 """
@@ -21,6 +24,7 @@ another way, or a piece of exact geometry that only the checks need:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +39,7 @@ from sparselab.dyadic import (
     shift_sign,
     third_dilate,
 )
-from sparselab.pdo import OperatorHandle, forward_transform
+from sparselab.pdo import OperatorHandle, _dense_gram, _dense_kernel_norms, forward_transform
 from sparselab.sample import GridFunction, GridSpec, average_p
 from sparselab.sparse import SparseCollection, SparseEntry, StoppingConfig
 from sparselab.symbol import SymbolClass
@@ -170,6 +174,28 @@ def dense_l2_norm(op, spec: GridSpec) -> float:
     if M.shape[0] > 1024:
         raise ValueError("dense SVD oracle is limited to 1024 cells")
     return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class DenseMatrix:
+    """A raw matrix with the reads that ``empirical_norm`` and
+    ``schur_bound`` take from an :class:`OperatorHandle`."""
+
+    M: np.ndarray
+    spec: GridSpec
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        return f.with_values((self.M @ f.values.ravel()).reshape(self.spec.shape))
+
+    def row(self, x_index: tuple[int, ...]) -> np.ndarray:
+        i = np.ravel_multi_index(x_index, self.spec.shape)
+        return self.M[i].reshape(self.spec.shape) / float(self.spec.h) ** self.spec.n
+
+    def gram(self):
+        return _dense_gram(self.M)
+
+    def kernel_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        return _dense_kernel_norms(self.M, p, float(self.spec.h) ** self.spec.n)
 
 
 def third_partition_residual(f: GridFunction, k: int) -> float:

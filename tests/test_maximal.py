@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparselab.dyadic import Box
+from sparselab.dyadic import Box, DyadicCube
 from sparselab import maximal
 from sparselab.maximal import (
     _NARROW,
+    _ladder,
     _prefix_sums,
     _sweep,
     centred_level_set,
@@ -300,6 +301,99 @@ class TestSharpMaximal:
         spec = GridSpec(2, 1, 3)
         ones = GridFunction(spec, np.ones(spec.shape, dtype=np.complex128))
         assert np.max(sharp_maximal(ones)) == 0.0
+
+
+def _sharp_input(spec: GridSpec, real: bool) -> GridFunction:
+    """A corpus item with a random imaginary part, or its real part."""
+    f = make_corpus(spec, seed=4, count=3)[1]
+    if real:
+        return f.with_values(f.values.real)
+    rng = np.random.default_rng(spec.N)
+    return f.with_values(f.values + 1j * rng.standard_normal(spec.shape))
+
+
+def _cell_box(spec: GridSpec, lo, hi) -> Box:
+    """The box of the cells ``lo[i] .. hi[i] - 1`` on every axis."""
+    h, L = spec.h, spec.halfwidth
+    return Box(tuple(i * h - L for i in lo), tuple(i * h - L for i in hi))
+
+
+def _regions(spec: GridSpec) -> list:
+    """Random boxes, boxes touching each edge, one-cell boxes, the whole
+    domain, a box past the domain and a shifted cube."""
+    rng = np.random.default_rng(7 * spec.N + spec.n)
+    N, n = spec.N, spec.n
+
+    def span():
+        a, b = sorted(rng.choice(N + 1, size=2, replace=False))
+        return int(a), int(b)
+
+    out = []
+    for _ in range(4):
+        lo, hi = zip(*(span() for _ in range(n)))
+        out.append(_cell_box(spec, lo, hi))
+    for ax in range(n):
+        for edge in (0, N):
+            lo, hi = map(list, zip(*(span() for _ in range(n))))
+            k = int(rng.integers(1, N // 4))
+            lo[ax], hi[ax] = (0, k) if edge == 0 else (N - k, N)
+            out.append(_cell_box(spec, lo, hi))
+    for i in (0, N // 2 + 1, N - 1):
+        out.append(_cell_box(spec, (i,) * n, (i + 1,) * n))
+    out.append(spec.domain())
+    L = spec.halfwidth
+    out.append(Box((L / 2,) * n, (2 * L,) * n))
+    out.append(DyadicCube(-spec.K + 1, (0,) * n, (1,) * n))
+    return out
+
+
+class TestSharpMaximalRegion:
+    """``sharp_maximal(..., region=R)`` against the full grid."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cap", [None, 0.25, 1.0])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_matches_full_grid_on_the_region(self, spec, cap, real):
+        f = _sharp_input(spec, real)
+        full = sharp_maximal(f, cap)
+        for region in _regions(spec):
+            got = sharp_maximal(f, cap, region=region)
+            inside = np.zeros(spec.shape, dtype=bool)
+            inside[spec.cell_slices(region)] = True
+            assert inside.any()
+            assert np.all(np.isnan(got[~inside]))
+            np.testing.assert_allclose(got[inside], full[inside], rtol=1e-12, atol=0.0)
+
+    def test_region_outside_the_domain_is_all_nan(self):
+        spec = GridSpec(1, 2, 4)
+        L = spec.halfwidth
+        got = sharp_maximal(_sharp_input(spec, True), 1.0, region=Box((L,), (2 * L,)))
+        assert got.shape == spec.shape
+        assert np.all(np.isnan(got))
+
+
+class TestSharpMaximalBits:
+    """Block size and real arithmetic leave every bit in place."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 6), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cap", [None, 1.0])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_block_size(self, spec, cap, real, monkeypatch):
+        f = _sharp_input(spec, real)
+        ref = sharp_maximal(f, cap)
+        for chunk in (1 << 12, 1 << 21):
+            monkeypatch.setattr(maximal, "_OSC_CHUNK", chunk)
+            assert np.array_equal(sharp_maximal(f, cap), ref)
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 6), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cap", [None, 0.25, 1.0])
+    def test_real_input_matches_complex_arithmetic(self, spec, cap):
+        for f in make_corpus(spec, seed=9, count=4):
+            f = f.with_values(f.values.real)
+            assert f.values.dtype == np.complex128
+            cap_cells = None if cap is None else int(2.0 * cap / float(spec.h))
+            widths = ladder_widths(spec.N, cap_cells)
+            assert np.array_equal(sharp_maximal(f, cap), _ladder(f.values, widths))
 
 
 def _brute_force(f: GridFunction, p: float) -> tuple[np.ndarray, ...]:

@@ -44,7 +44,7 @@ from sparselab.verify import (
     sparse_form_ratio,
 )
 
-from oracles import box_cell_count, dense_l2_norm, third_partition_residual
+from oracles import DenseMatrix, box_cell_count, dense_l2_norm, third_partition_residual
 
 SPEC = GridSpec(1, 1, 4)
 SPEC2D = GridSpec(2, 1, 2)
@@ -193,7 +193,7 @@ def _kernel_lp(A: np.ndarray, p: float, axis: int, hn: float) -> np.ndarray:
 
 class TestStructuredNorms:
     """A handle's norms, read from its structure, against the dense path
-    (the handle's matrix passed as a raw array)."""
+    (the handle's matrix wrapped in the ``DenseMatrix`` test double)."""
 
     KINDS = ["multiplier", "unit_b", "cos_b", "general"]
     EXACT_PAIRS = [
@@ -211,6 +211,7 @@ class TestStructuredNorms:
     def test_handle_matches_dense(self, kind, piece, spec):
         op = _structured_piece(kind, piece, spec)
         M, hn = op.matrix(), float(spec.h) ** spec.n
+        dense_op = DenseMatrix(M, spec)
         for p in (1.0, math.inf):
             rows, cols = op.kernel_norms(p)
             for got, axis in ((rows, 1), (cols, 0)):
@@ -220,11 +221,11 @@ class TestStructuredNorms:
         assert est.kind == "iterated"
         assert est.value == pytest.approx(dense_l2_norm(M, spec), rel=1e-9)
         for pair in self.EXACT_PAIRS:
-            est, dense = empirical_norm(op, pair, spec), empirical_norm(M, pair, spec)
+            est, dense = empirical_norm(op, pair, spec), empirical_norm(dense_op, pair, spec)
             assert (est.kind, dense.kind) == ("exact", "exact")
             assert est.value == pytest.approx(dense.value, rel=1e-12)
         for pair in self.SCHUR_PAIRS:
-            got, want = schur_bound(op, pair, spec), schur_bound(M, pair, spec)
+            got, want = schur_bound(op, pair, spec), schur_bound(dense_op, pair, spec)
             assert got.product_bound == pytest.approx(want.product_bound, rel=1e-12)
             assert got.sum_variant == pytest.approx(want.sum_variant, rel=1e-12)
         pair = ExponentPair(4.0 / 3.0, 4.0)
@@ -562,6 +563,59 @@ class TestEndpointAudit:
         coll = self.whitney_family(f, f)
         with pytest.raises(ValueError, match="reach"):
             endpoint_audit(f, f, coll, self.A, 2, 1.0, PAIR22)
+
+
+def _assert_reports_close(got, want, rtol: float) -> None:
+    """Every field of two audit reports, floats to ``rtol`` relative;
+    ``base_residual`` is itself a relative gap, so it is compared
+    absolutely."""
+    got, want = report_dict(got), report_dict(want)
+    assert got.keys() == want.keys()
+    for key in got:
+        u, v = got[key], want[key]
+        if key == "base_residual":
+            assert abs(u - v) <= rtol, key
+        elif isinstance(v, list) and v and isinstance(v[0], float):
+            np.testing.assert_allclose(u, v, rtol=rtol, atol=0.0, err_msg=key)
+        elif isinstance(v, float):
+            assert u == pytest.approx(v, rel=rtol, abs=0.0), key
+        else:
+            assert u == v, key
+
+
+class TestEndpointAuditCrop:
+    """The audit computes its localized and carved images on the regions
+    it reads; ignoring ``region`` gives the full-grid reports."""
+
+    P2I = ExponentPair(2.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "grid, pairs",
+        [((1, 4, 7), [(0, 1), (2, 3), (6, 7)]), ((2, 3, 3), [(0, 1)])],
+        ids=["1d-k7", "2d-k3"],
+    )
+    def test_matches_full_grid(self, grid, pairs, monkeypatch):
+        from sparselab.maximal import sharp_maximal
+
+        spec = GridSpec(*grid)
+        a = bessel(-0.25, 0.5, 0.5, n=spec.n)
+        corpus = make_corpus(spec, seed=11, count=8)
+        cases = []
+        for i, j in pairs:
+            f, g = corpus[i], corpus[j]
+            coll = build_whitney_sparse(f, g, WhitneyConfig(pair=self.P2I, ell1=1, ell2=1.0))
+            assert len(coll) > 1
+            cases.append((f, g, coll, endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I)))
+
+        def full_grid(f, radius_cap=None, region=None):
+            return sharp_maximal(f, radius_cap)
+
+        monkeypatch.setattr(verify, "sharp_maximal", full_grid)
+        for f, g, coll, cropped in cases:
+            assert cropped.ok
+            _assert_reports_close(
+                cropped, endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I), rtol=1e-12
+            )
 
 
 class TestPartitionIdentity:
