@@ -163,6 +163,8 @@ _FAMILIES = ("bessel", "oscillatory", "rough_bump", "multiplication", "identity"
 # Largest grid a config may ask for: 2**18 cells (N**n with N = 2**(K+kappa+1)),
 # so 1D up to K + kappa = 17 (K = 2, kappa = 14) and 2D up to N = 512.
 MAX_GRID_CELLS = 2**18
+# Largest corpus: count * N**n complex samples, 64 MiB.
+MAX_CORPUS_CELLS = 2**22
 
 
 def _bounded_grid(n: int, K: int, kappa: int) -> GridSpec:
@@ -173,6 +175,15 @@ def _bounded_grid(n: int, K: int, kappa: int) -> GridSpec:
     if bits > MAX_GRID_CELLS.bit_length() - 1:
         raise ValueError(f"grid of 2**{bits} cells exceeds the limit of {MAX_GRID_CELLS} cells")
     return spec
+
+
+def _bounded_count(spec: GridSpec, count: int) -> int:
+    """The corpus size a config or ``--count`` asks for, refused above
+    :data:`MAX_CORPUS_CELLS` before any function is built."""
+    cells = count * spec.N**spec.n
+    if cells > MAX_CORPUS_CELLS:
+        raise ValueError(f"corpus of {cells} cells exceeds the limit of {MAX_CORPUS_CELLS} cells")
+    return count
 
 
 def _build_symbol(cfg: Config, n: int):
@@ -219,12 +230,15 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
     count = cfg.get("corpus", "count", int, 4)
     if count < 1:
         raise cfg.fail("corpus", "count", "corpus count must be positive")
+    try:
+        _bounded_count(spec, count)
+    except ValueError as exc:
+        raise cfg.fail("corpus", "count", str(exc)) from exc
 
     a = _build_symbol(cfg, n)
     rho = a.rho
 
     ctx = {
-        "cfg": cfg,
         "spec": spec,
         "pair": pair,
         "symbol": a,
@@ -250,6 +264,8 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
         "tol_identity": cfg.get("tolerances", "identity_tol", float, 1e-10),
         "tol_schur": cfg.get("tolerances", "schur_slack", float, 1e-8),
     }
+    if ctx["ell2"] < 0:
+        raise cfg.fail("sparse", "ell2", "ell2 must be nonnegative")
     if ctx["j_min"] > ctx["j_max"]:
         raise cfg.fail("pieces", "j_min", "empty band index range")
     if ctx["flavor"] not in ("stopping", "whitney"):
@@ -673,12 +689,16 @@ def _cmd_corpus(args) -> int:
             if cfg.cp.has_section("probes"):
                 _probe_list(cfg)  # a run config serves lab corpus too
             cfg.reject_unread()
-            spec, seed = ctx["spec"], ctx["seed"]
-            count = args.count if args.count is not None else ctx["count"]
+            spec, seed, count = ctx["spec"], ctx["seed"], ctx["count"]
         else:
             spec = _parse_inline_spec(args.spec)
             seed = args.seed if args.seed is not None else 0
-            count = args.count if args.count is not None else 4
+            count = 4
+        if args.count is not None:
+            try:
+                count = _bounded_count(spec, args.count)
+            except ValueError as exc:
+                raise ConfigError(f"--count: {exc}") from exc
         fns = make_corpus(spec, seed=seed, count=count)
     except (ConfigError, ValueError) as exc:
         print(str(exc), file=sys.stderr)

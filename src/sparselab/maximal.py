@@ -350,7 +350,8 @@ def sharp_maximal(
     window average of ``|f - window mean|``.
 
     ``radius_cap`` bounds the window half-width in physical units, so the
-    composed reach of this operator is twice the cap.  Windows run over the
+    composed reach of this operator is twice the cap; a cap under half a
+    cell admits no window, and the maximal is zero.  Windows run over the
     geometric ladder of side lengths (resolution-stable, see ladder_widths);
     the sweep over every side length is the tests' oracle.
 
@@ -374,7 +375,7 @@ def sharp_maximal(
     if region is None:
         return _ladder(vals, widths)
     ranges = spec.cell_ranges(region)
-    reach = widths[-1] - 1
+    reach = max(widths, default=1) - 1
     crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, spec.N)) for i0, i1 in ranges)
     cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
     out = np.full(spec.shape, np.nan)

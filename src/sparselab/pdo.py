@@ -17,12 +17,13 @@ risk" otherwise).
 Every operator is one ``OperatorHandle`` record: a symbol, an optional
 frequency multiplier ``m`` (a band ``psi_j``) and an optional window on the
 kernel offset ``z`` (a spatial shell, or the localization cutoff).  The
-record alone decides how it is applied: multiplier and separable symbols
-by transforms, general symbols by contracting kernel rows block by block.
+record alone decides how it is applied: a multiplier or separable symbol
+``b(x) q(xi)`` is ``diag(b) C`` with ``C`` circulant, applied as
+``b * ifft(R * fft(f))`` with ``R = h**n fft(row)`` of the windowed x-free
+kernel row; a general symbol by contracting kernel rows block by block.
 The literal double sum over cells and frequencies is the tests' oracle.
-The same record gives the reads that operator norms need, the Gram map
-``M^H M`` and the grid L^p norms of kernel rows and columns, from one
-kernel row and the x-factor when the symbol has that structure.
+The same record gives what operator norms read: the Gram map ``M^H M``
+(from ``R`` and ``b``) and the grid L^p norms of kernel rows and columns.
 
 Frequency truncation: band pieces are summed up to ``J = kappa + 3`` by
 default, the smallest truncation whose low-pass plateau covers every
@@ -33,7 +34,6 @@ full operator exact on the grid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,8 +57,6 @@ __all__ = [
     "band_operator",
     "piece_operator",
     "localized_operator",
-    "forward_transform",
-    "inverse_eval",
 ]
 
 
@@ -141,29 +139,10 @@ def _dft(n: int) -> tuple[Callable, Callable]:
     return (np.fft.fft, np.fft.ifft) if n == 1 else (np.fft.fft2, np.fft.ifft2)
 
 
-def _phase(spec: GridSpec) -> np.ndarray:
-    """exp(-i xi . c_0) on the frequency grid (samples sit at cell centers)."""
-    c0 = float(spec.center_fraction(0))
-    return functools.reduce(np.multiply, spec.grid_coords(np.exp(-1j * spec.freqs() * c0)))
-
-
 def _guard_support(f: GridFunction) -> None:
     sb = f.support_box()
     if sb is not None and not f.spec.central_half().contains_box(sb):
         raise ValueError("wraparound risk: support leaves the central half of the domain")
-
-
-def forward_transform(f: GridFunction) -> np.ndarray:
-    """Discrete ``(2 pi)**-n integral f exp(-i xi x) dx`` on the frequency grid."""
-    n = f.spec.n
-    return (2.0 * np.pi) ** -n * float(f.spec.h) ** n * _phase(f.spec) * _dft(n)[0](f.values)
-
-
-def inverse_eval(spec: GridSpec, g: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_xi g(xi) exp(i xi x) dxi**n`` at all cell centers."""
-    N, n = spec.N, spec.n
-    dxi = 2.0 * np.pi / (N * float(spec.h))
-    return dxi**n * N**n * _dft(n)[1](g * np.conj(_phase(spec)))
 
 
 def _freq_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
@@ -186,21 +165,6 @@ def _z_radius(spec: GridSpec) -> np.ndarray:
 
 _BLOCK = 128
 _DENSE_LIMIT = 4096
-
-
-def _amplitude(
-    a: SymbolClass, spec: GridSpec, mult: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Frequency amplitude (times ``mult``) and x-factor at the cell centers
-    of a multiplier or separable symbol; the x-factor is None if it has none."""
-    if a.n != spec.n:
-        raise ValueError(f"a symbol in dimension {a.n} on a grid in dimension {spec.n}")
-    if a.xi_factor is not None:
-        amp = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
-    else:
-        amp = np.ones(spec.shape, dtype=np.complex128)
-    xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
-    return (amp if mult is None else amp * mult), xf
 
 
 def _rows(spec: GridSpec, amp: np.ndarray) -> np.ndarray:
@@ -239,13 +203,12 @@ class OperatorHandle:
     offset ``window`` (a function of z on the periodic z-grid, FFT
     ordering); either may be absent.
 
-    Multiplier and separable symbols are applied by transforms: a product
-    with the amplitude when there is no window, a convolution with the
-    windowed x-free kernel row when there is one.  A general symbol is
-    applied by contracting its windowed kernel rows with ``f``, ``_BLOCK``
-    cells at a time.  ``row`` and ``matrix`` give the same kernel cell by
-    cell and as a dense matrix.  ``gram`` and ``kernel_norms`` are what the
-    operator norms read; only a general symbol builds ``matrix()`` for them.
+    A multiplier or separable symbol ``M = diag(b) C`` is applied as
+    ``b * ifft(R * fft(f))`` (``_transfer``), a general symbol by contracting
+    its windowed kernel rows with ``f``, ``_BLOCK`` cells at a time.  ``row``
+    and ``matrix`` give the kernel cell by cell and as a dense matrix, both
+    from the row blocks.  ``gram`` and ``kernel_norms`` are what the operator
+    norms read; only a general symbol builds ``matrix()`` for them.
     """
 
     a: SymbolClass
@@ -263,17 +226,15 @@ class OperatorHandle:
         spec = self.spec
         if f.spec != spec:
             raise ValueError(f"a function on {f.spec} given to an operator on {spec}")
-        hn = float(spec.h) ** spec.n
         if self.a.structure != "general":
-            if self.window is None:
-                amp, xf = _amplitude(self.a, spec, self.mult)
-                out = inverse_eval(spec, forward_transform(f) * amp)
-            else:
-                row, xf = self._free_row()
-                fft, ifft = _dft(spec.n)
-                out = hn * ifft(fft(row) * fft(f.values))
+            R, xf = self._transfer()
+            fft, ifft = _dft(spec.n)
+            # named: on large grids numpy would compute R * fft(...) in place
+            # as fhat * R, and complex products round by operand order
+            fhat = fft(f.values)
+            out = ifft(R * fhat)
             return f.with_values(out if xf is None else xf * out)
-        N = spec.N
+        N, hn = spec.N, float(spec.h) ** spec.n
         if spec.n == 2 and N > 64:
             raise ValueError("x-dependent 2D operators are limited to 64 cells per axis")
         out = np.empty(spec.shape, dtype=np.complex128)
@@ -308,8 +269,6 @@ class OperatorHandle:
         for _ in range(1, spec.n):
             m = idx.shape[0] * N
             idx = (idx[:, None, :, None] * N + d[None, :, None, :]).reshape(m, m)
-        if self.a.structure == "multiplier":
-            return hn * self._free_row()[0].ravel()[idx]
         M = np.empty(idx.shape, dtype=np.complex128)
         for lo, _, rows in self._row_blocks():
             flat = slice(lo, lo + len(rows))
@@ -319,16 +278,15 @@ class OperatorHandle:
     def gram(self) -> Callable[[np.ndarray], np.ndarray]:
         """The map ``v -> M^H M v`` on flat (C order) vectors, ``M = matrix()``.
 
-        A multiplier or separable handle is ``M = diag(b) C`` with C
-        circulant, so the map is two FFT pairs with ``R = h**n fft(row)``
-        and ``|b|**2``.  A general handle builds ``matrix()`` once.
+        A multiplier or separable handle ``M = diag(b) C`` gives two FFT
+        pairs with the transfer function ``R`` of ``apply`` and ``|b|**2``.
+        A general handle builds ``matrix()`` once.
         """
         if self.a.structure == "general":
             return _dense_gram(self.matrix())
         spec = self.spec
-        row, xf = self._free_row()
+        R, xf = self._transfer()
         fft, ifft = _dft(spec.n)
-        R = float(spec.h) ** spec.n * fft(row)
         b2 = 1.0 if xf is None else np.abs(xf) ** 2
 
         def gram(v: np.ndarray) -> np.ndarray:
@@ -375,9 +333,24 @@ class OperatorHandle:
 
     def _free_row(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Windowed x-free kernel row of a multiplier or separable symbol,
-        and its x-factor (None if it has none)."""
-        amp, xf = _amplitude(self.a, self.spec, self.mult)
-        return self._windowed(_rows(self.spec, amp[None])[0]), xf
+        and its x-factor at the cell centers (None if it has none)."""
+        a, spec = self.a, self.spec
+        if a.n != spec.n:
+            raise ValueError(f"a symbol in dimension {a.n} on a grid in dimension {spec.n}")
+        if a.xi_factor is None:
+            amp = np.ones(spec.shape, dtype=np.complex128)
+        else:
+            amp = np.asarray(a.xi_factor(_freq_coords(spec)), dtype=np.complex128)
+        if self.mult is not None:
+            amp = amp * self.mult
+        xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
+        return self._windowed(_rows(spec, amp[None])[0]), xf
+
+    def _transfer(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Transfer function ``R = h**n fft(row)`` of the windowed x-free
+        kernel row, ``M = diag(b) ifft(R fft(.))``, and the x-factor ``b``."""
+        row, xf = self._free_row()
+        return float(self.spec.h) ** self.spec.n * _dft(self.spec.n)[0](row), xf
 
     def _row_blocks(self):
         """Windowed kernel rows of all cells in C order, ``_BLOCK`` at a

@@ -91,9 +91,6 @@ class GridSpec:
         n = self.n
         return tuple(v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k in range(n))
 
-    def center_fraction(self, i: int) -> Fraction:
-        return (2 * i + 1) * self.h / 2 - self.halfwidth
-
     def freqs(self) -> np.ndarray:
         """Discrete frequencies along one axis, FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=float(self.h))

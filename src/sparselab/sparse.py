@@ -354,9 +354,6 @@ def build_whitney_sparse(
 @dataclass
 class SparsityReport:
     ok: bool
-    flavor: str
-    eta: float
-    entry_count: int
     min_margin: float  # min over entries of |E| / (eta * |region|)
     disjoint: bool
     failures: list[str]
@@ -404,9 +401,6 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
             failures.append(f"survivor overlap within shift class {key}")
     return SparsityReport(
         ok=not failures,
-        flavor=coll.flavor,
-        eta=float(coll.eta),
-        entry_count=len(coll.entries),
         min_margin=float(min_margin) if coll.entries else np.inf,
         disjoint=disjoint,
         failures=failures,

@@ -10,9 +10,11 @@ another way, or a piece of exact geometry that only the checks need:
 * ``box_cell_count``: in-domain cells of a box.
 * ``default_truncation``: the band count whose low-pass plateau covers
   every grid frequency.
+* ``fourier_sum``: ``fhat`` as the literal sum over cells, with exact
+  integer phases and no FFT.
 * ``direct_quadrature``: ``a(x, D) f`` as the literal double sum over
-  cells and frequencies; the package applies the operator by transforms
-  or by kernel rows.
+  cells and frequencies; the package applies the operator by FFT
+  convolution with a kernel row or by contracting kernel rows.
 * ``dense_l2_norm``: the 2 -> 2 norm by a full SVD of the dense matrix.
 * ``DenseMatrix``: a raw matrix with the reads the norm probes take from
   an operator handle, so a handle's norms can be checked against its own
@@ -39,7 +41,7 @@ from sparselab.dyadic import (
     shift_sign,
     third_dilate,
 )
-from sparselab.pdo import OperatorHandle, _dense_gram, _dense_kernel_norms, forward_transform
+from sparselab.pdo import OperatorHandle, _dense_gram, _dense_kernel_norms
 from sparselab.sample import GridFunction, GridSpec, average_p
 from sparselab.sparse import SparseCollection, SparseEntry, StoppingConfig
 from sparselab.symbol import SymbolClass
@@ -143,28 +145,55 @@ def default_truncation(spec: GridSpec) -> int:
     return j
 
 
+def _waves(spec: GridSpec, cells: np.ndarray) -> np.ndarray:
+    """``exp(i xi . x)`` at the cells with the given flat indices (rows) and
+    every grid frequency (columns, flat FFT order).
+
+    Per axis ``xi_k x_i = pi k (2i + 1 - N) / N`` with integer ``k``, so
+    the phase is reduced modulo ``2 pi`` in integers before the exponential.
+    """
+    N = spec.N
+    k = np.rint(np.fft.fftfreq(N) * N).astype(np.int64)
+    freqs = np.indices(spec.shape).reshape(spec.n, -1)
+    m = sum(
+        np.outer(2 * i + 1 - N, k[q]) for i, q in zip(np.unravel_index(cells, spec.shape), freqs)
+    )
+    return np.exp(1j * np.pi * np.arange(2 * N) / N)[m % (2 * N)]
+
+
+def _blocks(spec: GridSpec):
+    """Flat cell indices in blocks of 128."""
+    size = spec.N**spec.n
+    return (np.arange(lo, min(lo + 128, size)) for lo in range(0, size, 128))
+
+
+def fourier_sum(f: GridFunction) -> np.ndarray:
+    """``fhat(xi) = (2 pi)**-n h**n sum_x f(x) exp(-i xi x)`` on the
+    frequency grid (FFT ordering), summed literally 128 cells at a time."""
+    spec = f.spec
+    fh = sum(f.values.ravel()[b] @ np.conj(_waves(spec, b)) for b in _blocks(spec))
+    return (2.0 * np.pi) ** -spec.n * float(spec.h) ** spec.n * fh.reshape(spec.shape)
+
+
 def direct_quadrature(
     a: SymbolClass, f: GridFunction, mult: np.ndarray | None = None
 ) -> GridFunction:
     """``sum_xi a(x, xi) mult(xi) fhat(xi) exp(i xi x) dxi**n`` at every
     cell centre, summed literally 128 cells at a time."""
     spec = f.spec
-    fh = forward_transform(f)
+    fh = fourier_sum(f)
     if mult is not None:
         fh = fh * mult
     dxi = 2.0 * np.pi / (spec.N * float(spec.h))
     fhd = (fh * dxi**spec.n).ravel()
     c = spec.centers()
     xi = tuple(q[None] for q in spec.grid_coords(spec.freqs()))
-    cells = np.indices(spec.shape).reshape(spec.n, -1)
-    out = np.empty(cells.shape[1], dtype=np.complex128)
-    for lo in range(0, cells.shape[1], 128):
-        block = cells[:, lo : lo + 128]
-        B = block.shape[1]
-        xb = tuple(c[ix].reshape((B,) + (1,) * spec.n) for ix in block)
-        amp = a.eval(tuple(np.broadcast_to(x, (B,) + spec.shape) for x in xb), xi)
-        phase = sum(q * x for q, x in zip(xi, xb))
-        out[lo : lo + B] = (amp * np.exp(1j * phase)).reshape(B, -1) @ fhd
+    out = np.empty(spec.N**spec.n, dtype=np.complex128)
+    for b in _blocks(spec):
+        shape = (len(b),) + spec.shape
+        xb = tuple(np.broadcast_to(c[ix].reshape(shape[:1] + (1,) * spec.n), shape)
+                   for ix in np.unravel_index(b, spec.shape))
+        out[b] = (a.eval(xb, xi).reshape(len(b), -1) * _waves(spec, b)) @ fhd
     return f.with_values(out.reshape(spec.shape))
 
 

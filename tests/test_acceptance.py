@@ -109,7 +109,7 @@ def test_criterion_01_exact_cube_geometry():
         omega = (int(rng.integers(0, 3)),)
         boxes = []
         for k in rng.integers(-2, 6, size=2):
-            x = spec.center_fraction(int(rng.integers(0, spec.N)))
+            x = (2 * int(rng.integers(0, spec.N)) + 1) * spec.h / 2 - spec.halfwidth
             boxes.append(cube_box(cube_containing_point((x,), int(k), omega)))
         a, b = boxes
         nested = a.contains_box(b) or b.contains_box(a)

@@ -187,16 +187,18 @@ class TestJobs:
 
 
 class TestGridBound:
-    """A grid above MAX_GRID_CELLS exits 2 at config load, before the
-    corpus (the first allocation of N**n cells) is built."""
+    """A grid above MAX_GRID_CELLS, or a corpus above MAX_CORPUS_CELLS
+    (count * N**n samples), exits 2 at config load, before the corpus (the
+    first allocation of N**n cells) is built."""
 
     @pytest.fixture(autouse=True)
     def no_oversized_corpus(self, monkeypatch):
         make_corpus = cli.make_corpus
 
-        def guarded(spec, *args, **kwargs):
+        def guarded(spec, seed, count):
             assert spec.N**spec.n <= cli.MAX_GRID_CELLS, "corpus built for an oversized grid"
-            return make_corpus(spec, *args, **kwargs)
+            assert count * spec.N**spec.n <= cli.MAX_CORPUS_CELLS, "oversized corpus built"
+            return make_corpus(spec, seed, count)
 
         monkeypatch.setattr(cli, "make_corpus", guarded)
 
@@ -229,6 +231,31 @@ class TestGridBound:
         assert cli._bounded_grid(2, 0, 8).N == 2**9
         with pytest.raises(ValueError, match="exceeds the limit"):
             cli._bounded_grid(2, 0, 9)
+
+    @pytest.mark.parametrize("command", ["run", "corpus"])
+    def test_config_count_exits_two(self, tmp_path, capsys, command):
+        text = IDENTITY_INI + "\n[corpus]\ncount = 16385\n"
+        line = text.splitlines().index("count = 16385") + 1
+        ini = write(tmp_path, text)
+        assert run_cli(command, ini, "--out", str(tmp_path / "out")) == 2
+        assert f"{ini}:{line}: corpus of 4194560 cells exceeds the limit of 4194304 cells" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", ["n=1,K=2,kappa=5", "config"])
+    def test_count_flag_exits_two(self, tmp_path, capsys, spec):
+        spec = write(tmp_path, IDENTITY_INI) if spec == "config" else spec
+        out = tmp_path / "out"
+        assert run_cli("corpus", spec, "--count", "16385", "--out", str(out)) == 2
+        assert "--count: corpus of 4194560 cells exceeds the limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corpus_limit(self):
+        spec = cli._bounded_grid(1, 2, 5)
+        assert cli._bounded_count(spec, 16384) == 16384
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            cli._bounded_count(spec, 16385)
 
 
 class TestConfigErrors:
@@ -318,6 +345,17 @@ class TestConfigErrors:
         out = tmp_path / "reports"
         assert run_cli("run", ini, "--out", str(out)) == 2
         assert f"{ini}:{line}: Whitney families need s > 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_ell2_is_line_anchored(self, tmp_path, capsys):
+        text = IDENTITY_INI.replace("identity", "sparse") + (
+            "\n[sparse]\nflavor = whitney\nell2 = -0.5\n"
+        )
+        line = text.splitlines().index("ell2 = -0.5") + 1
+        ini = write(tmp_path, text)
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--out", str(out)) == 2
+        assert f"{ini}:{line}: ell2 must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corpus_seed_is_known_under_seed_flag(self, tmp_path):
@@ -490,6 +528,17 @@ decay_slope_max = -5.0
 [probes]
 run = kernel_decay, kernel_difference
 """
+
+
+def test_endpoint_audit_with_ell2_under_half_a_cell(tmp_path, capsys):
+    # no oscillation window fits the cap, so the sharp maximal is zero
+    grid = IDENTITY_INI.replace("K = 2", "K = 3")
+    text = grid.replace("suite = identity", "run = endpoint_audit")
+    ini = write(tmp_path, text + "\n[sparse]\nflavor = whitney\nell2 = 0.001\n")
+    out = tmp_path / "reports"
+    assert run_cli("run", ini, "--out", str(out)) == 0
+    rep = json.loads((out / "endpoint_audit.json").read_text())
+    assert rep["constants"]["final_constant"] == 0.0
 
 
 def test_kernel_probes_pass_in_2d(tmp_path, capsys):

@@ -351,7 +351,8 @@ class TestSharpMaximalRegion:
     """``sharp_maximal(..., region=R)`` against the full grid."""
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
-    @pytest.mark.parametrize("cap", [None, 0.25, 1.0])
+    # a cap of 0.01 is under half a cell on both grids: no window fits
+    @pytest.mark.parametrize("cap", [None, 0.25, 1.0, 0.01])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_matches_full_grid_on_the_region(self, spec, cap, real):
         f = _sharp_input(spec, real)

@@ -650,8 +650,11 @@ class TestReportSerialization:
                 DyadicCube(0, (0,), (0,)), 0, -1, SPEC.box_flat_cells(box01(0, 1))
             )
         )
-        data = report_dict(verify_sparsity(coll))
-        assert data["eta"] == 0.5
+        sparsity = report_dict(verify_sparsity(coll))
+        data = report_dict(ProbeReport("sparsity", {"eta": coll.eta}, sparsity, {}, True))
+        assert type(data["inputs"]["eta"]) is float and data["inputs"]["eta"] == 0.5
+        # the survivor (the whole unit cube) over eta times the region
+        assert data["constants"]["min_margin"] == 2.0
         json.dumps(data)
 
     def test_values_become_strict_json(self):
