@@ -186,6 +186,15 @@ def _bounded_count(spec: GridSpec, count: int) -> int:
     return count
 
 
+def _build_or_fail(cfg: Config, section: str, option: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError reported at the line of
+    the option it concerns."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise cfg.fail(section, option, str(exc)) from exc
+
+
 def _build_symbol(cfg: Config, n: int):
     fam = cfg.get("symbol", "family", str, "bessel").strip().lower()
     m = cfg.get("symbol", "m", float, -1.0)
@@ -194,7 +203,7 @@ def _build_symbol(cfg: Config, n: int):
     if fam == "bessel":
         return bessel(m, rho=rho, delta=delta, n=n)
     if fam == "oscillatory":
-        return oscillatory_ct(rho, m, n=n)
+        return _build_or_fail(cfg, "symbol", "rho", oscillatory_ct, rho, m, n=n)
     if fam == "rough_bump":
         return rough_bump(m, rho, n=n)
     if fam == "multiplication":
@@ -210,33 +219,28 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
         raise cfg.fail("grid", "n", "dimension must be 1 or 2")
     K = cfg.get("grid", "k", int)
     kappa = cfg.get("grid", "kappa", int)
-    try:
-        spec = _bounded_grid(n, K, kappa)
-    except ValueError as exc:
-        raise cfg.fail("grid", "kappa", str(exc)) from exc
+    spec = _build_or_fail(cfg, "grid", "kappa", _bounded_grid, n, K, kappa)
 
     r = cfg.get("exponents", "r", float, 2.0)
     s = cfg.get("exponents", "s", float, 2.0)
     if r > s:
         raise cfg.fail("exponents", "r", "exponents violate r <= s")
-    try:
-        pair = ExponentPair(r, s)
-    except ValueError as exc:
-        raise cfg.fail("exponents", "r", str(exc)) from exc
+    pair = _build_or_fail(cfg, "exponents", "r", ExponentPair, r, s)
 
     seed = cfg.get("corpus", "seed", int, 0)
+    if seed < 0:
+        raise cfg.fail("corpus", "seed", "seed must be nonnegative")
     if seed_override is not None:
         seed = seed_override
     count = cfg.get("corpus", "count", int, 4)
     if count < 1:
         raise cfg.fail("corpus", "count", "corpus count must be positive")
-    try:
-        _bounded_count(spec, count)
-    except ValueError as exc:
-        raise cfg.fail("corpus", "count", str(exc)) from exc
+    _build_or_fail(cfg, "corpus", "count", _bounded_count, spec, count)
 
     a = _build_symbol(cfg, n)
     rho = a.rho
+    if rho < 0:  # the default [decay] theta is min(rho, 1)
+        raise cfg.fail("symbol", "rho", "rho must be nonnegative")
 
     ctx = {
         "spec": spec,
@@ -254,28 +258,41 @@ def _build_context(cfg: Config, seed_override: int | None) -> dict:
         "mode": cfg.get("pieces", "mode", str, "l2_l2").strip(),
         "flavor": cfg.get("sparse", "flavor", str, "stopping").strip().lower(),
         "eta": cfg.get("sparse", "eta", Fraction, Fraction(1, 2)),
-        "base": cfg.get("sparse", "threshold_base", float, 4.0),
         "ell2": cfg.get("sparse", "ell2", float, 1.0),
-        "tau": cfg.get("decay", "tau", float, 0.125),
-        "theta": cfg.get("decay", "theta", float, min(rho, 1.0)),
-        "decay_p": cfg.get("decay", "p", float, 2.0),
         "tol_excess": cfg.get("tolerances", "slope_excess", float, 0.3),
         "tol_decay": cfg.get("tolerances", "decay_slope_max", float, -5.0),
         "tol_identity": cfg.get("tolerances", "identity_tol", float, 1e-10),
         "tol_schur": cfg.get("tolerances", "schur_slack", float, 1e-8),
     }
-    if ctx["ell2"] < 0:
-        raise cfg.fail("sparse", "ell2", "ell2 must be nonnegative")
+    for section, option in (
+        ("symbol", "ell1"), ("sparse", "ell2"), ("pieces", "j_min"), ("pieces", "j_fixed"),
+        ("pieces", "ell_min"),
+    ):
+        if ctx[option] < 0:
+            raise cfg.fail(section, option, f"{option} must be nonnegative")
     if ctx["j_min"] > ctx["j_max"]:
         raise cfg.fail("pieces", "j_min", "empty band index range")
+    if ctx["ell_min"] > ctx["ell_max"]:
+        raise cfg.fail("pieces", "ell_min", "empty shell index range")
+    ctx["pieces"] = [
+        _build_or_fail(cfg, "pieces", "nu", PieceIndex, ctx["j_fixed"], ell, ctx["nu"])
+        for ell in range(ctx["ell_min"], ctx["ell_max"] + 1)
+    ]
+    _build_or_fail(cfg, "pieces", "mode", V._mode_pair, ctx["mode"], pair)
+    base = cfg.get("sparse", "threshold_base", float, 4.0)
+    ctx["stopping"] = _build_or_fail(cfg, "sparse", "threshold_base", StoppingConfig, pair, base)
+    decay = {
+        "tau": cfg.get("decay", "tau", float, 0.125),
+        "theta": cfg.get("decay", "theta", float, min(rho, 1.0)),
+        "p": cfg.get("decay", "p", float, 2.0),
+    }
+    for option, value in decay.items():  # the other fields keep their valid defaults
+        _build_or_fail(cfg, "decay", option, V.DecayProbeConfig, **{option: value})
+    ctx["decay"] = V.DecayProbeConfig(**decay)
     if ctx["flavor"] not in ("stopping", "whitney"):
         raise cfg.fail("sparse", "flavor", "flavor must be stopping or whitney")
     if ctx["flavor"] == "whitney":
-        try:
-            _whitney_config(ctx)
-        except ValueError as exc:
-            raise cfg.fail("sparse", "flavor", str(exc)) from exc
-    ctx["corpus"] = make_corpus(spec, seed=seed, count=count)
+        _build_or_fail(cfg, "sparse", "flavor", _whitney_config, ctx)
     return ctx
 
 
@@ -286,7 +303,7 @@ def _whitney_config(ctx: dict) -> WhitneyConfig:
 def _build_collection(ctx: dict, f: GridFunction, g: GridFunction):
     if ctx["flavor"] == "whitney":
         return build_whitney_sparse(f, g, _whitney_config(ctx))
-    return build_stopping_time(f, g, StoppingConfig(pair=ctx["pair"], threshold_base=ctx["base"]))
+    return build_stopping_time(f, g, ctx["stopping"])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +381,7 @@ def probe_sparse_form_ratio(ctx) -> V.ProbeReport:
 def probe_pointwise_domination(ctx) -> V.ProbeReport:
     f = ctx["corpus"][0]
     zero = GridFunction.zeros(ctx["spec"])
-    coll = build_stopping_time(f, zero, StoppingConfig(pair=ctx["pair"], threshold_base=ctx["base"]))
+    coll = build_stopping_time(f, zero, ctx["stopping"])
     T = symbol_operator(ctx["symbol"], ctx["spec"])
     rep = V.pointwise_domination_check(T, f, coll, ctx["pair"].r)
     return V.ProbeReport(
@@ -382,8 +399,7 @@ def probe_schur_piece(ctx) -> V.ProbeReport:
     spec, pair = ctx["spec"], ctx["pair"]
     worst_slack = math.inf
     bounds, emps = [], []
-    for ell in range(ctx["ell_min"], ctx["ell_max"] + 1):
-        idx = PieceIndex(ctx["j_fixed"], ell, ctx["nu"])
+    for idx in ctx["pieces"]:
         op = piece_operator(ctx["symbol"], fam, idx, spec)
         b = V.schur_bound(op, pair, spec).product_bound
         e = V.empirical_norm(op, pair, spec, seed=ctx["seed"]).value
@@ -417,7 +433,7 @@ def probe_norm_scaling(ctx) -> V.ProbeReport:
 
 
 def probe_kernel_decay(ctx) -> V.ProbeReport:
-    ells = list(range(ctx["ell_min"], ctx["ell_max"] + 1))
+    ells = [idx.ell for idx in ctx["pieces"]]
     fit = V.kernel_decay_fit(ctx["symbol"], ctx["spec"], ctx["j_fixed"], ells, ctx["nu"])
     return V.ProbeReport(
         "kernel_decay",
@@ -429,13 +445,13 @@ def probe_kernel_decay(ctx) -> V.ProbeReport:
 
 
 def probe_kernel_difference(ctx) -> V.ProbeReport:
-    cfg = V.DecayProbeConfig(tau=ctx["tau"], theta=ctx["theta"], p=ctx["decay_p"])
-    x_b = (-ctx["tau"],) + (0.0,) * (ctx["spec"].n - 1)
+    cfg = ctx["decay"]
+    x_b = (-cfg.tau,) + (0.0,) * (ctx["spec"].n - 1)
     fit = V.kernel_difference_probe(ctx["symbol"], ctx["spec"], 0.0, x_b, cfg)
     passed = fit.predicted_slope is not None and fit.slope <= fit.predicted_slope + 0.5
     return V.ProbeReport(
         "kernel_difference",
-        {"tau": ctx["tau"], "theta": ctx["theta"], "p": ctx["decay_p"], "annuli": fit.indices},
+        {"tau": cfg.tau, "theta": cfg.theta, "p": cfg.p, "annuli": fit.indices},
         {},
         {"slope": fit.slope, "predicted": fit.predicted_slope, "excess": fit.excess,
          "residual": fit.residual},
@@ -533,6 +549,7 @@ def _probe_task(payload):
     data, seed, name = payload
     cfg = _config_from_dict(data, path="<config>")
     ctx = _build_context(cfg, seed)
+    ctx["corpus"] = make_corpus(ctx["spec"], seed=ctx["seed"], count=ctx["count"])
     t0 = time.perf_counter()
     try:
         rep = PROBES[name].fn(ctx)
@@ -716,11 +733,16 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return at_least
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -729,9 +751,9 @@ def main(argv: list[str] | None = None) -> int:
 
     probes = argparse.ArgumentParser(add_help=False)
     probes.add_argument("config")
-    probes.add_argument("--seed", type=int, default=None)
+    probes.add_argument("--seed", type=_at_least(0), default=None)
     probes.add_argument(
-        "--jobs", type=_at_least_one, default=1, help="worker processes (at most the CPUs)"
+        "--jobs", type=_at_least(1), default=1, help="worker processes (at most the CPUs)"
     )
 
     p_run = sub.add_parser("run", parents=[probes], help="execute the probes a config requests")
@@ -746,8 +768,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_co = sub.add_parser("corpus", help="dump the deterministic test corpus")
     p_co.add_argument("spec", help="config path or inline n=..,K=..,kappa=..")
-    p_co.add_argument("--seed", type=int, default=None)
-    p_co.add_argument("--count", type=_at_least_one, default=None)
+    p_co.add_argument("--seed", type=_at_least(0), default=None)
+    p_co.add_argument("--count", type=_at_least(1), default=None)
     p_co.add_argument("--out", default="corpus")
     p_co.set_defaults(fn=_cmd_corpus)
 

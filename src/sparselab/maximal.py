@@ -13,17 +13,17 @@ Centred windows are odd-cell blocks around the cell and extend by zero.
 
 The per-width sweep takes sliding maxima over window starts with the
 two-pass block prefix/suffix scheme, O(N**n) per window length; it serves
-2D, the centred operator and, in 1D, the narrow windows.  The other 1D
-uncentred windows are the steepest chords of the prefix-sum graph with one
-end on each side of a block midpoint, found by hull tangents (Chung and Lu,
+2D, the centred level set and, in 1D, the one-cell windows.  Every wider 1D
+uncentred window is a steepest chord of the prefix-sum graph with one end
+on each side of a block midpoint, found by hull tangents (Chung and Lu,
 SIAM J. Comput. 2004; Goldwasser, Kao and Lu, J. Comput. Syst. Sci. 2005),
 so the exact 1D uncentred maximal costs O(N log**2 N) instead of O(N**2).
 
 The sharp maximal builds ``|f - window mean|`` in blocks of about
 ``_OSC_CHUNK`` elements, written into two buffers that stay in cache; the
 block size does not change a bit of the result.  Real data runs in real arithmetic,
-and a ``region`` restricts the work to the cells it holds plus the ladder's
-reach.
+and the work is restricted to a region's cells plus the ladder's reach, the
+whole grid being one such region.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .sample import GridFunction
 __all__ = ["maximal_p", "centred_level_set", "sharp_maximal", "ladder_widths"]
 
 _2D_EXHAUSTIVE_LIMIT = 512
-_NARROW = 16  # 1D windows up to this many cells come from the sweep
 _OSC_CHUNK = 1 << 16  # elements per temporary in oscillation sweeps
 
 
@@ -238,34 +237,30 @@ def _crossing_max(P: np.ndarray) -> np.ndarray:
     return best
 
 
-def maximal_p(f: GridFunction, p: float, centred: bool = False) -> np.ndarray:
+def maximal_p(f: GridFunction, p: float) -> np.ndarray:
     """Windowed p-average maximal function at every cell center.
 
-    Returns ``sup_W (avg_W |f|**p)**(1/p)`` over cell-aligned windows W
-    containing the cell (centred=True restricts to odd windows centred on
-    it, extended by zero off the grid).  p must be finite and positive; the
-    p = infinity version is just the sup norm.
+    Returns ``sup_W (avg_W |f|**p)**(1/p)`` over the cell-aligned windows W
+    containing the cell.  p must be finite and positive; the p = infinity
+    version is just the sup norm.  The centred operator is only needed as a
+    level set: see :func:`centred_level_set`.
 
-    1D uncentred values are exact everywhere, at O(N log**2 N) cost:
-    windows of at most ``_NARROW`` cells come from the per-width sweep, so
-    narrow windows (width 1 among them) give the sweep's bits, and wider
-    ones from hull tangents (``_crossing_max``).  A value never exceeds the
-    full sweep's and equals it unless windows tie within rounding, as in
-    the flat parts of an indicator, where the tests bound the gap by 2 ulp.
-    2D and centred values come from the sweep over every window size.
+    1D values are exact everywhere, at O(N log**2 N) cost: one-cell windows
+    come from the per-width sweep, so they keep its bits, and every wider
+    one from hull tangents (``_crossing_max``).  A value never exceeds the
+    sweep over every width and equals it unless windows tie within
+    rounding, as in the flat parts of an indicator, where the tests bound
+    the gap by 2 ulp.  2D values come from the sweep over every width.
     """
     if not (0 < p < math.inf):
         raise ValueError("p must be finite and positive (the limit is the sup norm)")
-    spec = f.spec
-    N = spec.N
+    N = f.spec.N
     P = _prefix_sums(np.abs(f.values) ** p)
-    if spec.n == 1 and not centred:
-        best = np.maximum(_sweep(P, range(1, min(N, _NARROW) + 1), False), _crossing_max(P))
-        return best ** (1.0 / p)
-    if not centred and N > _2D_EXHAUSTIVE_LIMIT:
+    if f.spec.n == 1:
+        return np.maximum(_sweep(P, [1], False), _crossing_max(P)) ** (1.0 / p)
+    if N > _2D_EXHAUSTIVE_LIMIT:
         raise ValueError(f"2D uncentred maximal: at most {_2D_EXHAUSTIVE_LIMIT} cells per axis")
-    widths = range(1, 2 * N, 2) if centred else range(1, N + 1)
-    return _sweep(P, widths, centred) ** (1.0 / p)
+    return _sweep(P, range(1, N + 1), False) ** (1.0 / p)
 
 
 def centred_level_set(f: GridFunction, p: float, tau: float) -> np.ndarray:
@@ -359,12 +354,13 @@ def sharp_maximal(
     the same bits: the window means divide by a power of two, and
     ``|x + 0j|`` is ``|x|``.
 
-    With a ``region`` (a box or cube, through ``GridSpec.cell_ranges``)
-    only the region's cells are computed: the ladder runs on them dilated
-    by its widest window less one cell, clipped to the grid, which holds
-    every window that contains a region cell.  Prefix sums then start at
-    the crop, so values move at rounding level.  The result is full-grid
-    with NaN outside the region.
+    Only the cells of ``region`` (a box or cube, through
+    ``GridSpec.cell_ranges``; by default the domain) are computed: the
+    ladder runs on them dilated by its widest window less one cell, clipped
+    to the grid, which holds every window that contains a region cell.
+    Prefix sums then start at the crop, so values move at rounding level
+    unless the crop is the whole grid.  The result is full-grid with NaN
+    outside the region.
     """
     spec = f.spec
     cap_cells = None if radius_cap is None else int(math.floor(2.0 * radius_cap / float(spec.h)))
@@ -372,9 +368,7 @@ def sharp_maximal(
     vals = f.values
     if not np.any(vals.imag):
         vals = np.ascontiguousarray(vals.real)
-    if region is None:
-        return _ladder(vals, widths)
-    ranges = spec.cell_ranges(region)
+    ranges = spec.cell_ranges(spec.domain() if region is None else region)
     reach = max(widths, default=1) - 1
     crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, spec.N)) for i0, i1 in ranges)
     cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))

@@ -104,11 +104,6 @@ class GridSpec:
         i1 = -((-t1.numerator) // t1.denominator)
         return max(i0, 0), min(max(i1, 0), self.N)
 
-    def box_cell_ranges(self, box: Box) -> tuple[tuple[int, int], ...]:
-        if box.n != self.n:
-            raise ValueError("box dimension does not match the grid")
-        return tuple(self.cell_range(lo, hi) for lo, hi in zip(box.lower, box.upper))
-
     def cube_cell_start(self, k: int, m, w: int):
         """Index of the first cell along one axis of the scale-``k`` cube with
         corner ``m`` and shift ``w``, before clipping to the domain; the cube
@@ -120,25 +115,18 @@ class GridSpec:
         lo = (3 * m + shift_sign(k) * w) * (1 << (self.kappa + 1 - k)) + 3 * self.N - 3
         return -(-lo // 6)  # ceil
 
-    def cube_cell_ranges(self, c: DyadicCube) -> tuple[tuple[int, int], ...]:
-        """Per-axis ``[i0, i1)`` of the cells a cube holds, in integers only.
-
-        Matches :meth:`box_cell_ranges` on the cube's box, including its
-        clipping; a cube finer than a cell has no integer corners and raises.
-        """
-        if c.n != self.n:
-            raise ValueError("cube dimension does not match the grid")
-        starts = [self.cube_cell_start(c.k, m, w) for m, w in zip(c.m, c.omega)]
-        side = 1 << (self.kappa - c.k)
-        return tuple((max(i0, 0), min(max(i0 + side, 0), self.N)) for i0 in starts)
-
     def cell_ranges(self, region: Box | DyadicCube) -> tuple[tuple[int, int], ...]:
         """Per-axis ``[i0, i1)`` of the in-domain cells whose centers lie in a
         box or cube: integer arithmetic for a cube, exact Fraction corners
-        for a box."""
-        if isinstance(region, DyadicCube):
-            return self.cube_cell_ranges(region)
-        return self.box_cell_ranges(region)
+        for a box, which give the same ranges on the cube's box.  A cube
+        finer than a cell has no integer corners and raises."""
+        if region.n != self.n:
+            raise ValueError("region dimension does not match the grid")
+        if isinstance(region, Box):
+            return tuple(self.cell_range(lo, hi) for lo, hi in zip(region.lower, region.upper))
+        starts = [self.cube_cell_start(region.k, m, w) for m, w in zip(region.m, region.omega)]
+        side = 1 << (self.kappa - region.k)
+        return tuple((max(i0, 0), min(max(i0 + side, 0), self.N)) for i0 in starts)
 
     def cell_slices(self, region: Box | DyadicCube) -> tuple[slice, ...]:
         """:meth:`cell_ranges` as slices that index the grid's arrays."""
@@ -174,8 +162,8 @@ class GridFunction:
         self.name = name
 
     @classmethod
-    def zeros(cls, spec: GridSpec, name: str = "") -> "GridFunction":
-        return cls(spec, np.zeros(spec.shape, dtype=np.complex128), name)
+    def zeros(cls, spec: GridSpec) -> "GridFunction":
+        return cls(spec, np.zeros(spec.shape, dtype=np.complex128))
 
     @classmethod
     def from_callable(
@@ -193,8 +181,8 @@ class GridFunction:
         vals[spec.cell_slices(box)] = amplitude
         return cls(spec, vals, name)
 
-    def with_values(self, values: np.ndarray, name: str | None = None) -> "GridFunction":
-        return GridFunction(self.spec, values, self.name if name is None else name)
+    def with_values(self, values: np.ndarray) -> "GridFunction":
+        return GridFunction(self.spec, values, self.name)
 
     def support_box(self) -> Box | None:
         """Smallest cell-aligned box containing all nonzero cells."""

@@ -165,14 +165,11 @@ def multiplication(phi: Callable[[Coords], np.ndarray] | str, n: int = 1) -> Sym
 
 
 def custom_symbol(
-    fn: Callable[[Coords, Coords], np.ndarray],
-    m: float,
-    rho: float,
-    delta: float,
-    kind: str = "smooth",
-    n: int = 1,
+    fn: Callable[[Coords, Coords], np.ndarray], m: float, rho: float, delta: float, n: int = 1
 ) -> SymbolClass:
-    return SymbolClass(family="custom", m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn)
+    """A smooth symbol given only by ``fn``, with no factors: the operator
+    takes the general kernel-row path."""
+    return SymbolClass(family="custom", m=m, rho=rho, delta=delta, kind="smooth", n=n, fn=fn)
 
 
 # Central finite-difference stencils per derivative order, offset -> weight.

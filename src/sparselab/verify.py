@@ -43,7 +43,6 @@ __all__ = [
     "NormFit",
     "SchurReport",
     "DominationReport",
-    "SparseForm",
     "SparseFormReport",
     "SharpRatioReport",
     "DecayProbeConfig",
@@ -235,8 +234,6 @@ def empirical_norm(op: OperatorHandle, pair: ExponentPair, spec: GridSpec,
 class SchurReport:
     product_bound: float
     sum_variant: float
-    p: float
-    theta: float
 
 
 def schur_bound(op: OperatorHandle, pair: ExponentPair, spec: GridSpec) -> SchurReport:
@@ -254,12 +251,7 @@ def schur_bound(op: OperatorHandle, pair: ExponentPair, spec: GridSpec) -> Schur
     rows, cols = op.kernel_norms(p)
     col, row = float(np.max(cols)), float(np.max(rows))
     product = col ** (1.0 - theta) * row**theta
-    return SchurReport(
-        product_bound=product,
-        sum_variant=col ** (1.0 - theta) + row**theta,
-        p=p,
-        theta=theta,
-    )
+    return SchurReport(product, col ** (1.0 - theta) + row**theta)
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +447,16 @@ def kernel_difference_probe(
 # sparse forms and domination
 
 
-@dataclass
-class SparseForm:
-    value: float
-    per_cube: list[float]
-
-
 def sparse_form(
     coll: SparseCollection, f: GridFunction, g: GridFunction, pair: ExponentPair
-) -> SparseForm:
+) -> float:
     """Sum over the family of |region| <f>_r,region <g>_s',region."""
     per = []
     for i in range(len(coll.entries)):
         region = coll.region(i)
         vol = float(region.volume())
         per.append(vol * average_p(f, region, pair.r) * average_p(g, region, pair.s_prime))
-    return SparseForm(float(sum(per)), per)
+    return float(sum(per))
 
 
 @dataclass
@@ -493,7 +479,7 @@ def sparse_form_ratio(
     Tf = _image_of(T, f)
     spec = f.spec
     pairing = float(np.sum(np.abs(Tf.values) * np.abs(g.values)) * float(spec.h) ** spec.n)
-    form = sparse_form(coll, f, g, pair).value
+    form = sparse_form(coll, f, g, pair)
     if form > DENOM_FLOOR:
         ratio = pairing / form
     else:

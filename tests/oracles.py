@@ -129,7 +129,7 @@ def cube_containing_point(x: Sequence[Fraction], k: int, omega: tuple[int, ...])
 
 def box_cell_count(spec: GridSpec, box: Box) -> int:
     """Number of in-domain cells whose centres lie in ``box``."""
-    return math.prod(max(i1 - i0, 0) for i0, i1 in spec.box_cell_ranges(box))
+    return math.prod(max(i1 - i0, 0) for i0, i1 in spec.cell_ranges(box))
 
 
 def default_truncation(spec: GridSpec) -> int:

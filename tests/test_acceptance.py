@@ -168,7 +168,7 @@ def test_criterion_03_operator_application_oracles():
     fam = default_cutoffs()
     base = smooth_field(spec, 1.4, center=-0.3, freq=9.0)
     imag = smooth_field(spec, 1.1, center=0.4, freq=4.0)
-    f = base.with_values(base.values + 1j * imag.values, name="probe")
+    f = base.with_values(base.values + 1j * imag.values)
 
     # Constant symbol acts as the identity.
     g = apply(bessel(0.0), f)

@@ -367,6 +367,131 @@ class TestConfigErrors:
         assert run_cli("corpus", ini, "--out", str(tmp_path / "c")) == 0
 
 
+# a config that sets every option the context reads
+FULL = {
+    "grid": {"n": "1", "k": "2", "kappa": "5"},
+    "symbol": {"family": "bessel", "m": "-1", "rho": "1", "delta": "0", "ell1": "1"},
+    "exponents": {"r": "2", "s": "2"},
+    "corpus": {"seed": "0", "count": "2"},
+    "pieces": {
+        "nu": "0.5", "j_min": "2", "j_max": "4", "ell_min": "0", "ell_max": "2",
+        "j_fixed": "3", "mode": "l2_l2",
+    },
+    "sparse": {"flavor": "stopping", "eta": "1/2", "threshold_base": "4", "ell2": "1"},
+    "decay": {"tau": "0.125", "theta": "0.5", "p": "2"},
+    "tolerances": {
+        "slope_excess": "0.3", "decay_slope_max": "-5", "identity_tol": "1e-10",
+        "schur_slack": "1e-8",
+    },
+    "probes": {"suite": "identity"},
+}
+
+
+def full_config(section: str, option: str, value: str, **others) -> tuple[str, int]:
+    """FULL with ``section.option = value`` (and ``others`` in the same
+    section), and the line that option is on."""
+    sections = {name: dict(items) for name, items in FULL.items()}
+    sections[section].update(others, **{option: value})
+    lines = []
+    for name, items in sections.items():
+        lines += [f"[{name}]", *(f"{k} = {v}" for k, v in items.items()), ""]
+    return "\n".join(lines), lines.index(f"{option} = {value}", lines.index(f"[{section}]")) + 1
+
+
+def _options_read() -> list[tuple[str, str]]:
+    text, _ = full_config("grid", "n", "1")
+    cfg = cli.Config("<full>", text)
+    cli._checked_probes(cfg, None)
+    return sorted(key for key in cfg.read if key[0] != "probes")
+
+
+READ = _options_read()
+
+# values that parse but that a probe's constructor refuses
+REFUSED = [
+    ("pieces", "mode", "l2l2", {}, "unknown mode 'l2l2'"),
+    ("pieces", "ell_min", "3", {}, "empty shell index range"),
+    ("pieces", "j_min", "-1", {}, "j_min must be nonnegative"),
+    ("pieces", "j_fixed", "-1", {}, "j_fixed must be nonnegative"),
+    ("pieces", "nu", "1.5", {}, "spatial rate nu must lie in [0, 1)"),
+    ("sparse", "threshold_base", "1", {}, "threshold base must exceed 1"),
+    ("symbol", "ell1", "-1", {}, "ell1 must be nonnegative"),
+    ("symbol", "rho", "0", {"family": "oscillatory"}, "oscillation exponent requires"),
+    ("symbol", "rho", "-0.5", {}, "rho must be nonnegative"),
+    ("decay", "tau", "2", {}, "tau must lie in (0, 1]"),
+    ("decay", "theta", "2", {}, "theta must lie in [0, 1]"),
+    ("decay", "p", "3", {}, "p must lie in [1, 2]"),
+    ("corpus", "seed", "-3", {}, "seed must be nonnegative"),
+]
+
+
+class TestEveryOptionIsChecked:
+    """Every value that a probe's constructor refuses exits 2 at its line
+    when the config loads, before any probe runs."""
+
+    def test_full_config_sets_every_option(self):
+        assert set(READ) == {(s, o) for s, items in FULL.items() if s != "probes" for o in items}
+
+    @pytest.mark.parametrize("section, option", READ, ids=[f"{s}.{o}" for s, o in READ])
+    def test_unusable_value_exits_two_at_its_line(self, tmp_path, capsys, section, option):
+        text, line = full_config(section, option, "zz")
+        ini = write(tmp_path, text)
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"{ini}:{line}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, option, value, others, message", REFUSED,
+        ids=[f"{option}={value}" for _, option, value, _, _ in REFUSED],
+    )
+    def test_refused_value_exits_two_at_its_line(
+        self, tmp_path, capsys, section, option, value, others, message
+    ):
+        text, line = full_config(section, option, value, **others)
+        ini = write(tmp_path, text)
+        out = tmp_path / "reports"
+        assert run_cli("run", ini, "--seed", "7", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"{ini}:{line}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "corpus"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
+        ini = write(tmp_path, IDENTITY_INI)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, ini, "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "--seed: must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestCorpusBuilds:
+    """The corpus is built where it is read: once per probe run, once for
+    ``lab corpus``, and never to check a config."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        make_corpus = cli.make_corpus
+
+        def counted(spec, seed, count):
+            seen.append((spec, seed, count))
+            return make_corpus(spec, seed, count)
+
+        monkeypatch.setattr(cli, "make_corpus", counted)
+        return seen
+
+    def test_lab_corpus_builds_it_once(self, tmp_path, calls):
+        ini = write(tmp_path, IDENTITY_INI)
+        assert run_cli("corpus", ini, "--out", str(tmp_path / "c")) == 0
+        assert len(calls) == 1
+
+    def test_lab_run_builds_it_once_per_probe(self, tmp_path, calls):
+        ini = write(tmp_path, IDENTITY_INI)
+        assert run_cli("run", ini, "--out", str(tmp_path / "r")) == 0
+        assert len(calls) == len(cli.SUITES["identity"])
+
+
 class TestContext:
     def test_infinite_exponent_and_fractional_eta(self, tmp_path):
         ini = write(tmp_path, IDENTITY_INI + "\n[exponents]\ns = inf\n\n[sparse]\neta = 1/3\n")

@@ -9,7 +9,6 @@ import pytest
 from sparselab.dyadic import Box, DyadicCube
 from sparselab import maximal
 from sparselab.maximal import (
-    _NARROW,
     _ladder,
     _prefix_sums,
     _sweep,
@@ -29,6 +28,13 @@ def indicator(spec: GridSpec, lo, hi) -> GridFunction:
 
 def cell_index(spec: GridSpec, x: Fraction) -> int:
     return int((x + spec.halfwidth) / spec.h)
+
+
+def centred_maximal(f: GridFunction, p: float) -> np.ndarray:
+    """The centred p-maximal over every odd width, extended by zero off the
+    grid: the full sweep that ``centred_level_set`` prunes."""
+    P = _prefix_sums(np.abs(f.values) ** p)
+    return _sweep(P, range(1, 2 * f.spec.N, 2), True) ** (1.0 / p)
 
 
 class TestMaximalP:
@@ -82,8 +88,8 @@ class TestMaximalP:
         # a centred window poking off the grid is dominated by its clipped
         # version, which the uncentred sweep visits
         f = make_corpus(SPEC, seed=4, count=1)[0]
-        c = maximal_p(f, 1.0, centred=True)
-        u = maximal_p(f, 1.0, centred=False)
+        c = centred_maximal(f, 1.0)
+        u = maximal_p(f, 1.0)
         assert np.max(c - u) < 1e-12
 
     def test_point_mass_windows(self):
@@ -93,13 +99,13 @@ class TestMaximalP:
         vals[i0] = 1.0
         f = GridFunction(spec, vals)
         u = maximal_p(f, 1.0)
-        c = maximal_p(f, 1.0, centred=True)
+        c = centred_maximal(f, 1.0)
         assert u[i0 + 1] == pytest.approx(0.5, rel=1e-12)
         assert c[i0 + 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_centred_threshold_prunes_exactly_above(self, monkeypatch):
         f = make_corpus(SPEC, seed=11, count=1)[0]
-        full = maximal_p(f, 1.0, centred=True)
+        full = centred_maximal(f, 1.0)
         t = float(np.quantile(full, 0.6))
         swept = []
 
@@ -156,7 +162,7 @@ class TestCentredLevelSet:
     def test_matches_full_maximal(self, spec, p):
         n = spec.n
         for f in make_corpus(spec, seed=17, count=8):
-            full = maximal_p(f, p, centred=True)
+            full = centred_maximal(f, p)
             avg = float(np.mean(np.abs(f.values) ** p)) ** (1.0 / p)
             weak = 3.0 ** (n / p)
             levels = [float(q) for q in np.quantile(full, [0.1, 0.5, 0.9, 0.99])]
@@ -179,9 +185,8 @@ def sweep_maximal(f: GridFunction, p: float) -> np.ndarray:
 
 
 class TestHullPath:
-    """The 1D uncentred maximal against the per-width sweep, on grids wide
-    enough that windows of more than ``_NARROW`` cells come from hull
-    tangents."""
+    """The 1D uncentred maximal, whose windows of two or more cells come
+    from hull tangents, against the per-width sweep."""
 
     @pytest.mark.parametrize("kappa", [5, 7, 9])  # N = 256, 1024, 4096
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0])
@@ -210,7 +215,6 @@ class TestHullPath:
         m1, m2 = maximal_p(f, 1.0), maximal_p(f, 2.0)
         for x, length in ((Fraction(3), 3 + h), (Fraction(-2), Fraction(3))):
             i = cell_index(spec, x)
-            assert length / h > _NARROW
             assert m1[i] == pytest.approx(float(1 / length), rel=1e-12)
             assert m2[i] == pytest.approx(float(1 / length) ** 0.5, rel=1e-12)
 
@@ -435,5 +439,5 @@ class TestBruteForce:
         f = GridFunction(spec, vals)
         unc, cen, _, osc_ladder = _brute_force(f, p)
         np.testing.assert_allclose(maximal_p(f, p), unc, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(maximal_p(f, p, centred=True), cen, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(centred_maximal(f, p), cen, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(sharp_maximal(f), osc_ladder, rtol=1e-12, atol=1e-13)

@@ -218,7 +218,7 @@ class TestCubeCellMap:
     @settings(max_examples=400, deadline=None)
     def test_matches_fraction_ranges(self, spec_cube):
         spec, c = spec_cube
-        assert spec.cube_cell_ranges(c) == spec.box_cell_ranges(cube_box(c))
+        assert spec.cell_ranges(c) == spec.cell_ranges(cube_box(c))
         assert np.array_equal(spec.box_flat_cells(c), spec.box_flat_cells(cube_box(c)))
 
     @given(grid_and_cube(), st.integers(0, 3), st.sampled_from((1.0, 4 / 3, 2.0, math.inf)))
@@ -232,10 +232,10 @@ class TestCubeCellMap:
         spec = GridSpec(1, 1, 3)
         c = DyadicCube(spec.kappa + 1, (0,), (1,))
         with pytest.raises(ValueError, match="subgrid"):
-            spec.cube_cell_ranges(c)
+            spec.cell_ranges(c)
         with pytest.raises(ValueError, match="subgrid"):
             average_p(GridFunction.zeros(spec), c, 2.0)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
-            GridSpec(2, 1, 3).cube_cell_ranges(DyadicCube(0, (0,), (0,)))
+            GridSpec(2, 1, 3).cell_ranges(DyadicCube(0, (0,), (0,)))
