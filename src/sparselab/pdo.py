@@ -25,6 +25,16 @@ The literal double sum over cells and frequencies is the tests' oracle.
 The same record gives what operator norms read: the Gram map ``M^H M``
 (from ``R`` and ``b``) and the grid L^p norms of kernel rows and columns.
 
+A real kernel maps real data to real data.  When the amplitude
+``xi_factor * m`` is exactly Hermitian on the frequency grid
+(``amp[-k mod N] == conj(amp[k])`` per axis, the Nyquist index its own
+mirror) and the window and ``b`` are real, the image of an input with no
+imaginary part is the real part of ``b * ifft(R * fft(f))``: the same
+bits, without the rounding noise of the imaginary part.  Bessel and
+``rough_bump`` symbols, and ``multiplication`` by a real function, have
+real kernels in every piece; ``oscillatory_ct`` and general symbols keep
+complex images.
+
 Frequency truncation: band pieces are summed up to ``J = kappa + 3`` by
 default, the smallest truncation whose low-pass plateau covers every
 discrete frequency (``2**(J-1) >= pi * 2**kappa``); the telescoping identity
@@ -205,9 +215,11 @@ class OperatorHandle:
 
     A multiplier or separable symbol ``M = diag(b) C`` is applied as
     ``b * ifft(R * fft(f))`` (``_transfer``), a general symbol by contracting
-    its windowed kernel rows with ``f``, ``_BLOCK`` cells at a time.  ``row``
-    and ``matrix`` give the kernel cell by cell and as a dense matrix, both
-    from the row blocks.  ``gram`` and ``kernel_norms`` are what the operator
+    its windowed kernel rows with ``f``, ``_BLOCK`` cells at a time.  A
+    multiplier or separable handle whose kernel is real (a Hermitian
+    amplitude, a real window and a real ``b``) gives real inputs real
+    images.  ``row`` and ``matrix`` give the kernel cell by cell and as a
+    dense matrix, both from the row blocks.  ``gram`` and ``kernel_norms`` are what the operator
     norms read; only a general symbol builds ``matrix()`` for them.
     """
 
@@ -222,18 +234,27 @@ class OperatorHandle:
         return self.apply(f)
 
     def apply(self, f: GridFunction) -> GridFunction:
-        """The operator applied to ``f`` without the support guard."""
+        """The operator applied to ``f`` without the support guard.
+
+        A multiplier or separable handle with a real kernel (``_free_row``)
+        returns the image of a real ``f`` as the real part of
+        ``b * ifft(R * fft(f))``: the same real bits, an exactly zero
+        imaginary part."""
         spec = self.spec
         if f.spec != spec:
             raise ValueError(f"a function on {f.spec} given to an operator on {spec}")
         if self.a.structure != "general":
-            R, xf = self._transfer()
+            R, xf, real = self._transfer()
             fft, ifft = _dft(spec.n)
             # named: on large grids numpy would compute R * fft(...) in place
             # as fhat * R, and complex products round by operand order
             fhat = fft(f.values)
             out = ifft(R * fhat)
-            return f.with_values(out if xf is None else xf * out)
+            if xf is not None:
+                out = xf * out
+            # a real kernel maps real data to real data: drop the rounding
+            # noise of the imaginary part, keep the real part's bits
+            return f.with_values(out.real if real and not np.any(f.values.imag) else out)
         N, hn = spec.N, float(spec.h) ** spec.n
         if spec.n == 2 and N > 64:
             raise ValueError("x-dependent 2D operators are limited to 64 cells per axis")
@@ -285,7 +306,7 @@ class OperatorHandle:
         if self.a.structure == "general":
             return _dense_gram(self.matrix())
         spec = self.spec
-        R, xf = self._transfer()
+        R, xf, _ = self._transfer()
         fft, ifft = _dft(spec.n)
         b2 = 1.0 if xf is None else np.abs(xf) ** 2
 
@@ -311,7 +332,7 @@ class OperatorHandle:
         hn = float(spec.h) ** spec.n
         if self.a.structure == "general":
             return _dense_kernel_norms(self.matrix(), p, hn)
-        row, xf = self._free_row()
+        row, xf, _ = self._free_row()
         u = np.abs(row)
         b = np.broadcast_to(1.0 if xf is None else np.abs(xf), spec.shape)
         norm = _lp_h(u, p, hn)
@@ -331,9 +352,11 @@ class OperatorHandle:
     def _windowed(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.window is None else rows * self.window
 
-    def _free_row(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _free_row(self) -> tuple[np.ndarray, np.ndarray | None, bool]:
         """Windowed x-free kernel row of a multiplier or separable symbol,
-        and its x-factor at the cell centers (None if it has none)."""
+        its x-factor at the cell centers (None if it has none), and whether
+        the kernel is real: a Hermitian amplitude (``_hermitian``), a real
+        window and a real x-factor."""
         a, spec = self.a, self.spec
         if a.n != spec.n:
             raise ValueError(f"a symbol in dimension {a.n} on a grid in dimension {spec.n}")
@@ -344,13 +367,19 @@ class OperatorHandle:
         if self.mult is not None:
             amp = amp * self.mult
         xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
-        return self._windowed(_rows(spec, amp[None])[0]), xf
+        real = (
+            _hermitian(amp)
+            and (self.window is None or not np.any(np.imag(self.window)))
+            and (xf is None or not np.any(np.imag(xf)))
+        )
+        return self._windowed(_rows(spec, amp[None])[0]), xf, real
 
-    def _transfer(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _transfer(self) -> tuple[np.ndarray, np.ndarray | None, bool]:
         """Transfer function ``R = h**n fft(row)`` of the windowed x-free
-        kernel row, ``M = diag(b) ifft(R fft(.))``, and the x-factor ``b``."""
-        row, xf = self._free_row()
-        return float(self.spec.h) ** self.spec.n * _dft(self.spec.n)[0](row), xf
+        kernel row, ``M = diag(b) ifft(R fft(.))``, the x-factor ``b`` and
+        whether the kernel is real (``_free_row``)."""
+        row, xf, real = self._free_row()
+        return float(self.spec.h) ** self.spec.n * _dft(self.spec.n)[0](row), xf, real
 
     def _row_blocks(self):
         """Windowed kernel rows of all cells in C order, ``_BLOCK`` at a
@@ -361,6 +390,13 @@ class OperatorHandle:
         for lo in range(0, cells.shape[1], _BLOCK):
             block = tuple(cells[:, lo : lo + _BLOCK])
             yield lo, block, self._windowed(_cell_rows(self.a, spec, self.mult, block))
+
+
+def _hermitian(amp: np.ndarray) -> bool:
+    """Whether ``amp[-k mod N] == conj(amp[k])`` exactly on every grid axis
+    (the Nyquist index maps to itself): the amplitudes of a real kernel row."""
+    axes = tuple(range(amp.ndim))
+    return np.array_equal(np.roll(np.flip(amp, axes), 1, axes), np.conj(amp))
 
 
 def _dense_gram(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -535,7 +535,10 @@ def composed_sharp_apply(
     operator localized at radius ``2**ell1``; the composition reaches
     ``2**ell1 + 2*ell2``.  The operator is applied on the full grid; with a
     ``region`` the sharp maximal computes that region's cells only and the
-    result is NaN elsewhere (see ``sharp_maximal``)."""
+    result is NaN elsewhere (see ``sharp_maximal``).  A real input under a
+    symbol with a real kernel (bessel, ``rough_bump``, a real
+    ``multiplication``) has a real image (``OperatorHandle.apply``), so the sharp maximal runs
+    in real arithmetic."""
     image = localized_operator(a, ell1, f.spec).apply(f)
     return sharp_maximal(image, radius_cap=ell2, region=region)
 
@@ -691,7 +694,7 @@ def endpoint_audit(
         tb = regions[i]
         af, ag = avgs[i]
         if af > DENOM_FLOOR:
-            a2 = max(a2, average_p(f.with_values(loc_T[i].astype(np.complex128)), tb, r) / af)
+            a2 = max(a2, average_p(f.with_values(loc_T[i]), tb, r) / af)
         if ag > DENOM_FLOOR and e.survivor.size:
             a3 = max(a3, average_p(g, e.survivor, rp) / ag)
         for jdx in coll.children_of(i):
@@ -700,7 +703,7 @@ def endpoint_audit(
             if af > DENOM_FLOOR:
                 carved = f.restrict_box(tb).values.copy()
                 carved.reshape(-1)[spec.box_flat_cells(ctb)] = 0.0
-                tv = T(f.with_values(carved), child.cube).astype(np.complex128)
+                tv = T(f.with_values(carved), child.cube)
                 a1 = max(a1, average_p(f.with_values(tv), child.cube, pair.s) / af)
             if ag > DENOM_FLOOR:
                 a4 = max(a4, average_p(g, ctb, sp) / ag)

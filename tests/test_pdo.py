@@ -9,6 +9,7 @@ import pytest
 from sparselab.dyadic import Box
 from sparselab.pdo import (
     CutoffFamily,
+    OperatorHandle,
     PieceIndex,
     apply,
     band_operator,
@@ -20,7 +21,14 @@ from sparselab.pdo import (
     symbol_operator,
 )
 from sparselab.sample import GridFunction, GridSpec, make_corpus
-from sparselab.symbol import bessel, custom_symbol, multiplication, oscillatory_ct, rough_bump
+from sparselab.symbol import (
+    SymbolClass,
+    bessel,
+    custom_symbol,
+    multiplication,
+    oscillatory_ct,
+    rough_bump,
+)
 
 from oracles import default_truncation, direct_quadrature, fourier_sum
 
@@ -380,6 +388,80 @@ class TestStructuredApplication:
             else:
                 want = (handle.matrix() @ f.values.ravel()).reshape(spec.shape)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _handles(a, spec: GridSpec) -> list:
+    """The full operator, a band, a windowed piece and the localized operator."""
+    return [
+        symbol_operator(a, spec),
+        band_operator(a, FAM, 2, spec),
+        piece_operator(a, FAM, PieceIndex(2, 1, 0.5), spec),
+        localized_operator(a, 1, spec),
+    ]
+
+
+def _complex_image(handle, f: GridFunction) -> np.ndarray:
+    """``b * ifft(R * fft(f))`` from the handle's transfer function, in
+    complex arithmetic throughout."""
+    R, xf, _ = handle._transfer()
+    fft, ifft = (np.fft.fft, np.fft.ifft) if f.spec.n == 1 else (np.fft.fft2, np.fft.ifft2)
+    fhat = fft(f.values)
+    out = ifft(R * fhat)
+    return out if xf is None else xf * out
+
+
+class TestRealKernels:
+    """A multiplier or separable kernel is real when its amplitude is exactly
+    Hermitian and its window and x-factor are real; it maps real data to
+    real data, with the real parts of the complex computation."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("family", ["bessel", "rough_bump", "multiplication"])
+    def test_real_input_gives_the_real_part(self, family, n):
+        spec = GridSpec(1, 2, 6) if n == 1 else GridSpec(2, 1, 4)
+        a = {
+            "bessel": bessel(-0.25, 0.5, 0.5, n=n),
+            "rough_bump": rough_bump(-0.25, 0.5, n=n),
+            "multiplication": multiplication("cosine", n=n),
+        }[family]
+        noisy = False
+        for handle in _handles(a, spec):
+            for f in make_corpus(spec, seed=3, count=4):
+                assert not np.any(f.values.imag)
+                got, want = handle.apply(f).values, _complex_image(handle, f)
+                assert not np.any(got.imag)
+                assert np.array_equal(got.real, want.real)
+                noisy = noisy or bool(np.any(want.imag))
+        # the complex path leaves rounding in the imaginary parts
+        assert noisy
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_complex_kernels_and_inputs_stay_complex(self, n):
+        spec = GridSpec(1, 2, 6) if n == 1 else GridSpec(2, 1, 4)
+        odd = SymbolClass(
+            # a real, odd xi-factor: the kernel is imaginary
+            family="odd", m=1.0, rho=1.0, delta=0.0, kind="smooth", n=n,
+            fn=lambda x, xi: xi[0] + 0.0 * x[0], xi_factor=lambda xi: xi[0],
+        )
+        complex_b = multiplication(lambda x: np.exp(1j * x[0]), n=n)
+        a = bessel(-0.25, 0.5, 0.5, n=n)
+        f = make_corpus(spec, seed=3, count=4)[3]
+        cases = [(h, f) for sym in (oscillatory_ct(0.5, -0.25, n=n), odd, complex_b)
+                 for h in _handles(sym, spec)]
+        cases += [(h, f.with_values(f.values * (1.0 + 0.5j))) for h in _handles(a, spec)]
+        window = 1j * localized_operator(a, 1, spec).window
+        cases += [(OperatorHandle(a, spec, window=window), f)]
+        for handle, g in cases:
+            got = handle.apply(g).values
+            assert np.any(got.imag)
+            assert np.array_equal(got, _complex_image(handle, g))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_general_symbol_stays_complex(self, n):
+        spec = GridSpec(1, 2, 4) if n == 1 else GridSpec(2, 1, 3)
+        a = GENERAL_1D if n == 1 else GENERAL_2D
+        f = make_corpus(spec, seed=3, count=4)[3]
+        assert np.any(localized_operator(a, 1, spec).apply(f).values.imag)
 
 
 class TestLocalized:

@@ -7,13 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparselab import verify
+from sparselab import maximal, verify
 from sparselab.dyadic import Box, DyadicCube
+from sparselab.maximal import sharp_maximal
 from sparselab.pdo import (
     OperatorHandle,
     PieceIndex,
     band_operator,
     default_cutoffs,
+    localized_operator,
     piece_operator,
     symbol_operator,
 )
@@ -514,6 +516,32 @@ class TestSharpRatio:
         assert float(np.max(S[dist >= 4.0], initial=0.0)) < 1e-13 * peak
 
 
+    @pytest.mark.parametrize("spec", [GridSpec(1, 3, 5), GridSpec(2, 2, 3)])
+    def test_real_input_runs_the_real_ladder(self, spec, monkeypatch):
+        ladder, ladder_dtypes = maximal._ladder, []
+
+        def recording_ladder(vals, widths):
+            ladder_dtypes.append(vals.dtype)
+            return ladder(vals, widths)
+
+        monkeypatch.setattr(maximal, "_ladder", recording_ladder)
+        a = bessel(-0.25, 0.5, 0.5, n=spec.n)
+        op = localized_operator(a, 1, spec)
+        R, _, _ = op._transfer()
+        fft, ifft = (np.fft.fft, np.fft.ifft) if spec.n == 1 else (np.fft.fft2, np.fft.ifft2)
+        for f in make_corpus(spec, seed=12, count=4):
+            assert not np.any(op.apply(f).values.imag)
+            fhat = fft(f.values)
+            # the complex-path image, with its rounding in the imaginary parts
+            image = f.with_values(ifft(R * fhat))
+            assert np.any(image.values.imag)
+            want = sharp_maximal(image, radius_cap=1.0)
+            ladder_dtypes.clear()
+            got = composed_sharp_apply(a, 1, 1.0, f)
+            assert ladder_dtypes == [np.float64]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+
+
 class TestEndpointAudit:
     SPEC3 = GridSpec(1, 3, 5)
     A = bessel(-0.25, 0.5, 0.5)
@@ -589,8 +617,6 @@ class TestEndpointAuditCrop:
         ids=["1d-k7", "2d-k3"],
     )
     def test_matches_full_grid(self, grid, pairs, monkeypatch):
-        from sparselab.maximal import sharp_maximal
-
         spec = GridSpec(*grid)
         a = bessel(-0.25, 0.5, 0.5, n=spec.n)
         corpus = make_corpus(spec, seed=11, count=8)
