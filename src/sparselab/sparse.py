@@ -6,7 +6,14 @@ Two constructions:
   selected children of a cube are its maximal descendants whose f- or
   g-average jumps past a fixed multiple of the cube's own average.  The
   selected volume inside each cube is then at most half of it, so survivor
-  sets keep at least half of every cube.
+  sets keep at least half of every cube.  The family is built in one
+  top-down sweep per shift class: at each scale, every open walk shares one
+  f- and one g-average call over block sums, rooted with ``np.power``;
+  only an average within a relative ``2**-40`` of a positive threshold, and
+  the two averages a selected cube hands on as its thresholds, take
+  :func:`average_p`'s scalar root, so every decision is
+  :func:`average_p`'s.  The entries are then listed in the depth-first
+  order of the search that the tests keep as the oracle.
 
 * Whitney-type families: cores are unshifted cubes; the children of a core
   are the Whitney cubes of the super-level set of two centred maximal
@@ -126,18 +133,35 @@ def _support_window(spec: GridSpec, *fns: GridFunction) -> Box | None:
     return Box(lo, hi)
 
 
+# np.power's root of a block mean came within 1 ulp (2**-52 relative) of the
+# scalar root on 3M test values, so an average farther than this from its
+# threshold lands on the same side of it either way; 2**-40 leaves about
+# 4000 times that.
+_ROOT_MARGIN = 2.0**-40
+
+
 class _CubeAverages:
     """p-averages of one function over shifted cubes given by integer corner
-    arrays, equal to :func:`average_p`'s bit for bit.
+    arrays.
 
     A full cube (one the domain edge does not clip) at scale ``k`` holds
     ``L = 2**(kappa-k)`` contiguous cells per axis, so the full cubes of one
     scale and shift class are the blocks of one reshape of ``|u|**p``.  Each
     block becomes one contiguous row of cells in row-major order, the order
     :func:`average_p` gathers them in, so a row sum is the ``np.sum`` that
-    :func:`average_p` takes.  The root is taken with its scalar expression:
-    numpy's array power rounds differently.  Clipped cubes go through
-    :func:`average_p` itself.  Block sums are built on first use.
+    :func:`average_p` takes.  Clipped cubes go through :func:`average_p`
+    itself.  Block sums are built on first use.
+
+    :meth:`exact`, and a call without thresholds, take each block mean's
+    root with :func:`average_p`'s scalar expression, so every average is
+    :func:`average_p`'s bit for bit; numpy's array power rounds differently
+    (for ``x**0.75`` in about 5% of lognormal test values, by at most
+    1 ulp).  A call with one threshold per row roots the whole array with
+    ``np.power`` and takes the scalar root again only for a positive
+    average within ``_ROOT_MARGIN`` of a positive threshold.  So every
+    comparison with the row's threshold, and every test for a positive
+    average (a zero block sum roots to exactly 0 both ways), comes out as
+    with :func:`average_p`.
     """
 
     def __init__(self, u: GridFunction, p: float):
@@ -161,52 +185,199 @@ class _CubeAverages:
         sums = rows.max(axis=1) if math.isinf(self.p) else rows.sum(axis=1)
         return sums.reshape(nb), np.array([-(s // L) for s in starts])
 
-    def __call__(self, k: int, omega: tuple[int, ...], M: np.ndarray) -> np.ndarray:
-        """Averages over the scale-``k`` cubes of class ``omega`` whose
-        corners are the rows of ``M``."""
+    def _means(
+        self, k: int, omega: tuple[int, ...], M: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mask of the full cubes among the rows of ``M``, and their block
+        means ``|Q|**-1 * integral_Q |u|**p`` (maxima for ``p = inf``)."""
         if (k, omega) not in self.tables:
             self.tables[k, omega] = self._block_sums(k, omega)
         sums, m0 = self.tables[k, omega]
         J = M - m0
         full = np.all((J >= 0) & (J < sums.shape), axis=1)
-        vals = sums[tuple(J[full].T)].tolist()
+        v = sums[tuple(J[full].T)]
         if not math.isinf(self.p):
             spec = self.u.spec
             hn = 2.0 ** (-spec.kappa * spec.n)
             vol = 2.0 ** (-k * spec.n)
-            vals = [(hn * v / vol) ** (1.0 / self.p) for v in vals]
+            v = hn * v / vol
+        return full, v
+
+    def _fill(
+        self, k: int, omega: tuple[int, ...], M: np.ndarray, full: np.ndarray, vals
+    ) -> np.ndarray:
         out = np.empty(len(M))
         out[full] = vals
         for i in np.flatnonzero(~full):
             out[i] = average_p(self.u, DyadicCube(k, tuple(M[i].tolist()), omega), self.p)
         return out
 
+    def exact(self, k: int, omega: tuple[int, ...], M: np.ndarray) -> np.ndarray:
+        """:func:`average_p` over the scale-``k`` cubes of class ``omega``
+        whose corners are the rows of ``M``, bit for bit."""
+        full, v = self._means(k, omega, M)
+        if not math.isinf(self.p):
+            e = 1.0 / self.p
+            v = [x**e for x in v.tolist()]
+        return self._fill(k, omega, M, full, v)
 
-def _select(
-    q: DyadicCube, avg_f: _CubeAverages, avg_g: _CubeAverages, tf: float, tg: float
-) -> list[tuple[DyadicCube, float, float]]:
-    """Maximal descendants of q whose f-average exceeds tf or whose g-average
-    exceeds tg, sorted by (k, m), each with its two averages.
+    def __call__(
+        self, k: int, omega: tuple[int, ...], M: np.ndarray, t: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Averages over the scale-``k`` cubes of class ``omega`` whose
+        corners are the rows of ``M``: :meth:`exact` without thresholds,
+        and with thresholds ``t`` values that compare with ``t`` and with 0
+        as :meth:`exact`'s do."""
+        if t is None or math.isinf(self.p):
+            return self.exact(k, omega, M)
+        full, mean = self._means(k, omega, M)
+        e = 1.0 / self.p
+        v = np.power(mean, e)
+        t = t[full]
+        both = np.flatnonzero((v > 0) & (t > 0))
+        near = both[np.abs(v[both] - t[both]) <= t[both] * _ROOT_MARGIN]
+        v[near] = [x**e for x in mean[near].tolist()]
+        return self._fill(k, omega, M, full, v)
 
-    The walk goes one scale at a time: each cube of the frontier is selected,
-    or its children join the next frontier when one of its averages is
-    positive, or it stops; nothing goes below cell scale."""
-    spec = avg_f.u.spec
-    offsets = np.array(list(itertools.product((0, 1), repeat=spec.n)))
-    out = []
-    k, omega = q.k, q.omega
-    M = np.array([q.m])
-    while k < spec.kappa and len(M):
-        M = ((2 * M + shift_sign(k) * np.array(omega))[:, None, :] + offsets).reshape(-1, spec.n)
-        k += 1
-        af = avg_f(k, omega, M)
-        ag = avg_g(k, omega, M)
-        hit = (af > tf) | (ag > tg)
-        order = np.lexsort(M[hit].T[::-1])
-        picked = zip(M[hit][order].tolist(), af[hit][order].tolist(), ag[hit][order].tolist())
-        out.extend((DyadicCube(k, tuple(m), omega), a, b) for m, a, b in picked)
-        M = M[~hit & ((af > 0) | (ag > 0))]
-    return out
+
+class _Sweep:
+    """A stopping-time family as one top-down sweep per shift class.
+
+    Entries get ids in the order the sweep finds them: the roots first, then
+    the selected cubes scale by scale and, within a scale, by corner, so
+    each entry's list of kids is sorted by ``(k, m)``.  Per id the sweep
+    keeps the cube, the parent id, the rank, the kids, and the thresholds
+    ``jump * average`` that the entry's own walk compares f- and g-averages
+    against.
+    """
+
+    def __init__(
+        self, avg_f: _CubeAverages, avg_g: _CubeAverages, jump_f: float, jump_g: float
+    ):
+        self.spec = avg_f.u.spec
+        self.avg_f, self.avg_g = avg_f, avg_g
+        self.jump_f, self.jump_g = jump_f, jump_g
+        self.cubes: list[DyadicCube] = []
+        self.parent: list[int] = []
+        self.rank: list[int] = []
+        self.kids: list[list[int]] = []
+        self.tf = np.empty(0)
+        self.tg = np.empty(0)
+        self.roots = 0
+
+    def add_root(self, q: DyadicCube, af: float, ag: float) -> None:
+        """Open the walk below root ``q`` with its averages ``af``, ``ag``;
+        add every root before the first :meth:`walk`."""
+        self.cubes.append(q)
+        self.parent.append(-1)
+        self.rank.append(0)
+        self.kids.append([])
+        self.tf = np.append(self.tf, self.jump_f * af)
+        self.tg = np.append(self.tg, self.jump_g * ag)
+        self.roots += 1
+
+    def walk(self, omega: tuple[int, ...]) -> None:
+        """Walk every open walk of shift class ``omega`` one scale at a time.
+
+        The frontier holds rows of (owning entry, corner).  At each scale
+        one f- and one g-average call covers all rows, each row against its
+        owner's thresholds: a row past either threshold is selected and
+        becomes an entry, whose own walk goes on below it; any other row
+        with a positive average passes its children to the next scale;
+        the rest stop.  A root's walk starts at the root's own scale, and
+        nothing goes below cell scale."""
+        spec = self.spec
+        kappa = spec.kappa
+        at_scale: dict[int, list[int]] = {}
+        for i in range(self.roots):
+            if self.cubes[i].omega == omega:
+                at_scale.setdefault(self.cubes[i].k, []).append(i)
+        last = max(at_scale)
+        offsets = np.array(list(itertools.product((0, 1), repeat=spec.n)))
+        shift = np.array(omega)
+        owner = np.empty(0, dtype=np.int64)
+        M = np.empty((0, spec.n), dtype=np.int64)
+        k = min(at_scale)
+        while True:
+            if len(M):
+                tf, tg = self.tf[owner], self.tg[owner]
+                af = self.avg_f(k, omega, M, tf)
+                ag = self.avg_g(k, omega, M, tg)
+                hit = np.flatnonzero((af > tf) | (ag > tg))
+                if hit.size:
+                    owner = owner.copy()
+                    owner[hit] = self._add_selected(k, omega, M[hit], owner[hit])
+                keep = (af > 0) | (ag > 0)
+                owner, M = owner[keep], M[keep]
+            mine = at_scale.get(k, [])
+            if mine:
+                owner = np.concatenate([owner, mine])
+                M = np.concatenate([M, [self.cubes[i].m for i in mine]])
+            if k == kappa or (not len(M) and k >= last):
+                return
+            M = ((2 * M + shift_sign(k) * shift)[:, None, :] + offsets).reshape(-1, spec.n)
+            owner = np.repeat(owner, len(offsets))
+            k += 1
+
+    def _add_selected(
+        self, k: int, omega: tuple[int, ...], M: np.ndarray, owner: np.ndarray
+    ) -> np.ndarray:
+        """Make entries of the selected scale-``k`` cubes with corners ``M``
+        below the entries ``owner``; return their ids, row for row.  Their
+        thresholds come from :meth:`_CubeAverages.exact`, so each is the
+        one :func:`average_p`'s averages give."""
+        order = np.lexsort(M.T[::-1])
+        first = len(self.cubes)
+        ids = np.empty(len(M), dtype=np.int64)
+        ids[order] = np.arange(first, first + len(M))
+        M, owner = M[order], owner[order]
+        for m, p in zip(M.tolist(), owner.tolist()):
+            self.kids[p].append(len(self.cubes))
+            self.cubes.append(DyadicCube(k, tuple(m), omega))
+            self.parent.append(p)
+            self.rank.append(self.rank[p] + 1)
+            self.kids.append([])
+        af = self.avg_f.exact(k, omega, M)
+        ag = self.avg_g.exact(k, omega, M)
+        self.tf = np.concatenate([self.tf, self.jump_f * af])
+        self.tg = np.concatenate([self.tg, self.jump_g * ag])
+        return ids
+
+    def emit(self, coll: SparseCollection) -> None:
+        """Append the entries to ``coll`` depth first: the roots in order,
+        each followed by its tree, where the kids of an entry go on a stack
+        in ``(k, m)`` order and the last one is taken first."""
+        index = [-1] * len(self.cubes)
+        for root in range(self.roots):
+            tree = []
+            stack = [root]
+            while stack:
+                q = stack.pop()
+                tree.append(q)
+                stack.extend(self.kids[q])
+            for j, q in enumerate(tree, len(coll.entries)):
+                index[q] = j
+            for q, survivor in zip(tree, self._survivors(tree)):
+                p = self.parent[q]
+                coll.entries.append(
+                    SparseEntry(self.cubes[q], self.rank[q], index[p] if p >= 0 else -1, survivor)
+                )
+
+    def _survivors(self, tree: list[int]) -> list[np.ndarray]:
+        """Survivor cells of each entry of one root's tree, listed parents
+        first: each entry paints its cells with its place in ``tree``, so a
+        cell ends up with the deepest entry that holds it, and one stable
+        sort groups the root's cells by their label in flat index order."""
+        cells = self.spec.box_flat_cells(self.cubes[tree[0]])
+        if len(tree) == 1:
+            return [cells]
+        ranges = [self.spec.cell_ranges(self.cubes[q]) for q in tree]
+        labels = np.zeros([i1 - i0 for i0, i1 in ranges[0]], dtype=np.intp)
+        for j, box in enumerate(ranges[1:], 1):
+            labels[tuple(slice(a - o, b - o) for (a, b), (o, _) in zip(box, ranges[0]))] = j
+        labels = labels.ravel()
+        cells = cells[np.argsort(labels, kind="stable")]
+        return np.split(cells, np.cumsum(np.bincount(labels, minlength=len(tree)))[:-1])
 
 
 def build_stopping_time(
@@ -218,9 +389,14 @@ def build_stopping_time(
     ``base**(1/r)`` times the current cube's, or its g-average (exponent s')
     exceeds ``base**(1/s')`` times the current cube's; maximal such
     descendants become the next rank.  Selection stops at cell scale.
-    Descendants are walked one scale at a time over block sums
-    (:class:`_CubeAverages`); each selected cube's averages are handed on,
-    so no cube average is taken twice.
+
+    The descendants are walked in one top-down sweep per shift class
+    (:class:`_Sweep`): at each scale, all open walks share one f- and one
+    g-average call over block sums (:class:`_CubeAverages`), each cube
+    compared with its own entry's thresholds.  The averages of the roots
+    and of the selected cubes are :func:`average_p`'s bit for bit and are
+    handed on as the next thresholds, so the family, entry order included,
+    is that of the depth-first search.
     """
     spec = f.spec
     if g.spec != spec:
@@ -243,19 +419,15 @@ def build_stopping_time(
         for om in np.ndindex(*(3,) * spec.n):
             roots.extend(enumerate_cubes(-(spec.K + 1), om, window))
 
-    avg_f = _CubeAverages(f, r)
-    avg_g = _CubeAverages(g, sp)
+    sweep = _Sweep(_CubeAverages(f, r), _CubeAverages(g, sp), jump_f, jump_g)
     for root in roots:
         af = average_p(f, root, r)
         ag = average_p(g, root, sp)
-        if af == 0 and ag == 0:
-            continue
-        stack = [(root, -1, 0, af, ag)]
-        while stack:
-            q, parent_idx, rank, qaf, qag = stack.pop()
-            kids = _select(q, avg_f, avg_g, jump_f * qaf, jump_g * qag)
-            me = _append_entry(coll, q, rank, parent_idx, [c for c, _, _ in kids])
-            stack.extend((c, me, rank + 1, caf, cag) for c, caf, cag in kids)
+        if af != 0 or ag != 0:
+            sweep.add_root(root, af, ag)
+    for omega in dict.fromkeys(q.omega for q in sweep.cubes):
+        sweep.walk(omega)
+    sweep.emit(coll)
     return coll
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparselab import sparse
 from sparselab.dyadic import Box, DyadicCube, concentric_dilate, cube_box, enumerate_cubes
 from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
 from sparselab.sparse import (
@@ -15,12 +16,13 @@ from sparselab.sparse import (
     StoppingConfig,
     WhitneyConfig,
     _CubeAverages,
+    _Sweep,
     build_stopping_time,
     build_whitney_sparse,
     verify_sparsity,
 )
 
-from oracles import box_cell_count, dfs_stopping_time
+from oracles import box_cell_count, dfs_stopping_time, parent
 
 SPEC = GridSpec(1, 2, 5)
 UNIT = DyadicCube(0, (0,), (0,))
@@ -155,6 +157,210 @@ class TestLevelWalkMatchesSearch:
                     build_stopping_time(fs[i], fs[j], config),
                     dfs_stopping_time(fs[i], fs[j], config),
                 )
+
+    @pytest.mark.parametrize("grid", [(1, 2, 5), (2, 1, 3)])
+    def test_mixed_scale_overlapping_roots(self, grid):
+        # roots of several shift classes and scales, nested, overlapping,
+        # clipped by the domain edge, at cell scale and listed twice: each
+        # root's walk starts at its own scale and its tree stays its own
+        spec = GridSpec(*grid)
+        roots = MIXED_ROOTS[spec.n]
+        assert len({q.omega for q in roots}) == 3
+        assert len({q.k for q in roots}) >= 4
+        fs = make_corpus(spec, seed=6, count=4)
+        for (i, j), pair in itertools.product(CORPUS_PAIRS[:4], PAIRS):
+            config = StoppingConfig(pair=pair, roots=roots)
+            assert_same_family(
+                build_stopping_time(fs[i], fs[j], config), dfs_stopping_time(fs[i], fs[j], config)
+            )
+
+
+_DEEP_1D = DyadicCube(4, (3,), (1,))
+_DEEP_2D = DyadicCube(2, (1, -2), (2, 1))
+MIXED_ROOTS = {
+    1: (
+        UNIT,
+        parent(parent(_DEEP_1D)),
+        DyadicCube(-3, (-1,), (1,)),  # side 8, past the domain's left edge
+        _DEEP_1D,
+        DyadicCube(2, (1,), (2,)),
+        parent(_DEEP_1D),
+        DyadicCube(5, (-3,), (2,)),  # one cell
+        UNIT,
+    ),
+    2: (
+        DyadicCube(0, (0, 0), (0, 0)),
+        parent(parent(_DEEP_2D)),
+        DyadicCube(-2, (0, 0), (1, 2)),  # side 4, past two domain edges
+        _DEEP_2D,
+        DyadicCube(1, (0, 0), (0, 0)),
+        DyadicCube(-1, (-1, -1), (1, 2)),
+        parent(_DEEP_2D),
+        DyadicCube(0, (0, 0), (0, 0)),
+    ),
+}
+
+
+TIE_GRID = GridSpec(1, 2, 7)
+# bump_00 of this corpus puts all its mass in one grandchild of the root:
+# in real arithmetic that grandchild's mean is exactly base = 4 times the
+# root's, so its average sits on its threshold up to rounding
+TIE_ROOT = DyadicCube(-3, (-1,), (1,))
+TIE_GRANDCHILD = DyadicCube(-1, (-1,), (1,))
+
+
+def nudge_array_power(monkeypatch, factor: float) -> None:
+    """Make ``np.power`` off by ``factor``: far more than numpy's own
+    1 ulp, far less than the root filter's margin."""
+    power = np.power
+    monkeypatch.setattr(np, "power", lambda x, e: power(x, e) * factor)
+
+
+class TestRootFilter:
+    """The walk roots its averages with ``np.power``; only a value near a
+    positive threshold, and the averages a selected cube hands on, take
+    average_p's scalar root, and the family stays the depth-first search's."""
+
+    def tie_inputs(self) -> GridFunction:
+        f = make_corpus(TIE_GRID, seed=0, count=4)[0]
+        assert f.name == "bump_00"
+        return f
+
+    def test_structural_tie_lies_inside_the_margin(self):
+        f = self.tie_inputs()
+        for pair in (ExponentPair(2.0, 2.0), ExponentPair(4.0 / 3.0, 4.0), PAIR_1_INF):
+            t = 4.0 ** (1.0 / pair.r) * average_p(f, TIE_ROOT, pair.r)
+            a = average_p(f, TIE_GRANDCHILD, pair.r)
+            assert 0 < t and abs(a - t) <= t * sparse._ROOT_MARGIN, pair
+
+    @pytest.mark.parametrize("factor", [1 + 2.0**-44, 1 - 2.0**-44])
+    def test_tie_family_survives_a_nudged_array_power(self, monkeypatch, factor):
+        # without the scalar fallback one of the two nudges moves the tie
+        # across its threshold and the family changes
+        f = self.tie_inputs()
+        nudge_array_power(monkeypatch, factor)
+        for pair in PAIRS:
+            config = StoppingConfig(pair=pair, roots=(TIE_ROOT,))
+            assert_same_family(build_stopping_time(f, f, config), dfs_stopping_time(f, f, config))
+
+    @pytest.mark.parametrize("factor", [1 + 2.0**-44, 1 - 2.0**-44])
+    def test_corpus_families_survive_a_nudged_array_power(self, monkeypatch, factor):
+        fs = make_corpus(TIE_GRID, seed=0, count=4)
+        nudge_array_power(monkeypatch, factor)
+        for (i, j), pair in itertools.product(CORPUS_PAIRS, PAIRS):
+            config = StoppingConfig(pair=pair)
+            assert_same_family(
+                build_stopping_time(fs[i], fs[j], config), dfs_stopping_time(fs[i], fs[j], config)
+            )
+
+    def test_infinite_margin_changes_nothing(self, monkeypatch):
+        # every average near a positive threshold, that is all of them,
+        # takes the scalar root
+        fs = make_corpus(TIE_GRID, seed=0, count=4)
+        configs = [StoppingConfig(pair=pair) for pair in PAIRS]
+        configs += [StoppingConfig(pair=pair, roots=(TIE_ROOT,)) for pair in PAIRS]
+        want = [
+            build_stopping_time(fs[i], fs[j], config)
+            for (i, j), config in itertools.product(CORPUS_PAIRS, configs)
+        ]
+        monkeypatch.setattr(sparse, "_ROOT_MARGIN", math.inf)
+        for ((i, j), config), w in zip(itertools.product(CORPUS_PAIRS, configs), want):
+            got = build_stopping_time(fs[i], fs[j], config)
+            assert_same_family(got, w)
+            assert_same_family(got, dfs_stopping_time(fs[i], fs[j], config))
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 4.0])
+    def test_threshold_calls_compare_as_average_p(self, monkeypatch, p):
+        # thresholds on, just off and far from every average, and zero
+        spec = GridSpec(1, 2, 6)
+        f = make_corpus(spec, seed=2, count=4)[0]
+        avg = _CubeAverages(f, p)
+        nudge_array_power(monkeypatch, 1 + 2.0**-44)
+        for k in range(-(spec.K + 1), spec.kappa + 1):
+            for omega in itertools.product(range(3), repeat=spec.n):
+                M = np.array([c.m for c in enumerate_cubes(k, omega, spec.domain())])
+                want = avg.exact(k, omega, M)
+                assert want.tolist() == avg(k, omega, M).tolist()
+                for t in (want, want * (1 + 2.0**-50), want * (1 - 2.0**-50), 2 * want, 0 * want):
+                    got = avg(k, omega, M, t)
+                    assert np.array_equal(got > t, want > t), (k, omega)
+                    assert np.array_equal(got > 0, want > 0), (k, omega)
+
+    def test_cube_selected_through_g_hands_on_its_scalar_f_average(self, monkeypatch):
+        # with the array power nudged, a threshold that came from np.power
+        # would differ from every average_p value; each threshold the walks
+        # compare f-averages against must be jump_f times an entry's
+        # average_p, also below cubes that g alone selected
+        spec = TIE_GRID
+        fs = make_corpus(spec, seed=0, count=4)
+        f, g = fs[3], fs[1]
+        pair = ExponentPair(2.0, 2.0)
+        jump = 4.0 ** (1.0 / pair.r)
+        seen: list[float] = []
+        call = _CubeAverages.__call__
+
+        def spy(self, k, omega, M, t=None):
+            if self.u is f:
+                seen.extend(t.tolist())
+            return call(self, k, omega, M, t)
+
+        nudge_array_power(monkeypatch, 1 + 2.0**-44)
+        monkeypatch.setattr(_CubeAverages, "__call__", spy)
+        config = StoppingConfig(pair=pair)
+        coll = build_stopping_time(f, g, config)
+        assert_same_family(coll, dfs_stopping_time(f, g, config))
+        af = [average_p(f, e.cube, pair.r) for e in coll.entries]
+        through_g = [
+            i
+            for i, e in enumerate(coll.entries)
+            if e.parent >= 0
+            and e.cube.k < spec.kappa
+            and 0 < af[i] <= jump * af[e.parent]
+        ]
+        assert through_g
+        assert {jump * af[i] for i in through_g} <= set(seen)
+        assert set(seen) <= {jump * a for a in af}
+
+
+class TestSweepCallCount:
+    """One sweep per shift class: each scale costs one f- and one
+    g-average call for all open walks, and one batch of selections."""
+
+    @pytest.mark.parametrize(
+        "grid, roots",
+        [((1, 2, 7), None), ((1, 0, 11), None), ((2, 1, 3), None), ((1, 2, 5), 1), ((2, 1, 3), 2)],
+    )
+    def test_calls_per_scale_and_class(self, monkeypatch, grid, roots):
+        spec = GridSpec(*grid)
+        fs = make_corpus(spec, seed=3, count=4)
+        counts = {"calls": 0, "selections": 0}
+        call, add = _CubeAverages.__call__, _Sweep._add_selected
+
+        def count_call(self, *args):
+            counts["calls"] += 1
+            return call(self, *args)
+
+        def count_add(self, *args):
+            counts["selections"] += 1
+            return add(self, *args)
+
+        monkeypatch.setattr(_CubeAverages, "__call__", count_call)
+        monkeypatch.setattr(_Sweep, "_add_selected", count_add)
+        root_cubes = MIXED_ROOTS[roots] if roots else None
+        walked = 0
+        for (i, j), pair in itertools.product(CORPUS_PAIRS, PAIRS):
+            counts.update(calls=0, selections=0)
+            coll = build_stopping_time(fs[i], fs[j], StoppingConfig(pair=pair, roots=root_cubes))
+            tops = [e.cube for e in coll.entries if e.parent < 0]
+            if not tops:
+                assert counts == {"calls": 0, "selections": 0}
+                continue
+            walked += len(coll) > len(tops)
+            scales = spec.kappa - min(q.k for q in tops)
+            classes = len({q.omega for q in tops})
+            assert counts["calls"] <= 2 * scales * classes, (i, j, pair)
+            assert counts["selections"] <= scales * classes, (i, j, pair)
+        assert walked
 
 
 class TestNumpyIdentities:
