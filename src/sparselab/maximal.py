@@ -28,6 +28,7 @@ whole grid being one such region.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -280,8 +281,15 @@ def centred_level_set(f: GridFunction, p: float, tau: float) -> np.ndarray:
     n, h = f.spec.n, float(f.spec.h)
     u = np.abs(f.values) ** p
     cap = float(u.sum()) * h**n / tau**p
-    widths = [w for w in range(1, 2 * f.spec.N, 2) if (w * h) ** n <= cap]
-    return _sweep(_prefix_sums(u), widths, True) ** (1.0 / p) > tau
+    return _sweep(_prefix_sums(u), _centred_widths(f.spec.N, h, n, cap), True) ** (1.0 / p) > tau
+
+
+def _centred_widths(N: int, h: float, n: int, cap: float) -> range:
+    """The odd widths ``w < 2N`` with ``(w*h)**n <= cap``.  The left side
+    grows with w, so they are a prefix of the odd widths, found by
+    bisection on the same float expression (none when ``cap`` is NaN)."""
+    count = bisect.bisect_left(range(N), True, key=lambda t: not (((2 * t + 1) * h) ** n <= cap))
+    return range(1, 2 * count, 2)
 
 
 def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:

@@ -190,12 +190,41 @@ def _cell_rows(
     a: SymbolClass, spec: GridSpec, mult: np.ndarray | None, cells: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """Kernel rows ``K(x, z)`` of the cells named by one index array per
-    axis (at most ``_BLOCK``)."""
-    # contiguous x blocks keep each row's arithmetic that of a single row
-    c, shape = spec.centers(), (len(cells[0]),) + spec.shape
-    xs = tuple(np.repeat(c[ix], spec.N**spec.n).reshape(shape) for ix in cells)
-    amp = a.eval(xs, _freq_coords(spec))
+    axis (at most ``_BLOCK``), in FFT offset order.
+
+    The symbol is evaluated once on broadcast coordinates, x of shape
+    ``(B, 1, ...)`` and xi of shape ``(1, N, ...)``, and its value is
+    broadcast to ``(B, N, ...)``: the x-dependence costs B values, not
+    ``B * N**n``, and each row keeps the bits of a single-cell call."""
+    c, ones = spec.centers(), (1,) * spec.n
+    xs = tuple(c[ix].reshape((-1,) + ones) for ix in cells)
+    xi = tuple(q[None] for q in _freq_coords(spec))
+    amp = np.broadcast_to(a.eval(xs, xi), (len(cells[0]),) + spec.shape)
     return _rows(spec, amp if mult is None else amp * mult)
+
+
+def _shifted(arr: np.ndarray, lead: tuple[int, ...], lo: int, count: int) -> np.ndarray:
+    """``V[b, u] = arr[b, (x_b - u) mod N]`` over the grid axes (the last
+    ``len(lead) + 1`` axes of ``arr``) for the ``count`` cells
+    ``x_b = (*lead, lo + b)``; an ``arr`` with no leading cell axis gives
+    ``V[b, u] = arr[(x_b - u) mod N]``.
+
+    One ``take`` per grid axis turns the leading axes by ``lead`` and
+    doubles the last one reversed, ``d[..., k] = arr[..., -k mod N]`` for
+    ``k < 2N``; ``V`` is a read-only strided view of ``d`` whose row b
+    starts at ``N - lo - b`` on the last axis.  No ``N**n x N**n`` index
+    array is built, and ``d`` is C-ordered, so ``V``'s rows are too."""
+    N, n = arr.shape[-1], len(lead) + 1
+    d = arr
+    for axis, k in zip(range(-n, -1), lead):
+        d = np.take(d, (k - np.arange(N)) % N, axis=axis)
+    d = np.take(d, -np.arange(2 * N) % N, axis=-1)
+    if d.ndim == n:
+        d = d[None]  # one shared row: stride 0 across the cells
+    s = d.strides
+    return np.lib.stride_tricks.as_strided(
+        d[..., N - lo :], (count,) + (N,) * n, (s[0] - s[-1],) + s[1:], writeable=False
+    )
 
 
 def _window_values(fam: CutoffFamily, idx: PieceIndex, spec: GridSpec) -> np.ndarray:
@@ -214,13 +243,15 @@ class OperatorHandle:
     ordering); either may be absent.
 
     A multiplier or separable symbol ``M = diag(b) C`` is applied as
-    ``b * ifft(R * fft(f))`` (``_transfer``), a general symbol by contracting
-    its windowed kernel rows with ``f``, ``_BLOCK`` cells at a time.  A
-    multiplier or separable handle whose kernel is real (a Hermitian
-    amplitude, a real window and a real ``b``) gives real inputs real
-    images.  ``row`` and ``matrix`` give the kernel cell by cell and as a
-    dense matrix, both from the row blocks.  ``gram`` and ``kernel_norms`` are what the operator
-    norms read; only a general symbol builds ``matrix()`` for them.
+    ``b * ifft(R * fft(f))`` (``_transfer``), a general symbol by one
+    contraction per block of at most ``_BLOCK`` cells of its windowed
+    kernel rows with the shifted inputs.  A multiplier or separable handle
+    whose kernel is real (a Hermitian amplitude, a real window and a real
+    ``b``) gives real inputs real images.  ``row`` and ``matrix`` give the
+    kernel cell by cell and as a dense matrix, both from the row blocks.
+    ``gram`` and ``kernel_norms`` are what the operator norms read; only
+    ``gram`` of a general symbol builds ``matrix()``, and ``kernel_norms``
+    reduces the row blocks without it.
     """
 
     a: SymbolClass
@@ -255,45 +286,36 @@ class OperatorHandle:
             # a real kernel maps real data to real data: drop the rounding
             # noise of the imaginary part, keep the real part's bits
             return f.with_values(out.real if real and not np.any(f.values.imag) else out)
-        N, hn = spec.N, float(spec.h) ** spec.n
-        if spec.n == 2 and N > 64:
+        if spec.n == 2 and spec.N > 64:
             raise ValueError("x-dependent 2D operators are limited to 64 cells per axis")
-        out = np.empty(spec.shape, dtype=np.complex128)
-        # g(u) = f(-u) on the doubled periodic grid: f(x - z) over all z is one slice of g
-        g = np.tile(f.values[np.ix_(*(-np.arange(N) % N,) * spec.n)], (2,) * spec.n)
-        for _, cells, rows in self._row_blocks():
-            for row, *i in zip(rows, *cells):
-                fy = g[tuple(slice(N - k, 2 * N - k) for k in i)]
-                out[tuple(i)] = hn * np.dot(row.ravel(), fy.ravel())
-        return f.with_values(out)
+        hn = float(spec.h) ** spec.n
+        out = np.empty(spec.N**spec.n, dtype=np.complex128)
+        z = "yz"[-spec.n :]  # einsum letters of the grid axes
+        for flat, lead, lo, rows in self._row_blocks():
+            # sum_z K(x, z) f(x - z) for the block's cells x, in one product
+            fz = _shifted(f.values, lead, lo, len(rows))
+            out[flat : flat + len(rows)] = hn * np.einsum(f"x{z},x{z}->x", rows, fz)
+        return f.with_values(out.reshape(spec.shape))
 
     def row(self, x_index: tuple[int, ...]) -> np.ndarray:
         """Windowed kernel of the cell x with index ``x_index`` per axis at
         every input cell y, ``K(x, x - y)``: row x of ``matrix()`` divided by
         ``h**n``, in the grid's shape."""
-        N = self.spec.N
+        *lead, lo = x_index
         (row,) = _cell_rows(self.a, self.spec, self.mult, tuple(np.array(x_index)[:, None]))
-        # the offset x - y of input cell u sits at FFT position (i - u) mod N per axis
-        u = np.arange(N)
-        return self._windowed(row)[np.ix_(*((k - u) % N for k in x_index))]
+        return _shifted(self._windowed(row), tuple(lead), lo, 1)[0].copy()
 
     def matrix(self) -> np.ndarray:
         """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
         (C order) cell indices, up to ``_DENSE_LIMIT`` cells."""
-        spec, N = self.spec, self.spec.N
-        if N**spec.n > _DENSE_LIMIT:
+        size = self.spec.N**self.spec.n
+        if size > _DENSE_LIMIT:
             raise ValueError("dense kernel too large")
-        hn = float(spec.h) ** spec.n
-        # idx[i, j]: flat index of the periodic offset i - j into a kernel row
-        d = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-        idx = d
-        for _ in range(1, spec.n):
-            m = idx.shape[0] * N
-            idx = (idx[:, None, :, None] * N + d[None, :, None, :]).reshape(m, m)
-        M = np.empty(idx.shape, dtype=np.complex128)
-        for lo, _, rows in self._row_blocks():
-            flat = slice(lo, lo + len(rows))
-            M[flat] = hn * np.take_along_axis(rows.reshape(len(rows), -1), idx[flat], axis=1)
+        hn = float(self.spec.h) ** self.spec.n
+        M = np.empty((size, size), dtype=np.complex128)
+        for flat, lead, lo, rows in self._row_blocks():
+            out = M[flat : flat + len(rows)].reshape(rows.shape)
+            np.multiply(hn, _shifted(rows, lead, lo, len(rows)), out=out)
         return M
 
     def gram(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -316,9 +338,13 @@ class OperatorHandle:
 
         return gram
 
-    def kernel_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+    def kernel_norms(
+        self, p: float, rows: bool = True, cols: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Grid L^p norms (``p`` may be inf) of the kernel's rows ``K(x, .)``
-        and columns ``K(., y)``, flat over the cells in C order.
+        and columns ``K(., y)``, flat over the cells in C order; a side not
+        asked for (``rows=False`` or ``cols=False``) is not computed and
+        comes back as None.
 
         A multiplier or separable kernel has ``|K(x, y)| = |b(x)|
         |row(x - y)|``: its rows are ``|b(x)| ||row||_p``, and so are its
@@ -326,28 +352,58 @@ class OperatorHandle:
         is the correlation of ``|b|**p`` with ``|row|**p``, by FFT (its
         rounding is relative to the largest column), and at p = inf the
         largest ``|b(y + z)| |row(z)|`` over the offsets z.  A general
-        kernel is read off ``matrix()``.
+        kernel is read off the rows of ``matrix()`` a block at a time,
+        without building it: each row reduces in column order, and the
+        columns accumulate row after row, the orders of a reduction over
+        the whole matrix, so the norms have its bits.
         """
         spec = self.spec
         hn = float(spec.h) ** spec.n
         if self.a.structure == "general":
-            return _dense_kernel_norms(self.matrix(), p, hn)
+            return self._general_norms(p, rows, cols)
         row, xf, _ = self._free_row()
         u = np.abs(row)
         b = np.broadcast_to(1.0 if xf is None else np.abs(xf), spec.shape)
         norm = _lp_h(u, p, hn)
-        rows = (b * norm).ravel()
+        row_norms = (b * norm).ravel() if rows else None
+        if not cols:
+            return row_norms, None
         if b.min() == b.max():
-            return rows, np.full(rows.size, b.flat[0] * norm)
+            return row_norms, np.full(b.size, b.flat[0] * norm)
         if math.isinf(p):
-            cols = np.zeros(spec.shape)
+            col_norms = np.zeros(spec.shape)
             for z in zip(*np.nonzero(u)):
                 shifted = np.roll(b, [-k for k in z], axis=tuple(range(spec.n)))
-                cols = np.maximum(cols, u[z] * shifted)
-            return rows, cols.ravel()
+                col_norms = np.maximum(col_norms, u[z] * shifted)
+            return row_norms, col_norms.ravel()
         fft, ifft = _dft(spec.n)
         corr = ifft(fft(b**p) * np.conj(fft(u**p))).real
-        return rows, ((np.maximum(corr, 0.0) * hn) ** (1.0 / p)).ravel()
+        return row_norms, ((np.maximum(corr, 0.0) * hn) ** (1.0 / p)).ravel()
+
+    def _general_norms(
+        self, p: float, rows: bool, cols: bool
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``kernel_norms`` of a general kernel, from ``_row_blocks``."""
+        hn = float(self.spec.h) ** self.spec.n
+        inf = math.isinf(p)
+        reduce = np.maximum.reduce if inf else np.add.reduce
+        row_parts, col_acc = [], np.zeros(self.spec.N**self.spec.n)
+        for _, lead, lo, block in self._row_blocks():
+            # |M| / h**n entry by entry, so before the layout with the same bits
+            A = np.abs(hn * block) / hn
+            if not inf:
+                A = A**p
+            A = np.ascontiguousarray(_shifted(A, lead, lo, len(A))).reshape(len(A), -1)
+            if rows:
+                row_parts.append(reduce(A, axis=1))
+            if cols:
+                # the accumulator, then the block's rows in order
+                col_acc = reduce(np.concatenate((col_acc[None], A)), axis=0)
+
+        def root(v: np.ndarray) -> np.ndarray:
+            return v if inf else (v * hn) ** (1.0 / p)
+
+        return root(np.concatenate(row_parts)) if rows else None, root(col_acc) if cols else None
 
     def _windowed(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.window is None else rows * self.window
@@ -382,14 +438,17 @@ class OperatorHandle:
         return float(self.spec.h) ** self.spec.n * _dft(self.spec.n)[0](row), xf, real
 
     def _row_blocks(self):
-        """Windowed kernel rows of all cells in C order, ``_BLOCK`` at a
-        time: the flat index of a block's first cell, one index array per
-        axis, and the block's rows."""
-        spec = self.spec
-        cells = np.indices(spec.shape).reshape(spec.n, -1)
-        for lo in range(0, cells.shape[1], _BLOCK):
-            block = tuple(cells[:, lo : lo + _BLOCK])
-            yield lo, block, self._windowed(_cell_rows(self.a, spec, self.mult, block))
+        """Windowed kernel rows of all cells in C order, in blocks of at most
+        ``_BLOCK`` cells that share every index but the last: the flat index
+        of a block's first cell, the shared leading indices, the block's
+        first last index, and its rows (FFT offset order)."""
+        spec, N = self.spec, self.spec.N
+        for lead in np.ndindex(*(N,) * (spec.n - 1)):
+            for lo in range(0, N, _BLOCK):
+                last = np.arange(lo, min(lo + _BLOCK, N))
+                cells = tuple(np.full(last.size, k) for k in lead) + (last,)
+                rows = self._windowed(_cell_rows(self.a, spec, self.mult, cells))
+                yield int(np.ravel_multi_index(lead + (lo,), spec.shape)), lead, lo, rows
 
 
 def _hermitian(amp: np.ndarray) -> bool:
@@ -402,15 +461,6 @@ def _hermitian(amp: np.ndarray) -> bool:
 def _dense_gram(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """``v -> M^H M v`` by two products with ``M``, without a copy of ``M^H``."""
     return lambda v: np.conj(np.conj(M @ v) @ M)
-
-
-def _dense_kernel_norms(M: np.ndarray, p: float, hn: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grid L^p norms of the rows and the columns of the kernel ``|M| / hn``."""
-    A = np.abs(M) / hn
-    if math.isinf(p):
-        return np.max(A, axis=1), np.max(A, axis=0)
-    Ap = A**p
-    return (np.sum(Ap, axis=1) * hn) ** (1.0 / p), (np.sum(Ap, axis=0) * hn) ** (1.0 / p)
 
 
 def symbol_operator(a: SymbolClass, spec: GridSpec) -> OperatorHandle:

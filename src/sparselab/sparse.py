@@ -83,11 +83,17 @@ class SparseCollection:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def children_of(self, i: int) -> list[int]:
-        return [j for j, e in enumerate(self.entries) if e.parent == i]
-
-    def by_rank(self, rank: int) -> list[int]:
-        return [j for j, e in enumerate(self.entries) if e.rank == rank]
+    def tree(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The children of every entry and the entries of every rank
+        ``0..max_rank()``, each list in index order, from one pass over the
+        entries."""
+        children: list[list[int]] = [[] for _ in self.entries]
+        ranks: list[list[int]] = [[] for _ in range(self.max_rank() + 1)]
+        for j, e in enumerate(self.entries):
+            if e.parent >= 0:
+                children[e.parent].append(j)
+            ranks[e.rank].append(j)
+        return children, ranks
 
     def max_rank(self) -> int:
         return max((e.rank for e in self.entries), default=-1)
@@ -535,28 +541,32 @@ def verify_sparsity(coll: SparseCollection) -> SparsityReport:
     """Check survivor volume bounds (exact volumes) and disjointness.
 
     The volume of each survivor set is computed as cube volume minus the sum
-    of the selected children volumes (children are disjoint and nested), all
-    in exact rational arithmetic; it must be at least ``eta`` times the
-    region volume.  Survivor cell sets must be pairwise disjoint, per shift
+    of the selected children volumes (children are disjoint and nested); it
+    must be at least ``eta`` times the region volume.  Every volume is an
+    integer count of the family's finest cubes, so the comparison is exact
+    in integers.  Survivor cell sets must be pairwise disjoint, per shift
     class for stopping families and globally for Whitney ones.
     """
     failures: list[str] = []
     min_margin = np.inf
+    children, _ = coll.tree()
+    n = coll.spec.n
+    finest = max((e.cube.k for e in coll.entries), default=0)
+    # volumes in units of a finest cube; a Whitney region is the tripled cube
+    units = [1 << (n * (finest - e.cube.k)) for e in coll.entries]
+    dilation = 1 if coll.flavor == "stopping" else 3**n
+    num, den = coll.eta.numerator, coll.eta.denominator
     for i, e in enumerate(coll.entries):
-        vol = e.cube.volume()
-        kid_vol = sum(
-            (coll.entries[j].cube.volume() for j in coll.children_of(i)),
-            Fraction(0),
-        )
-        surv_vol = vol - kid_vol
-        region_vol = coll.region(i).volume()
-        need = coll.eta * region_vol
-        margin = float(surv_vol / need) if need > 0 else np.inf
+        surv = units[i] - sum(units[j] for j in children[i])
+        region = dilation * units[i]
+        # survivor / (eta * region), correctly rounded like float(Fraction)
+        margin = surv * den / (num * region) if num * region > 0 else np.inf
         min_margin = min(min_margin, margin)
-        if surv_vol < need:
+        if surv * den < num * region:
+            unit = Fraction(2) ** (-n * finest)
             failures.append(
                 f"entry {i} (rank {e.rank}, k={e.cube.k}, m={e.cube.m}): "
-                f"survivor {surv_vol} < {coll.eta} * region {region_vol}"
+                f"survivor {surv * unit} < {coll.eta} * region {region * unit}"
             )
     groups: dict[tuple[int, ...], list[np.ndarray]] = {}
     for e in coll.entries:

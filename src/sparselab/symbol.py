@@ -68,6 +68,11 @@ class SymbolClass:
     xi_factor: Callable[[Coords], np.ndarray] | None = None
 
     def eval(self, x, xi) -> np.ndarray:
+        """``a(x, xi)`` as complex values.  The coordinates arrive as
+        mutually broadcastable arrays, one per axis (the operators pass x
+        of shape ``(B, 1, ...)`` and xi of shape ``(1, N, ...)``), and the
+        value need only broadcast to their common shape: a scalar, or an
+        array that ignores x or xi, is fine."""
         xc = _as_coords(x, self.n)
         xic = _as_coords(xi, self.n)
         return np.asarray(self.fn(xc, xic), dtype=np.complex128)
@@ -168,7 +173,9 @@ def custom_symbol(
     fn: Callable[[Coords, Coords], np.ndarray], m: float, rho: float, delta: float, n: int = 1
 ) -> SymbolClass:
     """A smooth symbol given only by ``fn``, with no factors: the operator
-    takes the general kernel-row path."""
+    takes the general kernel-row path.  ``fn(x, xi)`` receives broadcastable
+    coordinate arrays, one per axis, and returns values that broadcast to
+    their common shape (see :meth:`SymbolClass.eval`)."""
     return SymbolClass(family="custom", m=m, rho=rho, delta=delta, kind="smooth", n=n, fn=fn)
 
 

@@ -198,7 +198,9 @@ def empirical_norm(op: OperatorHandle, pair: ExponentPair, spec: GridSpec,
     the heaviest rows, reported as such, never as the norm.  A handle
     supplies the Gram map and the kernel norms (``OperatorHandle.gram``,
     ``OperatorHandle.kernel_norms``): from one kernel row and the x-factor
-    for multiplier and separable symbols, from ``matrix()`` for general ones.
+    for multiplier and separable symbols; for general ones the Gram map
+    from ``matrix()``, the norms from the kernel rows a block at a time.
+    Only the side of the kernel a closed form reads is computed.
     """
     r, s = pair.r, pair.s
     if r == 2 and s == 2:
@@ -206,9 +208,11 @@ def empirical_norm(op: OperatorHandle, pair: ExponentPair, spec: GridSpec,
     hn = float(spec.h) ** spec.n  # cell volume
     rp = pair.r_prime
     if math.isinf(s):  # rows in L^r'
-        return NormEstimate(float(np.max(op.kernel_norms(rp)[0])), "exact", r, s)
+        rows, _ = op.kernel_norms(rp, cols=False)
+        return NormEstimate(float(np.max(rows)), "exact", r, s)
     if r == 1:  # columns in L^s
-        return NormEstimate(float(np.max(op.kernel_norms(s)[1])), "exact", r, s)
+        _, cols = op.kernel_norms(s, rows=False)
+        return NormEstimate(float(np.max(cols)), "exact", r, s)
 
     # general pair: certified lower bound from test functions
     best = 0.0
@@ -539,8 +543,15 @@ def composed_sharp_apply(
     symbol with a real kernel (bessel, ``rough_bump``, a real
     ``multiplication``) has a real image (``OperatorHandle.apply``), so the sharp maximal runs
     in real arithmetic."""
-    image = localized_operator(a, ell1, f.spec).apply(f)
-    return sharp_maximal(image, radius_cap=ell2, region=region)
+    return _sharp_image(localized_operator(a, ell1, f.spec), ell2, f, region)
+
+
+def _sharp_image(
+    op: OperatorHandle, ell2: float, f: GridFunction, region: Box | DyadicCube | None = None
+) -> np.ndarray:
+    """``composed_sharp_apply`` with the localized operator built once by
+    the caller."""
+    return sharp_maximal(op.apply(f), radius_cap=ell2, region=region)
 
 
 @dataclass
@@ -567,11 +578,12 @@ def sharp_ratio_probe(
     """
     if isinstance(fs, GridFunction):
         fs = [fs]
+    op = localized_operator(a, ell1, fs[0].spec) if fs else None
     ratios_all = []
     flagged = 0
     active_total = 0
     for k, f in enumerate(fs):
-        S = composed_sharp_apply(a, ell1, ell2, f)
+        S = _sharp_image(op, ell2, f)
         Mp = maximal_p(f, p) if precomputed_max is None else precomputed_max[k]
         active = S > DENOM_FLOOR
         flagged += int(np.count_nonzero(active & (Mp <= DENOM_FLOOR)))
@@ -646,22 +658,23 @@ def endpoint_audit(
     sp = pair.s_prime
     g_abs = np.abs(g.values)
 
-    def T(u: GridFunction, region: Box | DyadicCube | None = None) -> np.ndarray:
-        return composed_sharp_apply(a, ell1, ell2, u, region)
-
     def pair_with_g(tvals: np.ndarray, cells: np.ndarray) -> float:
         return float(np.sum(tvals.reshape(-1)[cells] * g_abs.reshape(-1)[cells]) * hn)
 
     # reach must fit into a core side, otherwise the identity is not exact
     reach = 2.0**ell1 + 2.0 * ell2
-    sides = {float(coll.entries[i].cube.side) for i in coll.by_rank(0)}
+    children, by_rank = coll.tree()
+    sides = {float(coll.entries[i].cube.side) for i in (by_rank[0] if by_rank else [])}
     if sides and min(sides) < reach:
         raise ValueError("core side is below the composed operator reach")
+    op = localized_operator(a, ell1, spec)
+
+    def T(u: GridFunction, region: Box | DyadicCube | None = None) -> np.ndarray:
+        return _sharp_image(op, ell2, u, region)
 
     T_global = T(f)  # full grid: the pairing reads every cell
     pairing = float(np.sum(np.abs(T_global) * g_abs) * hn)
-    ranks = range(coll.max_rank() + 1)
-    by_rank = {q: coll.by_rank(q) for q in ranks}
+    ranks = range(len(by_rank))
 
     regions = [coll.region(i) for i in range(len(coll))]
 
@@ -697,7 +710,7 @@ def endpoint_audit(
             a2 = max(a2, average_p(f.with_values(loc_T[i]), tb, r) / af)
         if ag > DENOM_FLOOR and e.survivor.size:
             a3 = max(a3, average_p(g, e.survivor, rp) / ag)
-        for jdx in coll.children_of(i):
+        for jdx in children[i]:
             child = coll.entries[jdx]
             ctb = regions[jdx]
             if af > DENOM_FLOOR:

@@ -15,10 +15,19 @@ another way, or a piece of exact geometry that only the checks need:
 * ``direct_quadrature``: ``a(x, D) f`` as the literal double sum over
   cells and frequencies; the package applies the operator by FFT
   convolution with a kernel row or by contracting kernel rows.
+* ``gathered_matrix``: an operator's dense matrix by one gather with the
+  ``N**n x N**n`` array of periodic offsets; the package lays kernel rows
+  out by strided copies.
+* ``cellwise_apply``: a general operator applied by one dot product per
+  cell; the package contracts a block of cells at a time.
+* ``dense_kernel_norms``: row and column norms reduced over the whole
+  dense matrix; the package reduces its rows a block at a time.
 * ``dense_l2_norm``: the 2 -> 2 norm by a full SVD of the dense matrix.
 * ``DenseMatrix``: a raw matrix with the reads the norm probes take from
   an operator handle, so a handle's norms can be checked against its own
   dense form.
+* ``per_entry_sparsity``: ``verify_sparsity`` with ``Fraction`` volumes
+  and a scan of every entry for each entry's children.
 * ``third_partition_residual``: the central thirds of the three shift
   classes reassemble a function.
 """
@@ -41,9 +50,9 @@ from sparselab.dyadic import (
     shift_sign,
     third_dilate,
 )
-from sparselab.pdo import OperatorHandle, _dense_gram, _dense_kernel_norms
+from sparselab.pdo import _BLOCK, OperatorHandle, _cell_rows, _dense_gram
 from sparselab.sample import GridFunction, GridSpec, average_p
-from sparselab.sparse import SparseCollection, SparseEntry, StoppingConfig
+from sparselab.sparse import SparseCollection, SparseEntry, SparsityReport, StoppingConfig
 from sparselab.symbol import SymbolClass
 
 
@@ -197,6 +206,58 @@ def direct_quadrature(
     return f.with_values(out.reshape(spec.shape))
 
 
+def _kernel_rows(op: OperatorHandle):
+    """Windowed kernel rows of all cells in C order, ``_BLOCK`` at a time:
+    the flat index of a block's first cell, one index array per axis, and
+    the rows."""
+    spec = op.spec
+    cells = np.indices(spec.shape).reshape(spec.n, -1)
+    for lo in range(0, cells.shape[1], _BLOCK):
+        block = tuple(cells[:, lo : lo + _BLOCK])
+        yield lo, block, op._windowed(_cell_rows(op.a, spec, op.mult, block))
+
+
+def gathered_matrix(op: OperatorHandle) -> np.ndarray:
+    """``op.matrix()`` by a gather with the flat index of every periodic
+    offset ``i - j`` into a kernel row."""
+    spec, N = op.spec, op.spec.N
+    hn = float(spec.h) ** spec.n
+    d = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    idx = d
+    for _ in range(1, spec.n):
+        m = idx.shape[0] * N
+        idx = (idx[:, None, :, None] * N + d[None, :, None, :]).reshape(m, m)
+    M = np.empty(idx.shape, dtype=np.complex128)
+    for lo, _, rows in _kernel_rows(op):
+        flat = slice(lo, lo + len(rows))
+        M[flat] = hn * np.take_along_axis(rows.reshape(len(rows), -1), idx[flat], axis=1)
+    return M
+
+
+def cellwise_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
+    """A general operator applied to ``f`` by one dot product per cell:
+    ``h**n sum_z K(x, z) f(x - z)``."""
+    spec, N = op.spec, op.spec.N
+    hn = float(spec.h) ** spec.n
+    out = np.empty(spec.shape, dtype=np.complex128)
+    # g(u) = f(-u) on the doubled periodic grid: f(x - z) over all z is one slice of g
+    g = np.tile(f.values[np.ix_(*(-np.arange(N) % N,) * spec.n)], (2,) * spec.n)
+    for _, cells, rows in _kernel_rows(op):
+        for row, *i in zip(rows, *cells):
+            fy = g[tuple(slice(N - k, 2 * N - k) for k in i)]
+            out[tuple(i)] = hn * np.dot(row.ravel(), fy.ravel())
+    return f.with_values(out)
+
+
+def dense_kernel_norms(M: np.ndarray, p: float, hn: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid L^p norms of the rows and the columns of the kernel ``|M| / hn``."""
+    A = np.abs(M) / hn
+    if math.isinf(p):
+        return np.max(A, axis=1), np.max(A, axis=0)
+    Ap = A**p
+    return (np.sum(Ap, axis=1) * hn) ** (1.0 / p), (np.sum(Ap, axis=0) * hn) ** (1.0 / p)
+
+
 def dense_l2_norm(op, spec: GridSpec) -> float:
     """Full SVD 2 -> 2 norm; small grids only."""
     M = op.matrix() if isinstance(op, OperatorHandle) else np.asarray(op)
@@ -223,8 +284,42 @@ class DenseMatrix:
     def gram(self):
         return _dense_gram(self.M)
 
-    def kernel_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        return _dense_kernel_norms(self.M, p, float(self.spec.h) ** self.spec.n)
+    def kernel_norms(self, p: float, rows: bool = True, cols: bool = True):
+        r, c = dense_kernel_norms(self.M, p, float(self.spec.h) ** self.spec.n)
+        return r if rows else None, c if cols else None
+
+
+def per_entry_sparsity(coll: SparseCollection) -> SparsityReport:
+    """``verify_sparsity`` entry by entry: exact ``Fraction`` volumes, and
+    each entry's children found by scanning the whole family."""
+    failures: list[str] = []
+    min_margin = np.inf
+    for i, e in enumerate(coll.entries):
+        vol = e.cube.volume()
+        kids = [c for c in coll.entries if c.parent == i]
+        surv_vol = vol - sum((c.cube.volume() for c in kids), Fraction(0))
+        region_vol = coll.region(i).volume()
+        need = coll.eta * region_vol
+        margin = float(surv_vol / need) if need > 0 else np.inf
+        min_margin = min(min_margin, margin)
+        if surv_vol < need:
+            failures.append(
+                f"entry {i} (rank {e.rank}, k={e.cube.k}, m={e.cube.m}): "
+                f"survivor {surv_vol} < {coll.eta} * region {region_vol}"
+            )
+    disjoint = True
+    classes = [e.cube.omega if coll.flavor == "stopping" else () for e in coll.entries]
+    for key in dict.fromkeys(classes):  # in order of first appearance
+        cells = np.concatenate([e.survivor for e, c in zip(coll.entries, classes) if c == key])
+        if np.unique(cells).size < cells.size:
+            disjoint = False
+            failures.append(f"survivor overlap within shift class {key}")
+    return SparsityReport(
+        ok=not failures,
+        min_margin=float(min_margin) if coll.entries else np.inf,
+        disjoint=disjoint,
+        failures=failures,
+    )
 
 
 def third_partition_residual(f: GridFunction, k: int) -> float:

@@ -1,6 +1,7 @@
 """Windowed maximal averages and the mean-oscillation maximal."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,19 @@ class TestCentredLevelSet:
             levels += [avg, weak * avg, (3.0 ** (n + 1) / 0.5) ** (1.0 / p) * weak * avg]
             for tau in levels:
                 assert np.array_equal(centred_level_set(f, p, tau), full > tau), (f.name, tau)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_widths_are_the_admissible_odd_widths(self, n):
+        # the bisection against the comprehension over every odd width
+        for kappa in range(9):
+            spec = GridSpec(n, 1, kappa)
+            N, h = spec.N, float(spec.h)
+            edges = [(w * h) ** n for w in (1, 3, N - 1, N + 1, 2 * N - 1)]
+            caps = [0.0, -1.0, 5e-324, math.inf, math.nan, 1e300, *np.geomspace(1e-6, 1e6, 13)]
+            caps += edges + [np.nextafter(e, t) for e in edges for t in (0.0, math.inf)]
+            for cap in map(float, caps):
+                want = [w for w in range(1, 2 * N, 2) if (w * h) ** n <= cap]
+                assert list(maximal._centred_widths(N, h, n, cap)) == want, (kappa, cap)
 
     def test_vanishing_function_gives_empty_mask(self):
         for spec in (SPEC, GridSpec(2, 1, 3)):

@@ -30,7 +30,14 @@ from sparselab.symbol import (
     rough_bump,
 )
 
-from oracles import default_truncation, direct_quadrature, fourier_sum
+from oracles import (
+    cellwise_apply,
+    default_truncation,
+    dense_kernel_norms,
+    direct_quadrature,
+    fourier_sum,
+    gathered_matrix,
+)
 
 SPEC = GridSpec(1, 2, 6)
 FAM = CutoffFamily()
@@ -551,6 +558,92 @@ class TestDenseKernels:
     def test_oversized_matrix_refused(self):
         with pytest.raises(ValueError, match="too large"):
             symbol_operator(bessel(-1.0), GridSpec(1, 4, 9)).matrix()
+
+
+class TestGeneralRows:
+    """General kernels: rows laid out by strided copies, norms reduced a
+    block at a time and block contractions, against the index gather, the
+    whole-matrix reductions and the per-cell dot products."""
+
+    SPECS = [GridSpec(1, 2, 6), GridSpec(2, 1, 3)]  # 4 row blocks; 32 blocks of 32
+
+    @staticmethod
+    def handles(a, spec: GridSpec) -> list:
+        return [
+            symbol_operator(a, spec),
+            band_operator(a, FAM, 3, spec),
+            piece_operator(a, FAM, PieceIndex(3, 1, 0.45), spec),
+            localized_operator(a, 1, spec),
+        ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("kind", ["general", "multiplier"])
+    def test_matrix_is_the_index_gather(self, kind, spec):
+        general = GENERAL_1D if spec.n == 1 else GENERAL_2D
+        a = general if kind == "general" else bessel(-1.0, n=spec.n)
+        for op in self.handles(a, spec):
+            assert np.array_equal(op.matrix(), gathered_matrix(op))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    def test_norms_are_the_whole_matrix_reductions(self, spec):
+        a, hn = GENERAL_1D if spec.n == 1 else GENERAL_2D, float(spec.h) ** spec.n
+        for op in self.handles(a, spec)[1:3]:
+            M = gathered_matrix(op)
+            for p in (1.0, 2.0, math.inf):
+                rows, cols = dense_kernel_norms(M, p, hn)
+                got_rows, got_cols = op.kernel_norms(p)
+                assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+            # one side alone has the same bits, and the other side is None
+            rows_only, none = op.kernel_norms(p, cols=False)
+            no, cols_only = op.kernel_norms(p, rows=False)
+            assert none is None and no is None
+            assert np.array_equal(rows_only, rows) and np.array_equal(cols_only, cols)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    def test_norms_build_no_matrix(self, spec, monkeypatch):
+        a = GENERAL_1D if spec.n == 1 else GENERAL_2D
+        want = [symbol_operator(a, spec).kernel_norms(p) for p in (1.0, math.inf)]
+
+        def refuse(self):
+            raise AssertionError("matrix() built for kernel norms")
+
+        monkeypatch.setattr(OperatorHandle, "matrix", refuse)
+        for p, (rows, cols) in zip((1.0, math.inf), want):
+            got_rows, got_cols = symbol_operator(a, spec).kernel_norms(p)
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    def test_block_application_matches_cellwise(self, spec):
+        a = GENERAL_1D if spec.n == 1 else GENERAL_2D
+        for op in self.handles(a, spec):
+            for f in make_corpus(spec, seed=4, count=4)[2:]:
+                want = cellwise_apply(op, f).values
+                got = op.apply(f).values
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("shape", ["scalar", "x_only", "xi_only"])
+    def test_symbols_that_ignore_a_variable(self, shape, spec):
+        # the value may broadcast to less than the (cells, frequencies) grid
+        fn = {
+            "scalar": lambda x, xi: 0.5,
+            "x_only": lambda x, xi: np.cos(x[0]) + 0.25 * x[-1],
+            "xi_only": lambda x, xi: (1.0 + xi[0] ** 2 + 2.0 * xi[-1] ** 2) ** -0.5,
+        }[shape]
+
+        def full(x, xi):
+            grid = np.broadcast_shapes(*(c.shape for c in x + xi))
+            return np.broadcast_to(fn(x, xi), grid)
+
+        a, b = (custom_symbol(g, m=-1.0, rho=1.0, delta=0.0, n=spec.n) for g in (fn, full))
+        for op, ref in zip(self.handles(a, spec), self.handles(b, spec)):
+            assert np.array_equal(op.matrix(), ref.matrix())
+            assert np.array_equal(op.row((3,) * spec.n), ref.row((3,) * spec.n))
+        # and the rows are the operator's: a constant symbol is c times the identity
+        if shape == "scalar":
+            f = make_corpus(spec, seed=2, count=4)[3]
+            got = symbol_operator(a, spec).apply(f).values
+            assert np.max(np.abs(got - 0.5 * f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
 def test_default_nu_clamps():

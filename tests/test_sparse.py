@@ -22,7 +22,7 @@ from sparselab.sparse import (
     verify_sparsity,
 )
 
-from oracles import box_cell_count, dfs_stopping_time, parent
+from oracles import box_cell_count, dfs_stopping_time, parent, per_entry_sparsity
 
 SPEC = GridSpec(1, 2, 5)
 UNIT = DyadicCube(0, (0,), (0,))
@@ -494,3 +494,45 @@ class TestVerifySparsity:
         with pytest.raises(ValueError, match="flavor"):
             SparseCollection(SPEC, "greedy", Fraction(1, 2))
 
+    def families(self):
+        """Stopping and Whitney families of the corpus in 1D and 2D, and
+        hand-made ones that fail the volume check, overlap, or both."""
+        out = []
+        for spec in (GridSpec(1, 2, 7), GridSpec(2, 1, 4)):
+            fs = make_corpus(spec, seed=6, count=4)
+            for (i, j), pair in zip(CORPUS_PAIRS, itertools.cycle(PAIRS)):
+                out.append(build_stopping_time(fs[i], fs[j], StoppingConfig(pair=pair)))
+        spec = GridSpec(1, 3, 5)
+        fs = make_corpus(spec, seed=30, count=4)
+        whitney = WhitneyConfig(pair=ExponentPair(2.0, 2.0), ell1=1, ell2=1.0)
+        out += [build_whitney_sparse(f, g, whitney) for f, g in zip(fs[:2], fs[2:])]
+        # a root whose children eat most of it, one of them twice
+        bad = SparseCollection(SPEC, "stopping", Fraction(1, 2))
+        bad.entries.append(SparseEntry(UNIT, 0, -1, np.empty(0, dtype=np.int64)))
+        for m in (0, 1, 1):
+            cube = DyadicCube(2, (m,), (0,))
+            bad.entries.append(SparseEntry(cube, 1, 0, SPEC.box_flat_cells(cube_box(cube))))
+        out.append(bad)
+        # a Whitney entry with a region three times its cube
+        tight = SparseCollection(SPEC, "whitney", Fraction(1, 2))
+        tight.entries.append(SparseEntry(UNIT, 0, -1, SPEC.box_flat_cells(cube_box(UNIT))))
+        out.append(tight)
+        return out
+
+    def test_matches_the_per_entry_check(self):
+        families = self.families()
+        assert any(not verify_sparsity(c).ok for c in families)
+        assert any(len(c) > 100 for c in families)
+        for coll in families:
+            got, want = verify_sparsity(coll), per_entry_sparsity(coll)
+            assert got == want
+            assert math.copysign(1.0, got.min_margin) == math.copysign(1.0, want.min_margin)
+
+    def test_tree_groups_children_and_ranks(self):
+        for coll in self.families():
+            children, ranks = coll.tree()
+            assert len(ranks) == coll.max_rank() + 1
+            for i in range(len(coll)):
+                assert children[i] == [j for j, e in enumerate(coll.entries) if e.parent == i]
+            for q, members in enumerate(ranks):
+                assert members == [j for j, e in enumerate(coll.entries) if e.rank == q]

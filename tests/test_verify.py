@@ -249,6 +249,23 @@ class TestStructuredNorms:
                 empirical_norm(op, pair, spec)
                 schur_bound(op, pair, spec)
 
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    def test_general_norms_build_no_matrix(self, spec, monkeypatch):
+        # only the 2 -> 2 Gram map reads a general handle's dense matrix;
+        # its row and column norms have the dense reductions' bits
+        op = _structured_piece("general", "window", spec)
+        dense_op = DenseMatrix(op.matrix(), spec)
+
+        def refuse(self):
+            raise AssertionError("matrix() built for a row or column norm")
+
+        monkeypatch.setattr(OperatorHandle, "matrix", refuse)
+        for pair in self.EXACT_PAIRS:
+            assert empirical_norm(op, pair, spec) == empirical_norm(dense_op, pair, spec)
+        for pair in self.SCHUR_PAIRS:
+            assert schur_bound(op, pair, spec) == schur_bound(dense_op, pair, spec)
+        assert empirical_norm(op, ExponentPair(4.0 / 3.0, 4.0), spec).kind == "lower_bound"
+
     def test_multiplier_fit_past_the_dense_limit(self):
         # N = 32768 cells, where matrix() refuses
         spec = GridSpec(1, 2, 12)
