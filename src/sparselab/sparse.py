@@ -2,18 +2,20 @@
 
 Two constructions:
 
-* stopping-time families: starting from root cubes of one shift class, the
+* stopping-time families: starting from root cubes of any shift class, the
   selected children of a cube are its maximal descendants whose f- or
   g-average jumps past a fixed multiple of the cube's own average.  The
   selected volume inside each cube is then at most half of it, so survivor
   sets keep at least half of every cube.  The family is built in one
-  top-down sweep per shift class: at each scale, every open walk shares one
-  f- and one g-average call over block sums, rooted with ``np.power``;
-  only an average within a relative ``2**-40`` of a positive threshold, and
-  the two averages a selected cube hands on as its thresholds, take
-  :func:`average_p`'s scalar root, so every decision is
-  :func:`average_p`'s.  The entries are then listed in the depth-first
-  order of the search that the tests keep as the oracle.
+  top-down sweep over every shift class: at each scale, one averages call
+  serves f and g for every open walk and every root of that scale, with
+  each cube's cells gathered into one contiguous row, and the means are
+  rooted with ``np.power``; only an average within a relative ``2**-40`` of
+  a positive threshold, and the averages of the roots and of the selected
+  cubes, which they hand on as thresholds, take :func:`average_p`'s scalar
+  root, so every decision is :func:`average_p`'s.  The entries are then
+  listed in the depth-first order of the search that the tests keep as the
+  oracle.
 
 * Whitney-type families: cores are unshifted cubes; the children of a core
   are the Whitney cubes of the super-level set of two centred maximal
@@ -24,7 +26,9 @@ Two constructions:
 
 Volumes and inclusions are exact (Fraction arithmetic via the cube
 geometry); survivor sets are recorded as flat in-grid cell indices, taken
-from the grid's integer cube-to-cell map.
+from the grid's integer cube-to-cell map.  The sparse form and the
+pointwise domination check read every entry's region average through the
+same gather (``_region_averages``).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import (
     Box,
@@ -146,215 +151,267 @@ def _support_window(spec: GridSpec, *fns: GridFunction) -> Box | None:
 _ROOT_MARGIN = 2.0**-40
 
 
+def _cube_ranges(
+    spec: GridSpec, k: int, W: np.ndarray, M: np.ndarray, factor: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis in-domain cell ranges ``[lo, hi)``, arrays shaped like
+    ``M``, of the concentric ``factor``-dilates (``factor`` 1 or 3) of the
+    scale-``k`` cubes with shift classes ``W`` and corners ``M``.  A cube's
+    3-dilate is the union of the 3**n cubes of its class and scale around
+    it, so its cells run from the start of the cube at corner ``M - 1`` for
+    ``3 * 2**(kappa-k)`` cells per axis: the cells of
+    :meth:`GridSpec.cell_ranges` on the dilated box, in integers."""
+    start = spec.cube_cell_start(k, M - (factor - 1) // 2, W)
+    stop = start + (factor << (spec.kappa - k))
+    # clipped to the domain by ufuncs: np.clip costs more than the rest here
+    return tuple(np.maximum(np.minimum(v, spec.N), 0) for v in (start, stop))
+
+
 class _CubeAverages:
-    """p-averages of one function over shifted cubes given by integer corner
-    arrays.
+    """p-averages of several functions, each at its own exponent, over
+    boxes of in-domain cells given as integer ranges.
 
-    A full cube (one the domain edge does not clip) at scale ``k`` holds
-    ``L = 2**(kappa-k)`` contiguous cells per axis, so the full cubes of one
-    scale and shift class are the blocks of one reshape of ``|u|**p``.  Each
-    block becomes one contiguous row of cells in row-major order, the order
-    :func:`average_p` gathers them in, so a row sum is the ``np.sum`` that
-    :func:`average_p` takes.  Clipped cubes go through :func:`average_p`
-    itself.  Block sums are built on first use.
+    :meth:`region_means` gathers the cells of every box into one contiguous
+    row, in row-major order, the order :func:`average_p` gathers them in:
+    the boxes are grouped by clipped shape, and each group is one fancy
+    index of a read-only window view of ``|u|**p`` by start cell.  Each
+    function is gathered on its own, so each of its rows is contiguous and
+    a row sum is the ``np.sum`` that :func:`average_p` takes.  Full,
+    clipped and empty boxes of every scale and shift class take this one
+    path; an empty box has sum 0 and maximum 0, as in :func:`average_p`.
 
-    :meth:`exact`, and a call without thresholds, take each block mean's
-    root with :func:`average_p`'s scalar expression, so every average is
+    :meth:`roots` without thresholds takes each mean's root with
+    :func:`average_p`'s scalar expression, so every average is
     :func:`average_p`'s bit for bit; numpy's array power rounds differently
     (for ``x**0.75`` in about 5% of lognormal test values, by at most
-    1 ulp).  A call with one threshold per row roots the whole array with
-    ``np.power`` and takes the scalar root again only for a positive
-    average within ``_ROOT_MARGIN`` of a positive threshold.  So every
-    comparison with the row's threshold, and every test for a positive
-    average (a zero block sum roots to exactly 0 both ways), comes out as
-    with :func:`average_p`.
+    1 ulp).  With one threshold per function and row it roots the whole
+    array with ``np.power`` and takes the scalar root again only for a
+    positive average within ``_ROOT_MARGIN`` of a positive threshold.  So
+    every comparison with the row's threshold, and every test for a
+    positive average (a zero sum roots to exactly 0 both ways), comes out
+    as with :func:`average_p`.
     """
 
-    def __init__(self, u: GridFunction, p: float):
-        self.u = u
-        self.p = p
-        a = np.abs(u.values)
-        self.x = a if math.isinf(p) else a**p
-        self.tables: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, spec: GridSpec, fns: list[tuple[GridFunction, float]]):
+        self.spec = spec
+        self.p = [p for _, p in fns]
+        self.x = []
+        for u, p in fns:
+            a = np.abs(u.values)
+            self.x.append(a if math.isinf(p) else a**p)
 
-    def _block_sums(self, k: int, omega: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Sums (maxima for ``p = inf``) over the full cubes, indexed by
-        block, and per axis the corner ``m`` of block 0."""
-        spec = self.u.spec
-        L = 1 << (spec.kappa - k)
-        starts = [spec.cube_cell_start(k, 0, w) for w in omega]
-        nb = [(spec.N - s % L) // L for s in starts]
-        rows = self.x[tuple(slice(s % L, s % L + b * L) for s, b in zip(starts, nb))]
-        rows = rows.reshape([v for b in nb for v in (b, L)])
-        rows = rows.transpose([*range(0, 2 * spec.n, 2), *range(1, 2 * spec.n, 2)])
-        rows = rows.reshape(-1, L**spec.n)
-        sums = rows.max(axis=1) if math.isinf(self.p) else rows.sum(axis=1)
-        return sums.reshape(nb), np.array([-(s // L) for s in starts])
-
-    def _means(
-        self, k: int, omega: tuple[int, ...], M: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mask of the full cubes among the rows of ``M``, and their block
-        means ``|Q|**-1 * integral_Q |u|**p`` (maxima for ``p = inf``)."""
-        if (k, omega) not in self.tables:
-            self.tables[k, omega] = self._block_sums(k, omega)
-        sums, m0 = self.tables[k, omega]
-        J = M - m0
-        full = np.all((J >= 0) & (J < sums.shape), axis=1)
-        v = sums[tuple(J[full].T)]
-        if not math.isinf(self.p):
-            spec = self.u.spec
-            hn = 2.0 ** (-spec.kappa * spec.n)
-            vol = 2.0 ** (-k * spec.n)
-            v = hn * v / vol
-        return full, v
-
-    def _fill(
-        self, k: int, omega: tuple[int, ...], M: np.ndarray, full: np.ndarray, vals
-    ) -> np.ndarray:
-        out = np.empty(len(M))
-        out[full] = vals
-        for i in np.flatnonzero(~full):
-            out[i] = average_p(self.u, DyadicCube(k, tuple(M[i].tolist()), omega), self.p)
+    def region_means(self, lo: np.ndarray, hi: np.ndarray, vol) -> np.ndarray:
+        """``|R|**-1 * integral_R |u|**p`` (maxima for ``p = inf``) of every
+        function over the boxes of cells ``lo[i] .. hi[i] - 1`` per axis,
+        of volumes ``vol`` (one for all rows, or one per row); one row per
+        function."""
+        spec = self.spec
+        shape = hi - lo
+        out = np.zeros((len(self.x), len(lo)))
+        key = shape[:, 0]
+        for axis in range(1, spec.n):
+            key = key * (spec.N + 1) + shape[:, axis]
+        if np.all(key[1:] == key[:-1]):  # one shape, often every row a full cube
+            groups = [slice(None)] if len(key) else []
+        else:
+            order = np.argsort(key, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+        for rows in groups:
+            box = shape[rows][0].tolist()
+            if not all(box):
+                continue
+            starts = tuple(lo[rows].T)
+            for x, p, o in zip(self.x, self.p, out):
+                windows = as_strided(
+                    x, [spec.N - s + 1 for s in box] + box, x.strides * 2, writeable=False
+                )
+                cells = windows[starts].reshape(len(starts[0]), -1)
+                o[rows] = cells.max(axis=1) if math.isinf(p) else cells.sum(axis=1)
+        hn = 2.0 ** (-spec.kappa * spec.n)  # cell volume, exact
+        for p, o in zip(self.p, out):
+            if not math.isinf(p):
+                o *= hn
+                o /= vol
         return out
 
-    def exact(self, k: int, omega: tuple[int, ...], M: np.ndarray) -> np.ndarray:
-        """:func:`average_p` over the scale-``k`` cubes of class ``omega``
-        whose corners are the rows of ``M``, bit for bit."""
-        full, v = self._means(k, omega, M)
-        if not math.isinf(self.p):
-            e = 1.0 / self.p
-            v = [x**e for x in v.tolist()]
-        return self._fill(k, omega, M, full, v)
+    def means(self, k: int, W: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """:meth:`region_means` over the scale-``k`` cubes with shift classes
+        ``W`` and corners ``M`` (one row each)."""
+        lo, hi = _cube_ranges(self.spec, k, W, M)
+        return self.region_means(lo, hi, 2.0 ** (-k * self.spec.n))
 
-    def __call__(
-        self, k: int, omega: tuple[int, ...], M: np.ndarray, t: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Averages over the scale-``k`` cubes of class ``omega`` whose
-        corners are the rows of ``M``: :meth:`exact` without thresholds,
-        and with thresholds ``t`` values that compare with ``t`` and with 0
-        as :meth:`exact`'s do."""
-        if t is None or math.isinf(self.p):
-            return self.exact(k, omega, M)
-        full, mean = self._means(k, omega, M)
-        e = 1.0 / self.p
-        v = np.power(mean, e)
-        t = t[full]
-        both = np.flatnonzero((v > 0) & (t > 0))
-        near = both[np.abs(v[both] - t[both]) <= t[both] * _ROOT_MARGIN]
-        v[near] = [x**e for x in mean[near].tolist()]
-        return self._fill(k, omega, M, full, v)
+    def roots(self, mean: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+        """The averages of the means ``mean``: :func:`average_p`'s without
+        thresholds, and with thresholds ``t`` (shaped like ``mean``) values
+        that compare with ``t`` and with 0 as :func:`average_p`'s do."""
+        out = np.array(mean, dtype=float)
+        for i, p in enumerate(self.p):
+            if math.isinf(p):
+                continue
+            e = 1.0 / p
+            if t is None:
+                out[i] = [x**e for x in out[i].tolist()]
+                continue
+            v = np.power(out[i], e)
+            # |v - t| <= t * margin for t > 0 (so v > 0 too); scaling the gap
+            # by 1 / margin, a power of two, is exact and never forms 0 * margin
+            gap = np.abs(v - t[i]) * (1.0 / _ROOT_MARGIN)
+            near = np.flatnonzero((t[i] > 0) & (gap <= t[i]))
+            v[near] = [x**e for x in out[i, near].tolist()]
+            out[i] = v
+        return out
+
+
+def _ranges_of_cubes(
+    spec: GridSpec, cubes: list[DyadicCube], factor: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cube_ranges` of every cube of a list (``factor`` 1) or of
+    its concentric triple (3), one row per cube, taken one scale at a
+    time."""
+    k = np.array([q.k for q in cubes], dtype=np.int64)
+    W = np.array([q.omega for q in cubes], dtype=np.int64).reshape(-1, spec.n)
+    M = np.array([q.m for q in cubes], dtype=np.int64).reshape(-1, spec.n)
+    lo, hi = np.empty_like(M), np.empty_like(M)
+    for scale in dict.fromkeys(k.tolist()):
+        rows = k == scale
+        lo[rows], hi[rows] = _cube_ranges(spec, scale, W[rows], M[rows], factor)
+    return lo, hi
+
+
+def _region_averages(
+    coll: SparseCollection, fns: list[tuple[GridFunction, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The volume of every entry's region (:meth:`SparseCollection.region`)
+    and the p-average of each function over it, one row per function, each
+    :func:`average_p`'s bit for bit, from one :class:`_CubeAverages` call."""
+    spec = coll.spec
+    factor = 1 if coll.flavor == "stopping" else 3
+    cubes = [e.cube for e in coll.entries]
+    lo, hi = _ranges_of_cubes(spec, cubes, factor)
+    k = np.array([q.k for q in cubes], dtype=np.int64)
+    # factor**n * 2**(-k*n), exact in floats: float(region.volume())
+    vol = np.ldexp(float(factor**spec.n), -spec.n * k)
+    avg = _CubeAverages(spec, fns)
+    return vol, avg.roots(avg.region_means(lo, hi, vol))
+
+
+def _flat_cells(spec: GridSpec, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the cells of every box ``lo[i] .. hi[i] - 1``,
+    concatenated box after box, each box's in row-major order as
+    :meth:`GridSpec.box_flat_cells` lists them, and each box's cell count."""
+    shape = hi - lo
+    counts = shape.prod(axis=1)
+    # place of each cell within its box, in row-major order
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    flat = np.zeros_like(t)
+    for axis in range(spec.n - 1, 0, -1):
+        side = np.repeat(shape[:, axis], counts)
+        flat += (np.repeat(lo[:, axis], counts) + t % side) * spec.N ** (spec.n - 1 - axis)
+        t //= side
+    return flat + (np.repeat(lo[:, 0], counts) + t) * spec.N ** (spec.n - 1), counts
 
 
 class _Sweep:
-    """A stopping-time family as one top-down sweep per shift class.
+    """A stopping-time family as one top-down sweep over every shift class.
 
-    Entries get ids in the order the sweep finds them: the roots first, then
-    the selected cubes scale by scale and, within a scale, by corner, so
-    each entry's list of kids is sorted by ``(k, m)``.  Per id the sweep
-    keeps the cube, the parent id, the rank, the kids, and the thresholds
-    ``jump * average`` that the entry's own walk compares f- and g-averages
-    against.
+    The roots get ids first, in the order given; the sweep then gives ids to
+    the selected cubes in the order it finds them, scale by scale and,
+    within a scale, by corner, so each entry's list of kids is sorted by
+    ``(k, m)``.  Per id the sweep keeps the cube, the parent id, the rank,
+    the kids, and the thresholds ``jump * average`` (one row per function)
+    that the entry's own walk compares f- and g-averages against.
     """
 
-    def __init__(
-        self, avg_f: _CubeAverages, avg_g: _CubeAverages, jump_f: float, jump_g: float
-    ):
-        self.spec = avg_f.u.spec
-        self.avg_f, self.avg_g = avg_f, avg_g
-        self.jump_f, self.jump_g = jump_f, jump_g
-        self.cubes: list[DyadicCube] = []
-        self.parent: list[int] = []
-        self.rank: list[int] = []
-        self.kids: list[list[int]] = []
-        self.tf = np.empty(0)
-        self.tg = np.empty(0)
-        self.roots = 0
+    def __init__(self, avg: _CubeAverages, jump: np.ndarray, roots: list[DyadicCube]):
+        self.spec = avg.spec
+        self.avg = avg
+        self.jump = jump[:, None]
+        self.cubes: list[DyadicCube] = list(roots)
+        self.parent: list[int] = [-1] * len(roots)
+        self.rank: list[int] = [0] * len(roots)
+        self.kids: list[list[int]] = [[] for _ in roots]
+        self.t = np.zeros((len(jump), len(roots)))
+        self.opened = np.zeros(len(roots), dtype=bool)
 
-    def add_root(self, q: DyadicCube, af: float, ag: float) -> None:
-        """Open the walk below root ``q`` with its averages ``af``, ``ag``;
-        add every root before the first :meth:`walk`."""
-        self.cubes.append(q)
-        self.parent.append(-1)
-        self.rank.append(0)
-        self.kids.append([])
-        self.tf = np.append(self.tf, self.jump_f * af)
-        self.tg = np.append(self.tg, self.jump_g * ag)
-        self.roots += 1
+    def walk(self) -> None:
+        """Walk every root one scale at a time.
 
-    def walk(self, omega: tuple[int, ...]) -> None:
-        """Walk every open walk of shift class ``omega`` one scale at a time.
-
-        The frontier holds rows of (owning entry, corner).  At each scale
-        one f- and one g-average call covers all rows, each row against its
-        owner's thresholds: a row past either threshold is selected and
-        becomes an entry, whose own walk goes on below it; any other row
-        with a positive average passes its children to the next scale;
-        the rest stop.  A root's walk starts at the root's own scale, and
-        nothing goes below cell scale."""
+        The frontier holds rows of (owning entry, shift class, corner).  At
+        each scale one averages call covers every frontier row and every
+        root of that scale, for f and g together.  A frontier row past
+        either of its owner's thresholds is selected and becomes an entry,
+        whose own walk goes on below it; any other row with a positive
+        average passes its children to the next scale; the rest stop.  A
+        root with a positive average opens its walk at its own scale with
+        its averages as thresholds; a vanishing root opens none.  Nothing
+        goes below cell scale."""
         spec = self.spec
         kappa = spec.kappa
         at_scale: dict[int, list[int]] = {}
-        for i in range(self.roots):
-            if self.cubes[i].omega == omega:
-                at_scale.setdefault(self.cubes[i].k, []).append(i)
+        for i, q in enumerate(self.cubes):
+            at_scale.setdefault(q.k, []).append(i)
         last = max(at_scale)
         offsets = np.array(list(itertools.product((0, 1), repeat=spec.n)))
-        shift = np.array(omega)
         owner = np.empty(0, dtype=np.int64)
-        M = np.empty((0, spec.n), dtype=np.int64)
+        W = M = np.empty((0, spec.n), dtype=np.int64)
         k = min(at_scale)
         while True:
-            if len(M):
-                tf, tg = self.tf[owner], self.tg[owner]
-                af = self.avg_f(k, omega, M, tf)
-                ag = self.avg_g(k, omega, M, tg)
-                hit = np.flatnonzero((af > tf) | (ag > tg))
-                if hit.size:
-                    owner = owner.copy()
-                    owner[hit] = self._add_selected(k, omega, M[hit], owner[hit])
-                keep = (af > 0) | (ag > 0)
-                owner, M = owner[keep], M[keep]
             mine = at_scale.get(k, [])
+            walking = len(owner)
             if mine:
                 owner = np.concatenate([owner, mine])
+                W = np.concatenate([W, [self.cubes[i].omega for i in mine]])
                 M = np.concatenate([M, [self.cubes[i].m for i in mine]])
+            if len(M):
+                mean = self.avg.means(k, W, M)
+                t = self.t.take(owner[:walking], axis=1)
+                a = self.avg.roots(mean[:, :walking], t)
+                hit = np.flatnonzero((a > t).any(axis=0))
+                if hit.size:
+                    owner = owner.copy()
+                    owner[hit] = self._add_selected(k, W[hit], M[hit], owner[hit], mean[:, hit])
+                keep = (a > 0).any(axis=0)
+                if mine:
+                    a = self.avg.roots(mean[:, walking:])
+                    self.t[:, mine] = self.jump * a
+                    self.opened[mine] = (a > 0).any(axis=0)
+                    keep = np.concatenate([keep, self.opened[mine]])
+                owner, W, M = (v.compress(keep, axis=0) for v in (owner, W, M))
             if k == kappa or (not len(M) and k >= last):
                 return
-            M = ((2 * M + shift_sign(k) * shift)[:, None, :] + offsets).reshape(-1, spec.n)
+            M = ((2 * M + shift_sign(k) * W)[:, None, :] + offsets).reshape(-1, spec.n)
+            W = np.repeat(W, len(offsets), axis=0)
             owner = np.repeat(owner, len(offsets))
             k += 1
 
     def _add_selected(
-        self, k: int, omega: tuple[int, ...], M: np.ndarray, owner: np.ndarray
+        self, k: int, W: np.ndarray, M: np.ndarray, owner: np.ndarray, mean: np.ndarray
     ) -> np.ndarray:
-        """Make entries of the selected scale-``k`` cubes with corners ``M``
-        below the entries ``owner``; return their ids, row for row.  Their
-        thresholds come from :meth:`_CubeAverages.exact`, so each is the
-        one :func:`average_p`'s averages give."""
+        """Make entries of the selected scale-``k`` cubes with shift classes
+        ``W``, corners ``M`` and means ``mean`` below the entries ``owner``;
+        return their ids, row for row.  Their thresholds take the scalar
+        root of :meth:`_CubeAverages.roots`, so each is the one
+        :func:`average_p`'s averages give."""
         order = np.lexsort(M.T[::-1])
         first = len(self.cubes)
         ids = np.empty(len(M), dtype=np.int64)
         ids[order] = np.arange(first, first + len(M))
-        M, owner = M[order], owner[order]
-        for m, p in zip(M.tolist(), owner.tolist()):
+        for w, m, p in zip(W[order].tolist(), M[order].tolist(), owner[order].tolist()):
             self.kids[p].append(len(self.cubes))
-            self.cubes.append(DyadicCube(k, tuple(m), omega))
+            self.cubes.append(DyadicCube(k, tuple(m), tuple(w)))
             self.parent.append(p)
             self.rank.append(self.rank[p] + 1)
             self.kids.append([])
-        af = self.avg_f.exact(k, omega, M)
-        ag = self.avg_g.exact(k, omega, M)
-        self.tf = np.concatenate([self.tf, self.jump_f * af])
-        self.tg = np.concatenate([self.tg, self.jump_g * ag])
+        self.t = np.concatenate([self.t, self.jump * self.avg.roots(mean[:, order])], axis=1)
         return ids
 
     def emit(self, coll: SparseCollection) -> None:
-        """Append the entries to ``coll`` depth first: the roots in order,
-        each followed by its tree, where the kids of an entry go on a stack
-        in ``(k, m)`` order and the last one is taken first."""
+        """Append the entries to ``coll`` depth first: the opened roots in
+        order, each followed by its tree, where the kids of an entry go on a
+        stack in ``(k, m)`` order and the last one is taken first."""
         index = [-1] * len(self.cubes)
-        for root in range(self.roots):
+        lo, hi = _ranges_of_cubes(self.spec, self.cubes)
+        for root in np.flatnonzero(self.opened).tolist():
             tree = []
             stack = [root]
             while stack:
@@ -363,24 +420,24 @@ class _Sweep:
                 stack.extend(self.kids[q])
             for j, q in enumerate(tree, len(coll.entries)):
                 index[q] = j
-            for q, survivor in zip(tree, self._survivors(tree)):
+            for q, survivor in zip(tree, self._survivors(tree, lo[tree], hi[tree])):
                 p = self.parent[q]
                 coll.entries.append(
                     SparseEntry(self.cubes[q], self.rank[q], index[p] if p >= 0 else -1, survivor)
                 )
 
-    def _survivors(self, tree: list[int]) -> list[np.ndarray]:
+    def _survivors(self, tree: list[int], lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
         """Survivor cells of each entry of one root's tree, listed parents
-        first: each entry paints its cells with its place in ``tree``, so a
-        cell ends up with the deepest entry that holds it, and one stable
-        sort groups the root's cells by their label in flat index order."""
-        cells = self.spec.box_flat_cells(self.cubes[tree[0]])
+        first, from the entries' cell ranges ``lo``, ``hi`` (one row each):
+        each entry paints its cells with its place in ``tree``, so a cell
+        ends up with the deepest entry that holds it, and one stable sort
+        groups the root's cells by their label in flat index order."""
+        cells = _flat_cells(self.spec, lo[:1], hi[:1])[0]
         if len(tree) == 1:
             return [cells]
-        ranges = [self.spec.cell_ranges(self.cubes[q]) for q in tree]
-        labels = np.zeros([i1 - i0 for i0, i1 in ranges[0]], dtype=np.intp)
-        for j, box in enumerate(ranges[1:], 1):
-            labels[tuple(slice(a - o, b - o) for (a, b), (o, _) in zip(box, ranges[0]))] = j
+        labels = np.zeros(hi[0] - lo[0], dtype=np.intp)
+        for j, (a, b) in enumerate(zip((lo[1:] - lo[0]).tolist(), (hi[1:] - lo[0]).tolist()), 1):
+            labels[tuple(map(slice, a, b))] = j
         labels = labels.ravel()
         cells = cells[np.argsort(labels, kind="stable")]
         return np.split(cells, np.cumsum(np.bincount(labels, minlength=len(tree)))[:-1])
@@ -396,13 +453,14 @@ def build_stopping_time(
     exceeds ``base**(1/s')`` times the current cube's; maximal such
     descendants become the next rank.  Selection stops at cell scale.
 
-    The descendants are walked in one top-down sweep per shift class
-    (:class:`_Sweep`): at each scale, all open walks share one f- and one
-    g-average call over block sums (:class:`_CubeAverages`), each cube
-    compared with its own entry's thresholds.  The averages of the roots
-    and of the selected cubes are :func:`average_p`'s bit for bit and are
-    handed on as the next thresholds, so the family, entry order included,
-    is that of the depth-first search.
+    The roots and their descendants are walked in one top-down sweep over
+    every shift class (:class:`_Sweep`): at each scale, one averages call
+    (:class:`_CubeAverages`) covers the open walks and the roots of that
+    scale, for f and g together, and each cube is compared with its own
+    entry's thresholds.  The averages of the roots and of the selected cubes
+    are :func:`average_p`'s bit for bit and are handed on as the next
+    thresholds, so the family, entry order included, is that of the
+    depth-first search.
     """
     spec = f.spec
     if g.spec != spec:
@@ -425,14 +483,9 @@ def build_stopping_time(
         for om in np.ndindex(*(3,) * spec.n):
             roots.extend(enumerate_cubes(-(spec.K + 1), om, window))
 
-    sweep = _Sweep(_CubeAverages(f, r), _CubeAverages(g, sp), jump_f, jump_g)
-    for root in roots:
-        af = average_p(f, root, r)
-        ag = average_p(g, root, sp)
-        if af != 0 or ag != 0:
-            sweep.add_root(root, af, ag)
-    for omega in dict.fromkeys(q.omega for q in sweep.cubes):
-        sweep.walk(omega)
+    avg = _CubeAverages(spec, [(f, r), (g, sp)])
+    sweep = _Sweep(avg, np.array([jump_f, jump_g]), roots)
+    sweep.walk()
     sweep.emit(coll)
     return coll
 

@@ -33,7 +33,13 @@ from .pdo import (
     symbol_operator,
 )
 from .sample import ExponentPair, GridFunction, GridSpec, _lp_h, average_p, make_corpus
-from .sparse import SparseCollection, verify_sparsity
+from .sparse import (
+    SparseCollection,
+    _ranges_of_cubes,
+    _flat_cells,
+    _region_averages,
+    verify_sparsity,
+)
 from .symbol import SymbolClass, _norm
 
 __all__ = [
@@ -454,13 +460,13 @@ def kernel_difference_probe(
 def sparse_form(
     coll: SparseCollection, f: GridFunction, g: GridFunction, pair: ExponentPair
 ) -> float:
-    """Sum over the family of |region| <f>_r,region <g>_s',region."""
-    per = []
-    for i in range(len(coll.entries)):
-        region = coll.region(i)
-        vol = float(region.volume())
-        per.append(vol * average_p(f, region, pair.r) * average_p(g, region, pair.s_prime))
-    return float(sum(per))
+    """Sum over the family of |region| <f>_r,region <g>_s',region.
+
+    Every region average is :func:`average_p`'s bit for bit, read for all
+    entries in one call (``sparse._region_averages``), and the terms are
+    added in entry order."""
+    vol, (af, ag) = _region_averages(coll, [(f, pair.r), (g, pair.s_prime)])
+    return float(sum((vol * af * ag).tolist()))
 
 
 @dataclass
@@ -508,16 +514,19 @@ def pointwise_domination_check(
 
     The dominating function puts ``<f>_r,region`` on each entry's core
     cube.  Cells where it vanishes but |Tf| does not (above the floor) are
-    counted as uncovered; the constant is the max ratio elsewhere.
+    counted as uncovered; the constant is the max ratio elsewhere.  The
+    region averages are :func:`average_p`'s bit for bit, read for all
+    entries in one call (``sparse._region_averages``), and one
+    ``np.add.at`` over every entry's cells, in entry order, gives each cell
+    the sum the per-entry loop adds up.
     """
     Tf = _image_of(T, f)
     spec = f.spec
     D = np.zeros(spec.shape)
-    flat = D.reshape(-1)
-    for i, e in enumerate(coll.entries):
-        avg = average_p(f, coll.region(i), r)
-        cells = spec.box_flat_cells(e.cube)
-        np.add.at(flat, cells, avg)
+    _, (avg,) = _region_averages(coll, [(f, r)])
+    cells, counts = _flat_cells(spec, *_ranges_of_cubes(spec, [e.cube for e in coll.entries]))
+    # ufunc.at adds in index order, so every cell sums its entries in order
+    np.add.at(D.reshape(-1), cells, np.repeat(avg, counts))
     Ta = np.abs(Tf.values)
     covered = D > 0
     ratios = Ta[covered] / D[covered]
@@ -664,7 +673,8 @@ def endpoint_audit(
     # reach must fit into a core side, otherwise the identity is not exact
     reach = 2.0**ell1 + 2.0 * ell2
     children, by_rank = coll.tree()
-    sides = {float(coll.entries[i].cube.side) for i in (by_rank[0] if by_rank else [])}
+    cores = by_rank[0] if by_rank else []  # vanishing data gives an empty family
+    sides = {float(coll.entries[i].cube.side) for i in cores}
     if sides and min(sides) < reach:
         raise ValueError("core side is below the composed operator reach")
     op = localized_operator(a, ell1, spec)
@@ -687,11 +697,10 @@ def endpoint_audit(
         loc_T[i] = Ti
         loc_pair[i] = pair_with_g(Ti, spec.box_flat_cells(e.cube))
 
-    base_lhs = sum(
-        pair_with_g(T_global, spec.box_flat_cells(coll.entries[i].cube))
-        for i in by_rank[0]
+    base_lhs = float(
+        sum(pair_with_g(T_global, spec.box_flat_cells(coll.entries[i].cube)) for i in cores)
     )
-    base_rhs = sum(loc_pair[i] for i in by_rank[0])
+    base_rhs = sum(loc_pair[i] for i in cores)
     # mixed residual: relative for O(1) pairings, absolute when the pairing
     # itself vanishes (disjoint supports make the identity trivially exact)
     denom = max(abs(base_lhs), abs(base_rhs), 1.0)

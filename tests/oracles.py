@@ -28,6 +28,10 @@ another way, or a piece of exact geometry that only the checks need:
   dense form.
 * ``per_entry_sparsity``: ``verify_sparsity`` with ``Fraction`` volumes
   and a scan of every entry for each entry's children.
+* ``per_entry_sparse_form`` and ``per_entry_domination``: the sparse form
+  and the domination report with one ``average_p`` per entry's region and
+  one ``np.add.at`` per entry's cube; the package reads every region
+  average in one call and adds every entry's cells at once.
 * ``third_partition_residual``: the central thirds of the three shift
   classes reassemble a function.
 """
@@ -51,9 +55,10 @@ from sparselab.dyadic import (
     third_dilate,
 )
 from sparselab.pdo import _BLOCK, OperatorHandle, _cell_rows, _dense_gram
-from sparselab.sample import GridFunction, GridSpec, average_p
+from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p
 from sparselab.sparse import SparseCollection, SparseEntry, SparsityReport, StoppingConfig
 from sparselab.symbol import SymbolClass
+from sparselab.verify import DENOM_FLOOR, DominationReport, _image_of
 
 
 def dfs_stopping_time(f: GridFunction, g: GridFunction, config: StoppingConfig) -> SparseCollection:
@@ -319,6 +324,39 @@ def per_entry_sparsity(coll: SparseCollection) -> SparsityReport:
         min_margin=float(min_margin) if coll.entries else np.inf,
         disjoint=disjoint,
         failures=failures,
+    )
+
+
+def per_entry_sparse_form(
+    coll: SparseCollection, f: GridFunction, g: GridFunction, pair: ExponentPair
+) -> float:
+    """``verify.sparse_form`` with ``average_p`` over each entry's region."""
+    per = []
+    for i in range(len(coll.entries)):
+        region = coll.region(i)
+        vol = float(region.volume())
+        per.append(vol * average_p(f, region, pair.r) * average_p(g, region, pair.s_prime))
+    return float(sum(per))
+
+
+def per_entry_domination(T, f: GridFunction, coll: SparseCollection, r: float) -> DominationReport:
+    """``verify.pointwise_domination_check`` with ``average_p`` over each
+    entry's region, added on the entry's cube with one ``np.add.at`` per
+    entry."""
+    Tf = _image_of(T, f)
+    spec = f.spec
+    D = np.zeros(spec.shape)
+    flat = D.reshape(-1)
+    for i, e in enumerate(coll.entries):
+        avg = average_p(f, coll.region(i), r)
+        np.add.at(flat, spec.box_flat_cells(e.cube), avg)
+    Ta = np.abs(Tf.values)
+    covered = D > 0
+    ratios = Ta[covered] / D[covered]
+    return DominationReport(
+        constant=float(np.max(ratios)) if ratios.size else 0.0,
+        covered_fraction=float(np.mean(covered)),
+        uncovered_count=int(np.count_nonzero((Ta > DENOM_FLOOR) & ~covered)),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from sparselab import sparse
 from sparselab.dyadic import Box, DyadicCube, concentric_dilate, cube_box, enumerate_cubes
+from sparselab.pdo import apply
 from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
 from sparselab.sparse import (
     SparseCollection,
@@ -21,8 +22,17 @@ from sparselab.sparse import (
     build_whitney_sparse,
     verify_sparsity,
 )
+from sparselab.symbol import bessel
+from sparselab.verify import pointwise_domination_check, sparse_form
 
-from oracles import box_cell_count, dfs_stopping_time, parent, per_entry_sparsity
+from oracles import (
+    box_cell_count,
+    dfs_stopping_time,
+    parent,
+    per_entry_domination,
+    per_entry_sparse_form,
+    per_entry_sparsity,
+)
 
 SPEC = GridSpec(1, 2, 5)
 UNIT = DyadicCube(0, (0,), (0,))
@@ -271,20 +281,20 @@ class TestRootFilter:
 
     @pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 4.0])
     def test_threshold_calls_compare_as_average_p(self, monkeypatch, p):
-        # thresholds on, just off and far from every average, and zero
+        # thresholds on, just off and far from every average, and zero;
+        # every shift class in one call, f and g at different exponents
         spec = GridSpec(1, 2, 6)
-        f = make_corpus(spec, seed=2, count=4)[0]
-        avg = _CubeAverages(f, p)
+        fs = make_corpus(spec, seed=2, count=4)
+        avg = _CubeAverages(spec, [(fs[0], p), (fs[3], 2.0)])
         nudge_array_power(monkeypatch, 1 + 2.0**-44)
         for k in range(-(spec.K + 1), spec.kappa + 1):
-            for omega in itertools.product(range(3), repeat=spec.n):
-                M = np.array([c.m for c in enumerate_cubes(k, omega, spec.domain())])
-                want = avg.exact(k, omega, M)
-                assert want.tolist() == avg(k, omega, M).tolist()
-                for t in (want, want * (1 + 2.0**-50), want * (1 - 2.0**-50), 2 * want, 0 * want):
-                    got = avg(k, omega, M, t)
-                    assert np.array_equal(got > t, want > t), (k, omega)
-                    assert np.array_equal(got > 0, want > 0), (k, omega)
+            W, M, _ = mixed_class_rows(spec, k)
+            mean = avg.means(k, W, M)
+            want = avg.roots(mean)
+            for t in (want, want * (1 + 2.0**-50), want * (1 - 2.0**-50), 2 * want, 0 * want):
+                got = avg.roots(mean, t)
+                assert np.array_equal(got > t, want > t), k
+                assert np.array_equal(got > 0, want > 0), k
 
     def test_cube_selected_through_g_hands_on_its_scalar_f_average(self, monkeypatch):
         # with the array power nudged, a threshold that came from np.power
@@ -297,15 +307,15 @@ class TestRootFilter:
         pair = ExponentPair(2.0, 2.0)
         jump = 4.0 ** (1.0 / pair.r)
         seen: list[float] = []
-        call = _CubeAverages.__call__
+        roots = _CubeAverages.roots
 
-        def spy(self, k, omega, M, t=None):
-            if self.u is f:
-                seen.extend(t.tolist())
-            return call(self, k, omega, M, t)
+        def spy(self, mean, t=None):
+            if t is not None:  # row 0 holds f's thresholds
+                seen.extend(t[0].tolist())
+            return roots(self, mean, t)
 
         nudge_array_power(monkeypatch, 1 + 2.0**-44)
-        monkeypatch.setattr(_CubeAverages, "__call__", spy)
+        monkeypatch.setattr(_CubeAverages, "roots", spy)
         config = StoppingConfig(pair=pair)
         coll = build_stopping_time(f, g, config)
         assert_same_family(coll, dfs_stopping_time(f, g, config))
@@ -323,8 +333,10 @@ class TestRootFilter:
 
 
 class TestSweepCallCount:
-    """One sweep per shift class: each scale costs one f- and one
-    g-average call for all open walks, and one batch of selections."""
+    """One sweep over every shift class: each scale from the coarsest root
+    to cell scale costs at most one averages call, for f and g and all
+    open walks and roots of that scale together, and one batch of
+    selections."""
 
     @pytest.mark.parametrize(
         "grid, roots",
@@ -333,35 +345,37 @@ class TestSweepCallCount:
     def test_calls_per_scale_and_class(self, monkeypatch, grid, roots):
         spec = GridSpec(*grid)
         fs = make_corpus(spec, seed=3, count=4)
-        counts = {"calls": 0, "selections": 0}
-        call, add = _CubeAverages.__call__, _Sweep._add_selected
+        calls: list[int] = []
+        selections: list[int] = []
+        classes: list[int] = []
+        means, add = _CubeAverages.means, _Sweep._add_selected
 
-        def count_call(self, *args):
-            counts["calls"] += 1
-            return call(self, *args)
+        def count_means(self, k, W, M):
+            calls.append(k)
+            classes.append(len({tuple(w) for w in W.tolist()}))
+            return means(self, k, W, M)
 
-        def count_add(self, *args):
-            counts["selections"] += 1
-            return add(self, *args)
+        def count_add(self, k, *args):
+            selections.append(k)
+            return add(self, k, *args)
 
-        monkeypatch.setattr(_CubeAverages, "__call__", count_call)
+        monkeypatch.setattr(_CubeAverages, "means", count_means)
         monkeypatch.setattr(_Sweep, "_add_selected", count_add)
         root_cubes = MIXED_ROOTS[roots] if roots else None
+        coarsest = min(q.k for q in root_cubes) if roots else -(spec.K + 1)
         walked = 0
         for (i, j), pair in itertools.product(CORPUS_PAIRS, PAIRS):
-            counts.update(calls=0, selections=0)
+            calls.clear()
+            selections.clear()
             coll = build_stopping_time(fs[i], fs[j], StoppingConfig(pair=pair, roots=root_cubes))
-            tops = [e.cube for e in coll.entries if e.parent < 0]
-            if not tops:
-                assert counts == {"calls": 0, "selections": 0}
-                continue
+            tops = [e for e in coll.entries if e.parent < 0]
             walked += len(coll) > len(tops)
-            scales = spec.kappa - min(q.k for q in tops)
-            classes = len({q.omega for q in tops})
-            assert counts["calls"] <= 2 * scales * classes, (i, j, pair)
-            assert counts["selections"] <= scales * classes, (i, j, pair)
+            assert len(calls) == len(set(calls)), (i, j, pair)
+            assert len(selections) == len(set(selections)), (i, j, pair)
+            assert set(calls) <= set(range(coarsest, spec.kappa + 1)), (i, j, pair)
+            assert set(selections) <= set(calls), (i, j, pair)
         assert walked
-
+        assert max(classes) == 3**spec.n if roots is None else max(classes) == 3
 
 class TestNumpyIdentities:
     """The level walk equals average_p bit for bit only while numpy sums
@@ -380,15 +394,39 @@ class TestNumpyIdentities:
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 4.0, math.inf])
     def test_block_averages_equal_average_p(self, grid, p):
         # every cube meeting the domain at every scale the walk reaches,
-        # full and clipped; p = 4/3 catches a vectorised root
+        # full and clipped, of every shift class, with one cube past the
+        # domain per call, cell scale included; f and g in one call at
+        # different exponents, inf among them, so each function's rows
+        # must be gathered on their own (p = 4/3 also catches a vectorised
+        # root)
+        q = {1.0: math.inf, 4.0 / 3.0: 2.0, 2.0: 4.0 / 3.0, 4.0: 1.0, math.inf: 4.0}[p]
         spec = GridSpec(*grid)
-        f = make_corpus(spec, seed=2, count=4)[3]
-        avg = _CubeAverages(f, p)
+        fs = make_corpus(spec, seed=2, count=4)
+        f, g = fs[3], fs[0]
+        avg = _CubeAverages(spec, [(f, p), (g, q)])
         for k in range(-(spec.K + 1), spec.kappa + 1):
-            for omega in itertools.product(range(3), repeat=spec.n):
-                cubes = list(enumerate_cubes(k, omega, spec.domain()))
-                got = avg(k, omega, np.array([c.m for c in cubes])).tolist()
-                assert got == [average_p(f, c, p) for c in cubes], (k, omega)
+            W, M, cubes = mixed_class_rows(spec, k)
+            got = avg.roots(avg.means(k, W, M)).tolist()
+            assert got[0] == [average_p(f, c, p) for c in cubes], k
+            assert got[1] == [average_p(g, c, q) for c in cubes], k
+
+
+def mixed_class_rows(spec: GridSpec, k: int):
+    """Shift classes, corners and cubes of every scale-``k`` cube meeting
+    the domain, all classes mixed, and one cube of class 1 past the
+    domain's upper edge, which holds no cell."""
+    cubes = [
+        c
+        for omega in itertools.product(range(3), repeat=spec.n)
+        for c in enumerate_cubes(k, omega, spec.domain())
+    ]
+    m = (1 << (spec.K + k)) + 1 if spec.K + k >= 0 else 2
+    past = DyadicCube(k, (m,) * spec.n, (1,) * spec.n)
+    assert spec.box_flat_cells(past).size == 0
+    cubes.insert(len(cubes) // 2, past)
+    W = np.array([c.omega for c in cubes])
+    M = np.array([c.m for c in cubes])
+    return W, M, cubes
 
 
 class TestWhitneySparse:
@@ -536,3 +574,48 @@ class TestVerifySparsity:
                 assert children[i] == [j for j, e in enumerate(coll.entries) if e.parent == i]
             for q, members in enumerate(ranks):
                 assert members == [j for j, e in enumerate(coll.entries) if e.rank == q]
+
+
+class TestFamilyReads:
+    """``sparse_form`` and ``pointwise_domination_check`` read every region
+    average in one call and add every entry's cells at once; both equal the
+    per-entry loops bit for bit."""
+
+    def cases(self, n: int):
+        """(family, f, g, pair) for stopping and Whitney families of the
+        corpus, stopping families on the mixed-scale overlapping roots, and
+        the empty families of vanishing data."""
+        out = []
+        grids = {1: ((1, 2, 9), (1, 2, 5), (1, 3, 5)), 2: ((2, 1, 4), (2, 1, 3), (2, 3, 3))}
+        stop, mixed, whit = (GridSpec(*g) for g in grids[n])
+        fs = make_corpus(stop, seed=6, count=4)
+        for (i, j), pair in itertools.product(CORPUS_PAIRS[:4], PAIRS):
+            config = StoppingConfig(pair=pair)
+            out.append((build_stopping_time(fs[i], fs[j], config), fs[i], fs[j], pair))
+        fs = make_corpus(mixed, seed=6, count=4)
+        for (i, j), pair in zip(CORPUS_PAIRS[:4], PAIRS):
+            config = StoppingConfig(pair=pair, roots=MIXED_ROOTS[n])
+            out.append((build_stopping_time(fs[i], fs[j], config), fs[i], fs[j], pair))
+        fs = make_corpus(whit, seed=30, count=4)
+        for (i, j), pair in itertools.product(((0, 2), (1, 3), (3, 3)), PAIRS[:2]):
+            config = WhitneyConfig(pair=pair, ell1=1, ell2=1.0)
+            out.append((build_whitney_sparse(fs[i], fs[j], config), fs[i], fs[j], pair))
+        z = GridFunction.zeros(whit)
+        out.append((build_stopping_time(z, z, StoppingConfig(pair=PAIR_1_INF)), z, z, PAIR_1_INF))
+        config = WhitneyConfig(pair=ExponentPair(2.0, math.inf))
+        out.append((build_whitney_sparse(z, z, config), z, z, config.pair))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_match_the_per_entry_loops(self, n):
+        cases = self.cases(n)
+        assert {c.flavor for c, *_ in cases} == {"stopping", "whitney"}
+        assert any(c.max_rank() >= 3 for c, *_ in cases if c.flavor == "stopping")
+        assert any(c.max_rank() >= 1 for c, *_ in cases if c.flavor == "whitney")
+        assert sum(not len(c) for c, *_ in cases) == 2
+        for coll, f, g, pair in cases:
+            assert sparse_form(coll, f, g, pair) == per_entry_sparse_form(coll, f, g, pair)
+            Tf = apply(bessel(-0.25, 0.5, 0.5, n=n), f)
+            for image in (Tf, f):
+                got = pointwise_domination_check(image, f, coll, pair.r)
+                assert got == per_entry_domination(image, f, coll, pair.r)

@@ -563,10 +563,8 @@ class TestEndpointAudit:
     SPEC3 = GridSpec(1, 3, 5)
     A = bessel(-0.25, 0.5, 0.5)
 
-    def whitney_family(self, f, g):
-        return build_whitney_sparse(
-            f, g, WhitneyConfig(pair=PAIR22, ell1=1, ell2=1.0)
-        )
+    def whitney_family(self, f, g, pair=PAIR22):
+        return build_whitney_sparse(f, g, WhitneyConfig(pair=pair, ell1=1, ell2=1.0))
 
     def test_single_core_audit_is_exact(self):
         f = unit_indicator(self.SPEC3)
@@ -590,6 +588,18 @@ class TestEndpointAudit:
         assert len(rep.rank_lhs) == coll.max_rank() + 1
         assert all(rep.rank_ok)
         assert all(vr <= rep.volume_bound + 1e-12 for vr in rep.volume_ratios)
+
+    def test_vanishing_data_audits_the_empty_family(self):
+        z = GridFunction.zeros(self.SPEC3)
+        pair = ExponentPair(2.0, math.inf)
+        coll = self.whitney_family(z, z, pair)
+        assert len(coll) == 0
+        rep = endpoint_audit(z, z, coll, self.A, 1, 1.0, pair)
+        assert rep.ok
+        assert rep.rank_lhs == rep.rank_ok == rep.volume_ratios == []
+        assert rep.base_lhs == rep.pairing == rep.total_form == rep.final_constant == 0.0
+        assert rep.a1 == rep.a2 == rep.a3 == rep.a4 == rep.c0 == 0.0
+        assert type(rep.base_lhs) is float
 
     def test_flavor_guard(self):
         f = unit_indicator(self.SPEC3)
