@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -582,6 +581,9 @@ def run_probes(
     payloads = [(data, seed, name) for name in names]
     workers = _worker_count(jobs, os.cpu_count(), len(names))
     if workers > 1:
+        # imported here: loading multiprocessing costs every serial run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_probe_task, payloads))
     else:

@@ -23,7 +23,8 @@ record alone decides how it is applied: a multiplier or separable symbol
 kernel row; a general symbol by contracting kernel rows block by block.
 The literal double sum over cells and frequencies is the tests' oracle.
 The same record gives what operator norms read: the Gram map ``M^H M``
-(from ``R`` and ``b``) and the grid L^p norms of kernel rows and columns.
+(from ``R`` and ``b``; for constant ``|b|`` its real spectrum) and the
+grid L^p norms of kernel rows and columns.
 
 A real kernel maps real data to real data.  When the amplitude
 ``xi_factor * m`` is exactly Hermitian on the frequency grid
@@ -32,8 +33,10 @@ mirror) and the window and ``b`` are real, the image of an input with no
 imaginary part is the real part of ``b * ifft(R * fft(f))``: the same
 bits, without the rounding noise of the imaginary part.  Bessel and
 ``rough_bump`` symbols, and ``multiplication`` by a real function, have
-real kernels in every piece; ``oscillatory_ct`` and general symbols keep
-complex images.
+real kernels in every piece; ``oscillatory_ct`` does not.  A general
+symbol's kernel rows are real under the same rule, block by block
+(``_cell_rows``), so its rows, matrix, norms and images are real where
+its amplitude is Hermitian and complex elsewhere.
 
 Frequency truncation: band pieces are summed up to ``J = kappa + 3`` by
 default, the smallest truncation whose low-pass plateau covers every
@@ -44,6 +47,7 @@ full operator exact on the grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -177,12 +181,24 @@ _BLOCK = 128
 _DENSE_LIMIT = 4096
 
 
-def _rows(spec: GridSpec, amp: np.ndarray) -> np.ndarray:
+def _real_dft(spec: GridSpec) -> tuple[Callable, Callable]:
+    """Forward and inverse real DFT over the last ``n`` axes: the half
+    spectrum of real data, and real data from a half spectrum."""
+    if spec.n == 1:
+        return np.fft.rfft, lambda u: np.fft.irfft(u, spec.N)
+    return np.fft.rfft2, lambda u: np.fft.irfft2(u, spec.shape)
+
+
+def _rows(spec: GridSpec, amp: np.ndarray, real: bool = False) -> np.ndarray:
     """Kernel rows on the periodic z-grid (FFT ordering) of frequency
-    amplitudes, one row per leading index of ``amp``."""
+    amplitudes, one row per leading index of ``amp``; with ``real`` the
+    amplitudes are Hermitian and the rows the real inverse transform of
+    their half spectrum."""
     N = spec.N
     dxi = 2.0 * np.pi / (N * float(spec.h))
     scale = (dxi / (2.0 * np.pi)) ** spec.n * N**spec.n
+    if real:
+        return scale * _real_dft(spec)[1](amp[..., : N // 2 + 1])
     return scale * _dft(spec.n)[1](amp)
 
 
@@ -195,12 +211,20 @@ def _cell_rows(
     The symbol is evaluated once on broadcast coordinates, x of shape
     ``(B, 1, ...)`` and xi of shape ``(1, N, ...)``, and its value is
     broadcast to ``(B, N, ...)``: the x-dependence costs B values, not
-    ``B * N**n``, and each row keeps the bits of a single-cell call."""
+    ``B * N**n``, and each row keeps the bits of a single-cell call.
+
+    When the block's amplitude ``a * mult`` is exactly Hermitian on the
+    grid in every row (``_hermitian``, the rule of ``_free_row``), the rows
+    are real (float64): the real inverse transform of the half spectrum,
+    equal to the real parts of the complex rows up to rounding.  Otherwise
+    they are complex."""
     c, ones = spec.centers(), (1,) * spec.n
     xs = tuple(c[ix].reshape((-1,) + ones) for ix in cells)
     xi = tuple(q[None] for q in _freq_coords(spec))
     amp = np.broadcast_to(a.eval(xs, xi), (len(cells[0]),) + spec.shape)
-    return _rows(spec, amp if mult is None else amp * mult)
+    if mult is not None:
+        amp = amp * mult
+    return _rows(spec, amp, real=_hermitian(amp, spec.n))
 
 
 def _shifted(arr: np.ndarray, lead: tuple[int, ...], lo: int, count: int) -> np.ndarray:
@@ -227,6 +251,13 @@ def _shifted(arr: np.ndarray, lead: tuple[int, ...], lo: int, count: int) -> np.
     )
 
 
+def _contract(rows: np.ndarray, u: np.ndarray, lead: tuple[int, ...], lo: int) -> np.ndarray:
+    """``sum_z rows[b, z] u(x_b - z)`` over the grid for the cells ``x_b``
+    of a row block (``_shifted``), in one product."""
+    z = "yz"[-u.ndim :]  # einsum letters of the grid axes
+    return np.einsum(f"x{z},x{z}->x", rows, _shifted(u, lead, lo, len(rows)))
+
+
 def _window_values(fam: CutoffFamily, idx: PieceIndex, spec: GridSpec) -> np.ndarray:
     return fam.window(idx.j, idx.ell, idx.nu, _z_radius(spec))
 
@@ -245,13 +276,17 @@ class OperatorHandle:
     A multiplier or separable symbol ``M = diag(b) C`` is applied as
     ``b * ifft(R * fft(f))`` (``_transfer``), a general symbol by one
     contraction per block of at most ``_BLOCK`` cells of its windowed
-    kernel rows with the shifted inputs.  A multiplier or separable handle
-    whose kernel is real (a Hermitian amplitude, a real window and a real
-    ``b``) gives real inputs real images.  ``row`` and ``matrix`` give the
-    kernel cell by cell and as a dense matrix, both from the row blocks.
-    ``gram`` and ``kernel_norms`` are what the operator norms read; only
-    ``gram`` of a general symbol builds ``matrix()``, and ``kernel_norms``
-    reduces the row blocks without it.
+    kernel rows with the shifted inputs.  A handle whose kernel is real (a
+    Hermitian amplitude, a real window and a real ``b``) gives real inputs
+    real images; a general handle's rows are then real too, so ``row``,
+    ``matrix``, ``kernel_norms`` and ``apply`` run in real arithmetic.
+    ``row`` and ``matrix`` give the kernel cell by cell and as a dense
+    matrix, both from the row blocks.  ``gram`` and ``kernel_norms`` are
+    what the operator norms read: ``gram`` gives ``M^H M`` in its cheapest
+    basis (the spectrum of a circulant ``M^H M``, two FFT pairs, or two
+    products with ``matrix()``) and whether it is real; only ``gram`` of a
+    general symbol builds ``matrix()``, and ``kernel_norms`` reduces the
+    row blocks without it.
     """
 
     a: SymbolClass
@@ -270,7 +305,9 @@ class OperatorHandle:
         A multiplier or separable handle with a real kernel (``_free_row``)
         returns the image of a real ``f`` as the real part of
         ``b * ifft(R * fft(f))``: the same real bits, an exactly zero
-        imaginary part."""
+        imaginary part.  A general handle contracts real row blocks with
+        the real part of ``f`` and, if ``f`` has one, apart with its
+        imaginary part, so a real kernel gives a real ``f`` a real image."""
         spec = self.spec
         if f.spec != spec:
             raise ValueError(f"a function on {f.spec} given to an operator on {spec}")
@@ -289,13 +326,18 @@ class OperatorHandle:
         if spec.n == 2 and spec.N > 64:
             raise ValueError("x-dependent 2D operators are limited to 64 cells per axis")
         hn = float(spec.h) ** spec.n
-        out = np.empty(spec.N**spec.n, dtype=np.complex128)
-        z = "yz"[-spec.n :]  # einsum letters of the grid axes
-        for flat, lead, lo, rows in self._row_blocks():
-            # sum_z K(x, z) f(x - z) for the block's cells x, in one product
-            fz = _shifted(f.values, lead, lo, len(rows))
-            out[flat : flat + len(rows)] = hn * np.einsum(f"x{z},x{z}->x", rows, fz)
-        return f.with_values(out.reshape(spec.shape))
+        vals, real_in = f.values, not np.any(f.values.imag)
+        out = []
+        for _, lead, lo, rows in self._row_blocks():
+            # real rows contract the real and imaginary parts of f apart
+            if np.iscomplexobj(rows):
+                img = _contract(rows, vals, lead, lo)
+            else:
+                img = _contract(rows, vals.real, lead, lo)
+                if not real_in:
+                    img = img + 1j * _contract(rows, vals.imag, lead, lo)
+            out.append(hn * img)
+        return f.with_values(np.concatenate(out).reshape(spec.shape))
 
     def row(self, x_index: tuple[int, ...]) -> np.ndarray:
         """Windowed kernel of the cell x with index ``x_index`` per axis at
@@ -307,36 +349,62 @@ class OperatorHandle:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
-        (C order) cell indices, up to ``_DENSE_LIMIT`` cells."""
+        (C order) cell indices, up to ``_DENSE_LIMIT`` cells: real (float64)
+        when every row block is (``_cell_rows``) and the window is real."""
         size = self.spec.N**self.spec.n
         if size > _DENSE_LIMIT:
             raise ValueError("dense kernel too large")
         hn = float(self.spec.h) ** self.spec.n
-        M = np.empty((size, size), dtype=np.complex128)
+        M = None
         for flat, lead, lo, rows in self._row_blocks():
+            if M is None:
+                M = np.empty((size, size), dtype=rows.dtype)
+            elif np.iscomplexobj(rows) and not np.iscomplexobj(M):
+                M = M.astype(np.complex128)  # a complex block after real ones
             out = M[flat : flat + len(rows)].reshape(rows.shape)
             np.multiply(hn, _shifted(rows, lead, lo, len(rows)), out=out)
         return M
 
-    def gram(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The map ``v -> M^H M v`` on flat (C order) vectors, ``M = matrix()``.
+    def gram(self) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+        """The Gram map ``M^H M`` of ``M = matrix()`` on flat vectors, in the
+        basis where it is cheapest, and whether that map is real (maps real
+        vectors to real vectors).  The basis is unitary, so the map has the
+        spectrum of ``M^H M`` and the 2 -> 2 norm reads the same.
 
-        A multiplier or separable handle ``M = diag(b) C`` gives two FFT
-        pairs with the transfer function ``R`` of ``apply`` and ``|b|**2``.
-        A general handle builds ``matrix()`` once.
+        * A multiplier, or a separable handle ``M = diag(b) C`` with
+          constant ``|b|``: ``M^H M = |b|**2 C^H C`` is circulant, so in the
+          frequency basis it is the pointwise product with its spectrum
+          ``d = |b|**2 |R|**2`` (``R`` the transfer function of ``apply``),
+          real for a real or a complex symbol alike; no transform runs per
+          step.  The identity has ``R == 1`` and returns ``v`` exactly.
+        * A separable handle with varying ``|b|``: two FFT pairs with ``R``
+          and ``|b|**2``, real FFTs of the half spectrum when the kernel is
+          real (``_free_row``), complex ones otherwise.
+        * A general handle: two products with ``matrix()``, real when the
+          matrix is.
         """
         if self.a.structure == "general":
-            return _dense_gram(self.matrix())
+            M = self.matrix()
+            return _dense_gram(M), not np.iscomplexobj(M)
         spec = self.spec
-        R, xf, _ = self._transfer()
-        fft, ifft = _dft(spec.n)
-        b2 = 1.0 if xf is None else np.abs(xf) ** 2
+        R, xf, real = self._transfer()
+        b = 1.0 if xf is None else np.abs(xf)
+        if np.min(b) == np.max(b):
+            d = (np.max(b) ** 2 * np.abs(R) ** 2).ravel()
+            return (lambda v: d * v), True
+        b2 = b**2
+        if real:
+            fft, ifft = _real_dft(spec)
+            R = R[..., : spec.N // 2 + 1]  # the half spectrum of a real kernel
+        else:
+            fft, ifft = _dft(spec.n)
+        R_adj = np.conj(R)
 
         def gram(v: np.ndarray) -> np.ndarray:
             u = b2 * ifft(R * fft(v.reshape(spec.shape)))
-            return ifft(np.conj(R) * fft(u)).ravel()
+            return ifft(R_adj * fft(u)).ravel()
 
-        return gram
+        return gram, real
 
     def kernel_norms(
         self, p: float, rows: bool = True, cols: bool = True
@@ -424,7 +492,7 @@ class OperatorHandle:
             amp = amp * self.mult
         xf = None if a.x_factor is None else a.x_factor(spec.grid_coords(spec.centers()))
         real = (
-            _hermitian(amp)
+            _hermitian(amp, spec.n)
             and (self.window is None or not np.any(np.imag(self.window)))
             and (xf is None or not np.any(np.imag(xf)))
         )
@@ -451,11 +519,23 @@ class OperatorHandle:
                 yield int(np.ravel_multi_index(lead + (lo,), spec.shape)), lead, lo, rows
 
 
-def _hermitian(amp: np.ndarray) -> bool:
-    """Whether ``amp[-k mod N] == conj(amp[k])`` exactly on every grid axis
-    (the Nyquist index maps to itself): the amplitudes of a real kernel row."""
-    axes = tuple(range(amp.ndim))
-    return np.array_equal(np.roll(np.flip(amp, axes), 1, axes), np.conj(amp))
+# per grid axis: the index 0, its own mirror, and the indices 1..N-1 with
+# their mirrors N-1..1 (the Nyquist index N/2 maps to itself)
+_MIRRORS = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+
+
+def _hermitian(amp: np.ndarray, n: int) -> bool:
+    """Whether ``amp[..., -k mod N] == conj(amp[..., k])`` exactly on each of
+    the last ``n`` (grid) axes, for every leading index: the amplitudes of
+    real kernel rows.  The parts are compared as views, a mirrored slice
+    against a slice per axis, without a mirrored or conjugated copy."""
+    re, im = amp.real, amp.imag
+    for pairs in itertools.product(_MIRRORS, repeat=n):
+        k = (...,) + tuple(at for at, _ in pairs)
+        mirror = (...,) + tuple(m for _, m in pairs)
+        if not ((re[mirror] == re[k]).all() and (im[mirror] == -im[k]).all()):
+            return False
+    return True
 
 
 def _dense_gram(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -13,6 +13,7 @@ multiplication oracles plug in next to the real constructions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -153,12 +154,16 @@ _TOL = 1e-8
 _MAX_ITER = 400
 
 
-def _lanczos_l2(gram, N: int, pair: ExponentPair, seed: int) -> NormEstimate:
+def _lanczos_l2(gram, real: bool, N: int, pair: ExponentPair, seed: int) -> NormEstimate:
     """2 -> 2 norm of ``M`` as the root of the top eigenvalue of ``M^H M``,
-    given the map ``gram: v -> M^H M v`` on vectors of length ``N``.
+    given the map ``gram: v -> M^H M v`` on vectors of length ``N`` (in any
+    unitary basis) and whether it is real.
 
     Symmetric Lanczos from a random start, with full reorthogonalization.
-    The top Ritz pair ``(theta, u)`` of the k x k tridiagonal has residual
+    A real map runs in a real basis from a real start, the first ``N``
+    draws of the generator (the real part of the complex start); a complex
+    map starts from ``N`` more draws as the imaginary part.  The top Ritz
+    pair ``(theta, u)`` of the k x k tridiagonal has residual
     ``|beta_k u_k|``, and some eigenvalue of ``M^H M`` lies within it of
     ``theta``.  Once it is at most ``_TOL * theta`` the estimate reads
     "iterated"; reaching ``_MAX_ITER`` steps first reads "capped".  The
@@ -167,15 +172,17 @@ def _lanczos_l2(gram, N: int, pair: ExponentPair, seed: int) -> NormEstimate:
     """
     steps = min(_MAX_ITER, N)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    V = np.empty((steps, N), dtype=np.complex128)  # orthonormal basis, one vector a row
+    v = rng.standard_normal(N)
+    if not real:
+        v = v + 1j * rng.standard_normal(N)
+    V = np.empty((steps, N), dtype=v.dtype)  # orthonormal basis, one vector a row
     V[0] = v / np.linalg.norm(v)
     alpha, beta = np.zeros(steps), np.zeros(steps)
     for k in range(steps):
         w = gram(V[k])
         Vk = V[: k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
-            c = np.conj(Vk @ np.conj(w))
+            c = Vk @ w if real else np.conj(Vk @ np.conj(w))
             w -= Vk.T @ c
             alpha[k] += c[k].real
         beta[k] = np.linalg.norm(w)
@@ -199,18 +206,34 @@ def empirical_norm(op: OperatorHandle, pair: ExponentPair, spec: GridSpec,
 
     Exact closed forms where they exist: into L^inf the largest kernel row
     norm in L^r', from L^1 the largest column norm in L^s.  Lanczos on
-    ``M^H M`` for the 2 -> 2 norm.  For every other pair a lower bound from
-    a corpus, a point mass on the heaviest column and the extremizers of
-    the heaviest rows, reported as such, never as the norm.  A handle
-    supplies the Gram map and the kernel norms (``OperatorHandle.gram``,
-    ``OperatorHandle.kernel_norms``): from one kernel row and the x-factor
-    for multiplier and separable symbols; for general ones the Gram map
-    from ``matrix()``, the norms from the kernel rows a block at a time.
-    Only the side of the kernel a closed form reads is computed.
+    ``M^H M`` for the 2 -> 2 norm, in real arithmetic whenever the handle's
+    Gram map is real.  For every other pair a lower bound from a corpus, a
+    point mass on the heaviest column and the extremizers of the heaviest
+    rows, reported as such, never as the norm.  A handle supplies the Gram
+    map and the kernel norms (``OperatorHandle.gram``,
+    ``OperatorHandle.kernel_norms``): for multiplier and separable symbols
+    from one kernel row and the x-factor, the Gram map of a circulant
+    ``M^H M`` as its spectrum; for general ones the Gram map from
+    ``matrix()`` (real for a real kernel), the norms from the kernel rows a
+    block at a time.  Only the side of the kernel a closed form reads is
+    computed.
     """
+    return _norm_estimate(op, pair, spec, seed, lambda: _trial_values(spec, seed))
+
+
+def _trial_values(spec: GridSpec, seed: int) -> list[np.ndarray]:
+    """The corpus values the lower-bound branch tries."""
+    return [f.values for f in make_corpus(spec, seed=seed, count=_TRIALS)]
+
+
+def _norm_estimate(
+    op: OperatorHandle, pair: ExponentPair, spec: GridSpec, seed: int, trials
+) -> NormEstimate:
+    """``empirical_norm``, with the corpus values of the lower-bound branch
+    from ``trials()``, which only that branch calls."""
     r, s = pair.r, pair.s
     if r == 2 and s == 2:
-        return _lanczos_l2(op.gram(), spec.N**spec.n, pair, seed)
+        return _lanczos_l2(*op.gram(), spec.N**spec.n, pair, seed)
     hn = float(spec.h) ** spec.n  # cell volume
     rp = pair.r_prime
     if math.isinf(s):  # rows in L^r'
@@ -222,7 +245,7 @@ def empirical_norm(op: OperatorHandle, pair: ExponentPair, spec: GridSpec,
 
     # general pair: certified lower bound from test functions
     best = 0.0
-    cands = [f.values for f in make_corpus(spec, seed=seed, count=_TRIALS)]
+    cands = list(trials())
     rows, cols = op.kernel_norms(1.0)
     delta = np.zeros(spec.shape, dtype=np.complex128)
     delta[np.unravel_index(int(np.argmax(cols)), spec.shape)] = 1.0 / hn
@@ -332,11 +355,13 @@ def norm_scaling_fit(
     pair: ExponentPair | None = None,
     seed: int = 0,
 ) -> NormFit:
-    """Fit log2 of band-piece norms against the band index j."""
+    """Fit log2 of band-piece norms against the band index j.  A lower-bound
+    mode builds its trial corpus once, for every band."""
     fam = default_cutoffs()
     use = _mode_pair(mode, pair)
     pred = predicted_band_slope(mode, a, pair)
-    ests = [empirical_norm(band_operator(a, fam, j, spec), use, spec, seed=seed) for j in js]
+    trials = functools.cache(lambda: _trial_values(spec, seed))
+    ests = [_norm_estimate(band_operator(a, fam, j, spec), use, spec, seed, trials) for j in js]
     return _fit(mode, list(js), [e.value for e in ests], pred, [e.kind for e in ests])
 
 
@@ -602,10 +627,21 @@ def sharp_ratio_probe(
             ratios_all.append(S[ok] / Mp[ok])
     if ratios_all:
         cat = np.concatenate([rr.reshape(-1) for rr in ratios_all])
-        mx, med = float(np.max(cat)), float(np.median(cat))
+        mx, med = float(np.max(cat)), _median(cat)
     else:
         mx = med = 0.0
     return SharpRatioReport(mx, med, active_total, flagged)
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1D array with its bits (the middle value,
+    or ``(a + b) / 2`` of the middle two), by ``np.partition``; the first
+    ``np.median`` call imports ``numpy.ma``."""
+    k = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, k)[k])
+    part = np.partition(x, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2)
 
 
 @dataclass

@@ -287,7 +287,7 @@ class DenseMatrix:
         return self.M[i].reshape(self.spec.shape) / float(self.spec.h) ** self.spec.n
 
     def gram(self):
-        return _dense_gram(self.M)
+        return _dense_gram(self.M), not np.iscomplexobj(self.M)
 
     def kernel_norms(self, p: float, rows: bool = True, cols: bool = True):
         r, c = dense_kernel_norms(self.M, p, float(self.spec.h) ** self.spec.n)

@@ -11,6 +11,8 @@ from sparselab.pdo import (
     CutoffFamily,
     OperatorHandle,
     PieceIndex,
+    _cell_rows,
+    _rows,
     apply,
     band_operator,
     kernel_slice,
@@ -464,11 +466,97 @@ class TestRealKernels:
             assert np.array_equal(got, _complex_image(handle, g))
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_general_symbol_stays_complex(self, n):
+    def test_general_symbol_real_exactly_when_hermitian(self, n):
+        # a Hermitian general symbol gives real data a real image; times
+        # exp(1j xi) its amplitude is not Hermitian, and the image is complex
         spec = GridSpec(1, 2, 4) if n == 1 else GridSpec(2, 1, 3)
         a = GENERAL_1D if n == 1 else GENERAL_2D
         f = make_corpus(spec, seed=3, count=4)[3]
-        assert np.any(localized_operator(a, 1, spec).apply(f).values.imag)
+        assert not np.any(f.values.imag)
+        got = localized_operator(a, 1, spec).apply(f).values
+        assert not np.any(got.imag) and np.any(got.real)
+        assert np.any(localized_operator(_times_phase(a), 1, spec).apply(f).values.imag)
+
+
+def _times_phase(a: SymbolClass) -> SymbolClass:
+    """The general symbol ``a(x, xi) exp(1j xi_1)``: not Hermitian in xi."""
+    return custom_symbol(lambda x, xi: a.fn(x, xi) * np.exp(1j * xi[0]), a.m, a.rho, a.delta, a.n)
+
+
+class TestRealRows:
+    """``_cell_rows`` is real exactly when a block's amplitude is Hermitian,
+    and general handles built on real rows run in real arithmetic."""
+
+    SPECS = [GridSpec(1, 2, 6), GridSpec(2, 1, 3)]
+
+    @staticmethod
+    def symbols(n: int) -> dict:
+        general = GENERAL_1D if n == 1 else GENERAL_2D
+        return {
+            "bessel": (bessel(-1.0, n=n), True),
+            "rough_bump": (rough_bump(-1.0, 1.0, n=n), True),
+            "general": (general, True),
+            "oscillatory_ct": (oscillatory_ct(0.5, -1.0, n=n), False),
+            "general_phase": (_times_phase(general), False),
+        }
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    def test_rows_are_real_exactly_when_hermitian(self, spec):
+        c, ones = spec.centers(), (1,) * spec.n
+        xi = spec.grid_coords(spec.freqs())
+        band = FAM.band(3, np.sqrt(sum(q * q for q in xi)))
+        last = np.arange(min(spec.N, 40))
+        cells = tuple(np.full(last.size, 2) for _ in range(spec.n - 1)) + (last,)
+        xs = tuple(c[ix].reshape((-1,) + ones) for ix in cells)
+        for name, (a, hermitian) in self.symbols(spec.n).items():
+            for mult in (None, band):
+                rows = _cell_rows(a, spec, mult, cells)
+                amp = np.broadcast_to(a.eval(xs, tuple(q[None] for q in xi)), rows.shape)
+                amp = amp if mult is None else amp * mult
+                # the amplitude's symmetry, checked by index, not by _hermitian
+                mirror = amp[(...,) + np.ix_(*(-np.arange(spec.N) % spec.N,) * spec.n)]
+                symmetric = np.array_equal(mirror, np.conj(amp))
+                # the band vanishes at the Nyquist index, the one frequency
+                # where exp(1j xi) is not real, so only the full phase
+                # symbol is a negative control
+                if mult is None:
+                    assert symmetric == hermitian, name
+                assert rows.dtype == (np.float64 if symmetric else np.complex128), name
+                # the complex rows: the inverse DFT of the whole amplitude
+                full = _rows(spec, amp)
+                peak = np.max(np.abs(full))
+                assert np.max(np.abs(rows.real - full.real)) <= 1e-15 * peak, name
+                if symmetric:
+                    assert np.max(np.abs(full.imag)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    def test_general_apply_of_real_data_is_real(self, spec):
+        a = GENERAL_1D if spec.n == 1 else GENERAL_2D
+        corpus = make_corpus(spec, seed=6, count=4)[2:]
+        for op in _handles(a, spec):
+            M = op.matrix()
+            assert M.dtype == np.float64
+            for f in corpus + [corpus[0].with_values(corpus[0].values * (0.5 - 2j))]:
+                got, want = op.apply(f).values, (M @ f.values.ravel()).reshape(spec.shape)
+                assert np.any(got.imag) == np.any(f.values.imag)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["1d", "2d"])
+    def test_complex_windows_and_symbols_stay_complex(self, spec):
+        a = GENERAL_1D if spec.n == 1 else GENERAL_2D
+        f = make_corpus(spec, seed=6, count=4)[3]
+        window = 1j * localized_operator(a, 1, spec).window
+        phase = _times_phase(a)
+        # no band: a band would vanish where the phase symbol is not Hermitian
+        ops = [symbol_operator(phase, spec), localized_operator(phase, 1, spec)]
+        for op in [OperatorHandle(a, spec, window=window), *ops]:
+            M = op.matrix()
+            assert M.dtype == np.complex128
+            got = op.apply(f).values
+            assert np.any(got.imag)
+            assert np.max(np.abs(got - (M @ f.values.ravel()).reshape(spec.shape))) <= (
+                1e-12 * np.max(np.abs(got))
+            )
 
 
 class TestLocalized:

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,14 @@ from sparselab.sparse import (
     WhitneyConfig,
     build_whitney_sparse,
 )
-from sparselab.symbol import SymbolClass, bessel, custom_symbol, multiplication, rough_bump
+from sparselab.symbol import (
+    SymbolClass,
+    bessel,
+    custom_symbol,
+    multiplication,
+    oscillatory_ct,
+    rough_bump,
+)
 from sparselab.verify import (
     DecayProbeConfig,
     ProbeReport,
@@ -48,6 +59,7 @@ from sparselab.verify import (
 
 from oracles import DenseMatrix, box_cell_count, dense_l2_norm, third_partition_residual
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SPEC = GridSpec(1, 1, 4)
 SPEC2D = GridSpec(2, 1, 2)
 PAIR22 = ExponentPair(2.0, 2.0)
@@ -173,6 +185,23 @@ def _structured_symbol(kind: str, n: int):
 
         return SymbolClass("custom", -1.0, 1.0, 0.0, "smooth", n,
                            lambda x, xi: x_fact(x) * xi_fact(xi), x_fact, xi_fact)
+    if kind == "real_cos_b":  # separable, |b| varies, and the kernel is real
+
+        def x_fact(x):
+            return np.cos(np.pi * (x[0] - 0.5) / 4.0)
+
+        def xi_fact(xi):
+            return 1.0 / np.sqrt(1.0 + sum(c * c for c in xi))
+
+        return SymbolClass("custom", -1.0, 1.0, 0.0, "smooth", n,
+                           lambda x, xi: x_fact(x) * xi_fact(xi), x_fact, xi_fact)
+    if kind == "oscillatory":  # a multiplier with a complex kernel
+        return oscillatory_ct(0.5, -1.0, n=n)
+    if kind == "general_phase":  # general, and not Hermitian at the Nyquist index
+        return custom_symbol(
+            lambda x, xi: np.cos(x[0]) * np.exp(1j * xi[0]) / np.sqrt(1.0 + sum(c * c for c in xi)),
+            m=-1.0, rho=1.0, delta=1.0, n=n,
+        )
     return custom_symbol(
         lambda x, xi: np.cos(x[0]) / np.sqrt(1.0 + sum(c * c for c in xi)),
         m=-1.0, rho=1.0, delta=1.0, n=n,
@@ -183,6 +212,10 @@ def _structured_piece(kind: str, piece: str, spec: GridSpec):
     a, fam = _structured_symbol(kind, spec.n), default_cutoffs()
     if piece == "band":
         return band_operator(a, fam, 3, spec)
+    if piece == "localized":
+        return localized_operator(a, 1, spec)
+    if piece == "full":
+        return symbol_operator(a, spec)
     return piece_operator(a, fam, PieceIndex(3, 1, 0.45), spec)
 
 
@@ -266,6 +299,51 @@ class TestStructuredNorms:
             assert schur_bound(op, pair, spec) == schur_bound(dense_op, pair, spec)
         assert empirical_norm(op, ExponentPair(4.0 / 3.0, 4.0), spec).kind == "lower_bound"
 
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("piece", ["band", "window", "localized"])
+    @pytest.mark.parametrize("kind", ["multiplier", "unit_b", "real_cos_b", "general"])
+    def test_real_gram_maps_match_dense(self, kind, piece, spec):
+        # a real kernel, or a circulant M^H M, gives a real Gram map, and
+        # Lanczos in a real basis reads the dense 2 -> 2 norm
+        op = _structured_piece(kind, piece, spec)
+        gram, real = op.gram()
+        assert real
+        v = np.random.default_rng(1).standard_normal(spec.N**spec.n)
+        assert gram(v).dtype == np.float64
+        est = empirical_norm(op, PAIR22, spec)
+        assert (est.kind, est.residual <= verify._TOL) == ("iterated", True)
+        assert est.value == pytest.approx(dense_l2_norm(op, spec), rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("piece", ["full", "localized"])
+    @pytest.mark.parametrize("kind", ["cos_b", "general_phase"])
+    def test_complex_gram_maps_stay_complex(self, kind, piece, spec):
+        # no band: a band vanishes at the Nyquist index, the one frequency
+        # where these amplitudes break the Hermitian symmetry
+        op = _structured_piece(kind, piece, spec)
+        gram, real = op.gram()
+        assert not real
+        est = empirical_norm(op, PAIR22, spec)
+        assert est.kind == "iterated"
+        assert est.value == pytest.approx(dense_l2_norm(op, spec), rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("piece", ["band", "window", "localized"])
+    @pytest.mark.parametrize("kind", ["multiplier", "unit_b", "oscillatory"])
+    def test_spectrum_map_has_the_gram_eigenvalues(self, kind, piece, spec):
+        # M^H M is circulant: in the frequency basis a pointwise product with
+        # a real spectrum d, for a complex symbol as for a real one
+        op = _structured_piece(kind, piece, spec)
+        gram, real = op.gram()
+        size = spec.N**spec.n
+        d = gram(np.ones(size))
+        assert real and d.dtype == np.float64
+        v = np.random.default_rng(2).standard_normal(size)
+        assert np.array_equal(gram(v), d * v)
+        M = op.matrix()
+        want = np.linalg.eigvalsh(M.conj().T @ M)
+        np.testing.assert_allclose(np.sort(d), want, rtol=0, atol=1e-12 * want[-1])
+
     def test_multiplier_fit_past_the_dense_limit(self):
         # N = 32768 cells, where matrix() refuses
         spec = GridSpec(1, 2, 12)
@@ -342,6 +420,30 @@ class TestNormScalingFit:
         fit = norm_scaling_fit(bessel(-0.5), self.SPEC6, "l2_l2", js=[2, 3, 4, 5])
         assert all(kind == "iterated" for kind in fit.kinds)
         assert fit.slope <= -0.5 + 0.3
+
+    @pytest.mark.parametrize("mode", ["lr_ls", "l2_l2", "l1_linf"])
+    def test_one_corpus_per_fit(self, mode, monkeypatch):
+        # a lower-bound mode builds the trial corpus once for all its bands,
+        # with the estimates of one empirical_norm per band; other modes none
+        a, pair, js = rough_bump(-0.5, 0.5), ExponentPair(4.0 / 3.0, 4.0), [2, 3, 4]
+        use = pair if mode == "lr_ls" else None
+        fam = default_cutoffs()
+        want = [
+            empirical_norm(band_operator(a, fam, j, self.SPEC6), verify._mode_pair(mode, use),
+                           self.SPEC6, seed=5)
+            for j in js
+        ]
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return make_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "make_corpus", spy)
+        fit = norm_scaling_fit(a, self.SPEC6, mode, js=js, pair=use, seed=5)
+        assert len(calls) == (1 if mode == "lr_ls" else 0)
+        assert fit.values == [e.value for e in want]
+        assert fit.kinds == [e.kind for e in want]
 
 
 class TestKernelDecayFit:
@@ -508,6 +610,32 @@ class TestSharpRatio:
         assert math.isfinite(rep.max_ratio)
         assert rep.max_ratio > 0.0
         assert rep.median_ratio <= rep.max_ratio
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 101, 1000])
+    def test_median_has_the_bits_of_np_median(self, size):
+        rng = np.random.default_rng(size)
+        for x in (rng.lognormal(size=size), rng.integers(0, 3, size).astype(float)):
+            assert verify._median(x) == float(np.median(x))
+
+    def test_lab_start_up_and_a_probe_skip_heavy_imports(self):
+        # multiprocessing loads only for parallel runs, numpy.ma never
+        code = (
+            "import sys\n"
+            "import sparselab.cli\n"
+            "from sparselab.sample import GridSpec, make_corpus\n"
+            "from sparselab.symbol import bessel\n"
+            "from sparselab.verify import sharp_ratio_probe\n"
+            "fs = make_corpus(GridSpec(1, 3, 5), seed=12, count=2)\n"
+            "rep = sharp_ratio_probe(bessel(-0.25, 0.5, 0.5), fs, ell1=1, ell2=1.0, p=2.0)\n"
+            "assert rep.active_cells > 0\n"
+            "print(sorted({'concurrent.futures.process', 'numpy.ma'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_precomputed_maxima_match(self):
         from sparselab.maximal import maximal_p
