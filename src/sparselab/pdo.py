@@ -181,14 +181,6 @@ _BLOCK = 128
 _DENSE_LIMIT = 4096
 
 
-def _real_dft(spec: GridSpec) -> tuple[Callable, Callable]:
-    """Forward and inverse real DFT over the last ``n`` axes: the half
-    spectrum of real data, and real data from a half spectrum."""
-    if spec.n == 1:
-        return np.fft.rfft, lambda u: np.fft.irfft(u, spec.N)
-    return np.fft.rfft2, lambda u: np.fft.irfft2(u, spec.shape)
-
-
 def _rows(spec: GridSpec, amp: np.ndarray, real: bool = False) -> np.ndarray:
     """Kernel rows on the periodic z-grid (FFT ordering) of frequency
     amplitudes, one row per leading index of ``amp``; with ``real`` the
@@ -197,9 +189,12 @@ def _rows(spec: GridSpec, amp: np.ndarray, real: bool = False) -> np.ndarray:
     N = spec.N
     dxi = 2.0 * np.pi / (N * float(spec.h))
     scale = (dxi / (2.0 * np.pi)) ** spec.n * N**spec.n
-    if real:
-        return scale * _real_dft(spec)[1](amp[..., : N // 2 + 1])
-    return scale * _dft(spec.n)[1](amp)
+    if not real:
+        return scale * _dft(spec.n)[1](amp)
+    half = amp[..., : N // 2 + 1]
+    if spec.n == 1:
+        return scale * np.fft.irfft(half, N)
+    return scale * np.fft.irfft2(half, spec.shape)
 
 
 def _cell_rows(
@@ -342,10 +337,12 @@ class OperatorHandle:
     def row(self, x_index: tuple[int, ...]) -> np.ndarray:
         """Windowed kernel of the cell x with index ``x_index`` per axis at
         every input cell y, ``K(x, x - y)``: row x of ``matrix()`` divided by
-        ``h**n``, in the grid's shape."""
-        *lead, lo = x_index
+        ``h**n``, in the grid's shape (real when x's own amplitude is
+        Hermitian, so up to rounding where x's row block is complex)."""
         (row,) = _cell_rows(self.a, self.spec, self.mult, tuple(np.array(x_index)[:, None]))
-        return _shifted(self._windowed(row), tuple(lead), lo, 1)[0].copy()
+        # entry y is the offset x - y mod N, per axis
+        offsets = np.ix_(*((k - np.arange(self.spec.N)) % self.spec.N for k in x_index))
+        return self._windowed(row)[offsets]
 
     def matrix(self) -> np.ndarray:
         """Dense matrix M with ``(T f)_i = sum_j M[i, j] f_j`` over the flat
@@ -377,9 +374,8 @@ class OperatorHandle:
           ``d = |b|**2 |R|**2`` (``R`` the transfer function of ``apply``),
           real for a real or a complex symbol alike; no transform runs per
           step.  The identity has ``R == 1`` and returns ``v`` exactly.
-        * A separable handle with varying ``|b|``: two FFT pairs with ``R``
-          and ``|b|**2``, real FFTs of the half spectrum when the kernel is
-          real (``_free_row``), complex ones otherwise.
+        * A separable handle with varying ``|b|``: two complex FFT pairs
+          with ``R`` and ``|b|**2``, a complex map for a real kernel too.
         * A general handle: two products with ``matrix()``, real when the
           matrix is.
         """
@@ -387,24 +383,19 @@ class OperatorHandle:
             M = self.matrix()
             return _dense_gram(M), not np.iscomplexobj(M)
         spec = self.spec
-        R, xf, real = self._transfer()
+        R, xf, _ = self._transfer()
         b = 1.0 if xf is None else np.abs(xf)
         if np.min(b) == np.max(b):
             d = (np.max(b) ** 2 * np.abs(R) ** 2).ravel()
             return (lambda v: d * v), True
-        b2 = b**2
-        if real:
-            fft, ifft = _real_dft(spec)
-            R = R[..., : spec.N // 2 + 1]  # the half spectrum of a real kernel
-        else:
-            fft, ifft = _dft(spec.n)
-        R_adj = np.conj(R)
+        b2, R_adj = b**2, np.conj(R)
+        fft, ifft = _dft(spec.n)
 
         def gram(v: np.ndarray) -> np.ndarray:
             u = b2 * ifft(R * fft(v.reshape(spec.shape)))
             return ifft(R_adj * fft(u)).ravel()
 
-        return gram, real
+        return gram, False
 
     def kernel_norms(
         self, p: float, rows: bool = True, cols: bool = True
@@ -528,12 +519,15 @@ def _hermitian(amp: np.ndarray, n: int) -> bool:
     """Whether ``amp[..., -k mod N] == conj(amp[..., k])`` exactly on each of
     the last ``n`` (grid) axes, for every leading index: the amplitudes of
     real kernel rows.  The parts are compared as views, a mirrored slice
-    against a slice per axis, without a mirrored or conjugated copy."""
-    re, im = amp.real, amp.imag
+    against a slice per axis, without a mirrored or conjugated copy; a real
+    ``amp`` has no imaginary part to compare, only its evenness."""
+    re, im = amp.real, amp.imag if np.iscomplexobj(amp) else None
     for pairs in itertools.product(_MIRRORS, repeat=n):
         k = (...,) + tuple(at for at, _ in pairs)
         mirror = (...,) + tuple(m for _, m in pairs)
-        if not ((re[mirror] == re[k]).all() and (im[mirror] == -im[k]).all()):
+        if not (re[mirror] == re[k]).all():
+            return False
+        if im is not None and not (im[mirror] == -im[k]).all():
             return False
     return True
 

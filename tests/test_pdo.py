@@ -559,6 +559,43 @@ class TestRealRows:
             )
 
 
+    def test_real_and_complex_blocks_in_one_handle(self):
+        # Hermitian in xi where x <= 0 only (for x > 0 the amplitude at the
+        # Nyquist index is not real): the row blocks left of 0 are real,
+        # the others complex, and matrix() and apply put them together
+        spec, N = SPEC, SPEC.N
+        a = custom_symbol(
+            lambda x, xi: (1.0 + 1j * np.maximum(x[0], 0.0) * xi[0]) / (1.0 + xi[0] ** 2),
+            m=-1.0, rho=1.0, delta=0.0,
+        )
+        c, hn = spec.centers(), float(spec.h)
+        (xi,) = spec.grid_coords(spec.freqs())
+        # all-complex rows: the inverse DFT of the whole amplitude, row by row
+        full = _rows(spec, np.broadcast_to(a.eval((c[:, None],), (xi[None],)), (N, N)))
+        i = np.arange(N)
+        want = hn * full[i[:, None], (i[:, None] - i[None, :]) % N]
+        left = c < 0
+        for op in (symbol_operator(a, spec), localized_operator(a, 1, spec)):
+            M = op.matrix()
+            assert M.dtype == np.complex128
+            assert not np.any(M[left].imag) and np.all(np.any(M[~left].imag, axis=1))
+            if op.window is None:
+                assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
+            assert op.row((3,)).dtype == np.float64
+            assert op.row((N - 3,)).dtype == np.complex128
+            for k in (3, N // 2 - 1, N // 2, N - 3):
+                assert np.array_equal(op.row((k,)), M[k] / hn)
+            corpus = make_corpus(spec, seed=6, count=4)[2:]
+            for f in corpus + [corpus[0].with_values(corpus[0].values * (0.5 - 2j))]:
+                got = op.apply(f).values
+                ref = M @ f.values.ravel()
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                if op.window is None:
+                    assert np.max(np.abs(got - want @ f.values.ravel())) <= (
+                        1e-12 * np.max(np.abs(ref))
+                    )
+
+
 class TestLocalized:
     def test_multiplication_unchanged(self):
         # a pointwise multiplier has zero kernel reach, so any window keeps it
