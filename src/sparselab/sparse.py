@@ -13,22 +13,23 @@ Two constructions:
   rooted with ``np.power``; only an average within a relative ``2**-40`` of
   a positive threshold, and the averages of the roots and of the selected
   cubes, which they hand on as thresholds, take :func:`average_p`'s scalar
-  root, so every decision is :func:`average_p`'s.  The entries are then
-  listed in the depth-first order of the search that the tests keep as the
-  oracle.
+  root, so every decision is :func:`average_p`'s.
 
 * Whitney-type families: cores are unshifted cubes; the children of a core
   are the Whitney cubes of the super-level set of two centred maximal
   functions (f localized to the tripled core, g to the core), kept inside
   the core.  The thresholds carry explicit weak-type constants so the level
   set eats at most ``1 - eta`` of the core, making the tripled cores an
-  ``eta / 3**n``-sparse family.
+  ``eta / 3**n``-sparse family.  The entries are walked parents first.
 
+Both builders fill one tree (:class:`_Tree`), and one emitter lists it in
+the depth-first order of the searches that the tests keep as oracles, with
+a Whitney entry's kids taken in ``(k, m)`` order, first one first.
 Volumes and inclusions are exact (Fraction arithmetic via the cube
 geometry); survivor sets are recorded as flat in-grid cell indices, taken
-from the grid's integer cube-to-cell map.  The sparse form and the
-pointwise domination check read every entry's region average through the
-same gather (``_region_averages``).
+from the grid's integer cube-to-cell map.  The sparse form, the pointwise
+domination check and the endpoint audit read every entry's region average
+through the same gather (``_region_averages``).
 """
 
 from __future__ import annotations
@@ -109,19 +110,6 @@ class SparseCollection:
         for a Whitney entry its tripled box."""
         cube = self.entries[i].cube
         return cube if self.flavor == "stopping" else concentric_dilate(cube_box(cube), 3)
-
-
-def _append_entry(
-    coll: SparseCollection, cube: DyadicCube, rank: int, parent: int, kids: list[DyadicCube]
-) -> int:
-    """Append ``cube`` with its cells minus those of its selected ``kids``
-    as survivor set; return the new entry's index."""
-    survivor = coll.spec.box_flat_cells(cube)
-    if kids:
-        kc = np.concatenate([coll.spec.box_flat_cells(c) for c in kids])
-        survivor = np.setdiff1d(survivor, kc, assume_unique=True)
-    coll.entries.append(SparseEntry(cube, rank, parent, survivor))
-    return len(coll.entries) - 1
 
 
 @dataclass(frozen=True)
@@ -311,25 +299,79 @@ def _flat_cells(spec: GridSpec, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndar
     return flat + (np.repeat(lo[:, 0], counts) + t) * spec.N ** (spec.n - 1), counts
 
 
-class _Sweep:
+class _Tree:
+    """A family's entries as a builder finds them: the tops first, in the
+    order given, then each added entry; per id the cube, the parent id, the
+    rank and the kids in the order they were added."""
+
+    def __init__(self, spec: GridSpec, tops: list[DyadicCube]):
+        self.spec = spec
+        self.cubes: list[DyadicCube] = list(tops)
+        self.parent: list[int] = [-1] * len(tops)
+        self.rank: list[int] = [0] * len(tops)
+        self.kids: list[list[int]] = [[] for _ in tops]
+
+    def add(self, cube: DyadicCube, parent: int) -> None:
+        """Make ``cube`` the last kid so far of the entry ``parent``."""
+        self.kids[parent].append(len(self.cubes))
+        self.cubes.append(cube)
+        self.parent.append(parent)
+        self.rank.append(self.rank[parent] + 1)
+        self.kids.append([])
+
+    def emit(self, coll: SparseCollection, tops: list[int]) -> None:
+        """Append the entries to ``coll`` depth first: the tops ``tops`` in
+        order, each followed by its tree, where the kids of an entry go on a
+        stack in the order they were added and the last one is taken
+        first."""
+        index = [-1] * len(self.cubes)
+        lo, hi = _ranges_of_cubes(self.spec, self.cubes)
+        for root in tops:
+            tree = []
+            stack = [root]
+            while stack:
+                q = stack.pop()
+                tree.append(q)
+                stack.extend(self.kids[q])
+            for j, q in enumerate(tree, len(coll.entries)):
+                index[q] = j
+            for q, survivor in zip(tree, self._survivors(tree, lo[tree], hi[tree])):
+                p = self.parent[q]
+                coll.entries.append(
+                    SparseEntry(self.cubes[q], self.rank[q], index[p] if p >= 0 else -1, survivor)
+                )
+
+    def _survivors(self, tree: list[int], lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+        """Survivor cells of each entry of one top's tree, listed parents
+        first, from the entries' cell ranges ``lo``, ``hi`` (one row each):
+        each entry paints its cells with its place in ``tree``, so a cell
+        ends up with the deepest entry that holds it, and one stable sort
+        groups the top's cells by their label in flat index order."""
+        cells = _flat_cells(self.spec, lo[:1], hi[:1])[0]
+        if len(tree) == 1:
+            return [cells]
+        labels = np.zeros(hi[0] - lo[0], dtype=np.intp)
+        for j, (a, b) in enumerate(zip((lo[1:] - lo[0]).tolist(), (hi[1:] - lo[0]).tolist()), 1):
+            labels[tuple(map(slice, a, b))] = j
+        labels = labels.ravel()
+        cells = cells[np.argsort(labels, kind="stable")]
+        return np.split(cells, np.cumsum(np.bincount(labels, minlength=len(tree)))[:-1])
+
+
+class _Sweep(_Tree):
     """A stopping-time family as one top-down sweep over every shift class.
 
-    The roots get ids first, in the order given; the sweep then gives ids to
-    the selected cubes in the order it finds them, scale by scale and,
-    within a scale, by corner, so each entry's list of kids is sorted by
-    ``(k, m)``.  Per id the sweep keeps the cube, the parent id, the rank,
-    the kids, and the thresholds ``jump * average`` (one row per function)
+    The roots are the tree's tops; the sweep adds the selected cubes in the
+    order it finds them, scale by scale and, within a scale, by corner, so
+    each entry's list of kids is sorted by ``(k, m)``.  Per id the sweep
+    also keeps the thresholds ``jump * average`` (one row per function)
     that the entry's own walk compares f- and g-averages against.
     """
 
     def __init__(self, avg: _CubeAverages, jump: np.ndarray, roots: list[DyadicCube]):
-        self.spec = avg.spec
+        super().__init__(avg.spec, roots)
         self.avg = avg
         self.jump = jump[:, None]
-        self.cubes: list[DyadicCube] = list(roots)
-        self.parent: list[int] = [-1] * len(roots)
-        self.rank: list[int] = [0] * len(roots)
-        self.kids: list[list[int]] = [[] for _ in roots]
         self.t = np.zeros((len(jump), len(roots)))
         self.opened = np.zeros(len(roots), dtype=bool)
 
@@ -350,6 +392,8 @@ class _Sweep:
         at_scale: dict[int, list[int]] = {}
         for i, q in enumerate(self.cubes):
             at_scale.setdefault(q.k, []).append(i)
+        if not at_scale:  # no roots, no family
+            return
         last = max(at_scale)
         offsets = np.array(list(itertools.product((0, 1), repeat=spec.n)))
         owner = np.empty(0, dtype=np.int64)
@@ -397,50 +441,9 @@ class _Sweep:
         ids = np.empty(len(M), dtype=np.int64)
         ids[order] = np.arange(first, first + len(M))
         for w, m, p in zip(W[order].tolist(), M[order].tolist(), owner[order].tolist()):
-            self.kids[p].append(len(self.cubes))
-            self.cubes.append(DyadicCube(k, tuple(m), tuple(w)))
-            self.parent.append(p)
-            self.rank.append(self.rank[p] + 1)
-            self.kids.append([])
+            self.add(DyadicCube(k, tuple(m), tuple(w)), p)
         self.t = np.concatenate([self.t, self.jump * self.avg.roots(mean[:, order])], axis=1)
         return ids
-
-    def emit(self, coll: SparseCollection) -> None:
-        """Append the entries to ``coll`` depth first: the opened roots in
-        order, each followed by its tree, where the kids of an entry go on a
-        stack in ``(k, m)`` order and the last one is taken first."""
-        index = [-1] * len(self.cubes)
-        lo, hi = _ranges_of_cubes(self.spec, self.cubes)
-        for root in np.flatnonzero(self.opened).tolist():
-            tree = []
-            stack = [root]
-            while stack:
-                q = stack.pop()
-                tree.append(q)
-                stack.extend(self.kids[q])
-            for j, q in enumerate(tree, len(coll.entries)):
-                index[q] = j
-            for q, survivor in zip(tree, self._survivors(tree, lo[tree], hi[tree])):
-                p = self.parent[q]
-                coll.entries.append(
-                    SparseEntry(self.cubes[q], self.rank[q], index[p] if p >= 0 else -1, survivor)
-                )
-
-    def _survivors(self, tree: list[int], lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
-        """Survivor cells of each entry of one root's tree, listed parents
-        first, from the entries' cell ranges ``lo``, ``hi`` (one row each):
-        each entry paints its cells with its place in ``tree``, so a cell
-        ends up with the deepest entry that holds it, and one stable sort
-        groups the root's cells by their label in flat index order."""
-        cells = _flat_cells(self.spec, lo[:1], hi[:1])[0]
-        if len(tree) == 1:
-            return [cells]
-        labels = np.zeros(hi[0] - lo[0], dtype=np.intp)
-        for j, (a, b) in enumerate(zip((lo[1:] - lo[0]).tolist(), (hi[1:] - lo[0]).tolist()), 1):
-            labels[tuple(map(slice, a, b))] = j
-        labels = labels.ravel()
-        cells = cells[np.argsort(labels, kind="stable")]
-        return np.split(cells, np.cumsum(np.bincount(labels, minlength=len(tree)))[:-1])
 
 
 def build_stopping_time(
@@ -486,7 +489,7 @@ def build_stopping_time(
     avg = _CubeAverages(spec, [(f, r), (g, sp)])
     sweep = _Sweep(avg, np.array([jump_f, jump_g]), roots)
     sweep.walk()
-    sweep.emit(coll)
+    sweep.emit(coll, np.flatnonzero(sweep.opened).tolist())
     return coll
 
 
@@ -558,27 +561,23 @@ def build_whitney_sparse(
 
     zero = (0,) * spec.n
     cores = list(enumerate_cubes(k0, zero, window))
-
-    stack: list[tuple[DyadicCube, int, int]] = [(q, -1, 0) for q in reversed(cores)]
-    while stack:
-        q, parent_idx, rank = stack.pop()
+    tree = _Tree(spec, cores)
+    # parents first: the kids added below an entry join the list being walked
+    for i, q in enumerate(tree.cubes):
         qbox = cube_box(q)
         tbox = concentric_dilate(qbox, 3)
         tau_f = cf * average_p(f, tbox, r)
         tau_g = cg * average_p(g, q, sp)
         mask = centred_level_set(f.restrict_box(tbox), r, tau_f)
         mask |= centred_level_set(g.restrict_box(q), sp, tau_g)
-        kids: list[DyadicCube] = []
-        if mask.any():
-            kids = [
-                w
-                for w in whitney_decompose(mask, zero, spec)
-                if qbox.contains_box(cube_box(w))
-            ]
-            kids.sort(key=lambda c: (c.k, c.m))
-        me = _append_entry(coll, q, rank, parent_idx, kids)
-        for w in reversed(kids):
-            stack.append((w, me, rank + 1))
+        if not mask.any():  # whitney_decompose would still walk the coarse cubes
+            continue
+        # whitney_decompose sorts by (k, m); added in reverse, the emitter
+        # takes them in that order
+        for w in reversed(whitney_decompose(mask, zero, spec)):
+            if qbox.contains_box(cube_box(w)):
+                tree.add(w, i)
+    tree.emit(coll, list(range(len(cores))))
     return coll
 
 

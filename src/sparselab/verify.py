@@ -726,17 +726,14 @@ def endpoint_audit(
 
     # per-entry localized images, read on the entry's region (which holds
     # its cube), and pairings
-    loc_pair: dict[int, float] = {}
-    loc_T: dict[int, np.ndarray] = {}
-    for i, e in enumerate(coll.entries):
-        Ti = T(f.restrict_box(regions[i]), regions[i])
-        loc_T[i] = Ti
-        loc_pair[i] = pair_with_g(Ti, spec.box_flat_cells(e.cube))
+    loc_T = [T(f.restrict_box(tb), tb) for tb in regions]
+    loc_pair = [pair_with_g(Ti, spec.box_flat_cells(e.cube)) for Ti, e in zip(loc_T, coll.entries)]
 
+    rank_lhs = [sum(loc_pair[i] for i in by_rank[q]) for q in ranks]
     base_lhs = float(
         sum(pair_with_g(T_global, spec.box_flat_cells(coll.entries[i].cube)) for i in cores)
     )
-    base_rhs = sum(loc_pair[i] for i in cores)
+    base_rhs = rank_lhs[0] if cores else 0.0
     # mixed residual: relative for O(1) pairings, absolute when the pairing
     # itself vanishes (disjoint supports make the identity trivially exact)
     denom = max(abs(base_lhs), abs(base_rhs), 1.0)
@@ -744,38 +741,34 @@ def endpoint_audit(
 
     # f and g averages over each entry's region, shared by the constants
     # and the rank forms
-    avgs = [(average_p(f, tb, r), average_p(g, tb, sp)) for tb in regions]
+    vol, avgs = _region_averages(coll, [(f, r), (g, sp)])
+    avg_f, avg_g = avgs.tolist()
 
     # measured comparison constants
     a1 = a2 = a3 = a4 = 0.0
     for i, e in enumerate(coll.entries):
         tb = regions[i]
-        af, ag = avgs[i]
+        af, ag = avg_f[i], avg_g[i]
         if af > DENOM_FLOOR:
             a2 = max(a2, average_p(f.with_values(loc_T[i]), tb, r) / af)
         if ag > DENOM_FLOOR and e.survivor.size:
             a3 = max(a3, average_p(g, e.survivor, rp) / ag)
         for jdx in children[i]:
             child = coll.entries[jdx]
-            ctb = regions[jdx]
             if af > DENOM_FLOOR:
                 carved = f.restrict_box(tb).values.copy()
-                carved.reshape(-1)[spec.box_flat_cells(ctb)] = 0.0
+                carved.reshape(-1)[spec.box_flat_cells(regions[jdx])] = 0.0
                 tv = T(f.with_values(carved), child.cube)
                 a1 = max(a1, average_p(f.with_values(tv), child.cube, pair.s) / af)
             if ag > DENOM_FLOOR:
-                a4 = max(a4, average_p(g, ctb, sp) / ag)
+                a4 = max(a4, avg_g[jdx] / ag)
 
     c0 = 3.0**spec.n * a2 * a3 + 3.0 ** (spec.n / sp) * a1 * a4
 
-    rank_lhs, rank_forms = [], []
-    for q in ranks:
-        rank_lhs.append(sum(loc_pair[i] for i in by_rank[q]))
-        form = 0.0
-        for i in by_rank[q]:
-            af, ag = avgs[i]
-            form += float(coll.entries[i].cube.volume()) * af * ag
-        rank_forms.append(form)
+    # cube volume times the averages over the tripled region (vol / 3**n is
+    # the cube's volume, exact)
+    terms = (vol / 3.0**spec.n * avgs[0] * avgs[1]).tolist()
+    rank_forms = [sum(terms[i] for i in by_rank[q]) for q in ranks]
     rank_ok = []
     for q in ranks:
         nxt = rank_lhs[q + 1] if q + 1 < len(rank_lhs) else 0.0

@@ -6,6 +6,11 @@ another way, or a piece of exact geometry that only the checks need:
 * ``dfs_stopping_time``: the stopping-time family by a depth-first search
   that takes every cube average with ``average_p``; the package walks one
   scale at a time over block sums and must match it entry for entry.
+* ``dfs_whitney``: the Whitney-type family by a depth-first stack that
+  takes each core's thresholds with ``average_p`` and its survivor set as
+  its cells minus its kids' by ``np.setdiff1d``; the package walks the
+  entries parents first and paints survivor labels, and must match it
+  entry for entry.
 * ``parent`` and ``cube_containing_point``: exact Fraction geometry.
 * ``box_cell_count``: in-domain cells of a box.
 * ``default_truncation``: the band count whose low-pass plateau covers
@@ -49,14 +54,23 @@ from sparselab.dyadic import (
     Box,
     DyadicCube,
     children,
+    concentric_dilate,
     cube_box,
     enumerate_cubes,
     shift_sign,
     third_dilate,
+    whitney_decompose,
 )
+from sparselab.maximal import centred_level_set
 from sparselab.pdo import _BLOCK, OperatorHandle, _cell_rows, _dense_gram
 from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p
-from sparselab.sparse import SparseCollection, SparseEntry, SparsityReport, StoppingConfig
+from sparselab.sparse import (
+    SparseCollection,
+    SparseEntry,
+    SparsityReport,
+    StoppingConfig,
+    WhitneyConfig,
+)
 from sparselab.symbol import SymbolClass
 from sparselab.verify import DENOM_FLOOR, DominationReport, _image_of
 
@@ -114,6 +128,48 @@ def dfs_stopping_time(f: GridFunction, g: GridFunction, config: StoppingConfig) 
             me = len(coll.entries) - 1
             for c in kids:
                 stack.append((c, me, rank + 1, average_p(f, c, r), average_p(g, c, sp)))
+    return coll
+
+
+def dfs_whitney(f: GridFunction, g: GridFunction, config: WhitneyConfig) -> SparseCollection:
+    """``build_whitney_sparse`` by a depth-first stack, for inputs it
+    accepts: supports in the central half and a domain that fits a core."""
+    spec = f.spec
+    coll = SparseCollection(spec, "whitney", config.eta * Fraction(3) ** (-spec.n))
+    boxes = [b for b in (f.support_box(), g.support_box()) if b is not None]
+    if not boxes:
+        return coll
+    window = Box(
+        tuple(min(b.lower[i] for b in boxes) for i in range(spec.n)),
+        tuple(max(b.upper[i] for b in boxes) for i in range(spec.n)),
+    )
+    reach = 2.0**config.ell1 + 2.0 * config.ell2
+    k0 = 0
+    while 2.0**-k0 < reach:
+        k0 -= 1
+    r = config.pair.r
+    sp = config.pair.s_prime
+    one_minus = 1.0 - float(config.eta)
+    cf = (3.0 ** (spec.n + 1) / one_minus) ** (1.0 / r) * 3.0 ** (spec.n / r)
+    cg = (2.0 / one_minus) ** (1.0 / sp) * 3.0 ** (spec.n / sp)
+    zero = (0,) * spec.n
+    stack = [(q, -1, 0) for q in reversed(list(enumerate_cubes(k0, zero, window)))]
+    while stack:
+        q, parent_idx, rank = stack.pop()
+        qbox = cube_box(q)
+        tbox = concentric_dilate(qbox, 3)
+        mask = centred_level_set(f.restrict_box(tbox), r, cf * average_p(f, tbox, r))
+        mask |= centred_level_set(g.restrict_box(q), sp, cg * average_p(g, q, sp))
+        kids = [w for w in whitney_decompose(mask, zero, spec) if qbox.contains_box(cube_box(w))]
+        kids.sort(key=lambda c: (c.k, c.m))
+        survivor = spec.box_flat_cells(q)
+        if kids:
+            kc = np.concatenate([spec.box_flat_cells(c) for c in kids])
+            survivor = np.setdiff1d(survivor, kc, assume_unique=True)
+        coll.entries.append(SparseEntry(q, rank, parent_idx, survivor))
+        me = len(coll.entries) - 1
+        for w in reversed(kids):
+            stack.append((w, me, rank + 1))
     return coll
 
 

@@ -28,6 +28,7 @@ from sparselab.verify import pointwise_domination_check, sparse_form
 from oracles import (
     box_cell_count,
     dfs_stopping_time,
+    dfs_whitney,
     parent,
     per_entry_domination,
     per_entry_sparse_form,
@@ -160,7 +161,7 @@ class TestLevelWalkMatchesSearch:
     def test_explicit_roots(self):
         fs = make_corpus(SPEC, seed=4, count=4)
         inner = DyadicCube(2, (1,), (2,))
-        for roots, pair in itertools.product(((UNIT,), (UNIT, inner)), PAIRS):
+        for roots, pair in itertools.product(((UNIT,), (UNIT, inner), ()), PAIRS):
             config = StoppingConfig(pair=pair, roots=roots)
             for i, j in CORPUS_PAIRS:
                 assert_same_family(
@@ -503,6 +504,29 @@ class TestWhitneySparse:
             coll = build_whitney_sparse(f, g, config)
             report = verify_sparsity(coll)
             assert report.ok, report.failures
+
+
+WHITNEY_PAIRS = (*PAIRS[:2], ExponentPair(2.0, math.inf))
+
+
+class TestWhitneyWalkMatchesStack:
+    """The parents-first Whitney walk, listed by the emitter the sweep uses,
+    gives the depth-first stack's families entry for entry."""
+
+    @pytest.mark.parametrize("grid", [(1, 3, 6), (2, 3, 3)])
+    def test_corpus_families(self, grid):
+        spec = GridSpec(*grid)
+        fs = make_corpus(spec, seed=2, count=4)
+        z = GridFunction.zeros(spec)
+        inputs = [(fs[i], fs[j]) for i, j in CORPUS_PAIRS] + [(z, z)]
+        ranks = []
+        for (f, g), pair in itertools.product(inputs, WHITNEY_PAIRS):
+            config = WhitneyConfig(pair=pair, ell1=1, ell2=1.0)
+            got = build_whitney_sparse(f, g, config)
+            assert_same_family(got, dfs_whitney(f, g, config))
+            ranks.append(got.max_rank())
+        assert max(ranks) >= 1
+        assert min(ranks) == -1  # the vanishing family
 
 
 class TestVerifySparsity:

@@ -23,7 +23,7 @@ from sparselab.pdo import (
     piece_operator,
     symbol_operator,
 )
-from sparselab.sample import ExponentPair, GridFunction, GridSpec, make_corpus
+from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p, make_corpus
 from sparselab.sparse import (
     SparseCollection,
     SparseEntry,
@@ -730,6 +730,36 @@ class TestEndpointAudit:
         assert rep.base_lhs == rep.pairing == rep.total_form == rep.final_constant == 0.0
         assert rep.a1 == rep.a2 == rep.a3 == rep.a4 == rep.c0 == 0.0
         assert type(rep.base_lhs) is float
+
+    @pytest.mark.parametrize(
+        "grid, pair",
+        [((1, 3, 6), PAIR22), ((2, 3, 3), ExponentPair(2.0, math.inf))],
+        ids=["1d", "2d"],
+    )
+    def test_a4_and_total_form_read_per_entry_averages(self, grid, pair):
+        spec = GridSpec(*grid)
+        fs = make_corpus(spec, seed=2, count=4)
+        f, g = fs[2], fs[0]
+        coll = self.whitney_family(f, g, pair)
+        assert coll.max_rank() >= 1
+        rep = endpoint_audit(f, g, coll, bessel(-0.25, 0.5, 0.5, n=spec.n), 1, 1.0, pair)
+        af = [average_p(f, coll.region(i), pair.r) for i in range(len(coll))]
+        ag = [average_p(g, coll.region(i), pair.s_prime) for i in range(len(coll))]
+        ratios = [
+            ag[i] / ag[e.parent]
+            for i, e in enumerate(coll.entries)
+            if e.parent >= 0 and ag[e.parent] > verify.DENOM_FLOOR
+        ]
+        assert rep.a4 == max(ratios) > 0
+        forms = [
+            sum(
+                float(e.cube.volume()) * af[i] * ag[i]
+                for i, e in enumerate(coll.entries)
+                if e.rank == q
+            )
+            for q in range(coll.max_rank() + 1)
+        ]
+        assert rep.total_form == float(sum(forms)) > 0
 
     def test_flavor_guard(self):
         f = unit_indicator(self.SPEC3)
