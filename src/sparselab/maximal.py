@@ -11,19 +11,25 @@ Uncentred windows are kept inside the domain: the data vanishes off the
 grid, so a window poking outside is dominated by its clipped version.
 Centred windows are odd-cell blocks around the cell and extend by zero.
 
-The per-width sweep takes sliding maxima over window starts with the
-two-pass block prefix/suffix scheme, O(N**n) per window length; it serves
-2D, the centred level set and, in 1D, the one-cell windows.  Every wider 1D
-uncentred window is a steepest chord of the prefix-sum graph with one end
-on each side of a block midpoint, found by hull tangents (Chung and Lu,
-SIAM J. Comput. 2004; Goldwasser, Kao and Lu, J. Comput. Syst. Sci. 2005),
-so the exact 1D uncentred maximal costs O(N log**2 N) instead of O(N**2).
+Sliding maxima go by doubling, ``log2(w)`` passes of ``np.maximum`` over
+shifted slices; a max is exact, so any order of comparisons gives the same
+bits.  The uncentred per-width sweep serves 2D and, in 1D, the one-cell
+windows.  Every wider 1D uncentred window is a steepest chord of the
+prefix-sum graph with one end on each side of a block midpoint, found by
+hull tangents (Chung and Lu, SIAM J. Comput. 2004; Goldwasser, Kao and Lu,
+J. Comput. Syst. Sci. 2005), so the exact 1D uncentred maximal costs
+O(N log**2 N) instead of O(N**2).  The centred level set sweeps only the
+widths and cells that can reach its threshold, in brackets of widths whose
+widest window bounds the rest (``_centred_mask``).
 
 The sharp maximal builds ``|f - window mean|`` in blocks of about
 ``_OSC_CHUNK`` elements, written into two buffers that stay in cache; the
-block size does not change a bit of the result.  Real data runs in real arithmetic,
-and the work is restricted to a region's cells plus the ladder's reach, the
-whole grid being one such region.
+block size does not change a bit of the result.  Real data runs in real
+arithmetic, and the work is restricted to a region's cells plus the
+ladder's reach, the whole grid being one such region.  Within it, a window
+whose oscillation provably cannot raise a value is skipped (``_ladder``),
+and a caller that needs only the values above a floor gets them on the
+box where they can occur (``_sharp_above``).  No skip changes a bit.
 """
 
 from __future__ import annotations
@@ -40,36 +46,49 @@ from .sample import GridFunction
 __all__ = ["maximal_p", "centred_level_set", "sharp_maximal", "ladder_widths"]
 
 _2D_EXHAUSTIVE_LIMIT = 512
-_OSC_CHUNK = 1 << 16  # elements per temporary in oscillation sweeps
+_OSC_CHUNK = 1 << 16  # elements per temporary in oscillation and level-set sweeps
 
 
-def _sliding_max(a: np.ndarray, w: int) -> np.ndarray:
-    """out[i] = max(a[i:i+w]) for i = 0..len(a)-w."""
-    n = a.shape[-1]
-    if w == 1:
-        return a.copy()
-    nblocks = -(-n // w)
-    pad = nblocks * w - n
-    ap = np.concatenate([a, np.full(a.shape[:-1] + (pad,), -np.inf)], axis=-1)
-    blocks = ap.reshape(a.shape[:-1] + (nblocks, w))
-    pre = np.maximum.accumulate(blocks, axis=-1).reshape(a.shape[:-1] + (-1,))
-    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-    suf = suf.reshape(a.shape[:-1] + (-1,))
-    return np.maximum(suf[..., : n - w + 1], pre[..., w - 1 : n])
+def _along(axis: int, part: slice) -> tuple[slice, ...]:
+    """Index that takes ``part`` of ``axis`` and all of the axes before it."""
+    return (slice(None),) * axis + (part,)
 
 
-def _window_max_at_cells(sums: np.ndarray, w: int) -> np.ndarray:
-    """Best window sum among length-w windows containing each cell."""
-    pad = np.full(sums.shape[:-1] + (w - 1,), -np.inf)
-    return _sliding_max(np.concatenate([pad, sums, pad], axis=-1), w)
+def _sliding_max(a: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """``out[i] = max(a[i:i+w])`` along ``axis`` for every window that fits,
+    by doubling: after the pass with span ``s`` an entry is the max of the
+    ``s`` entries from it on, and two spans of the largest power of two
+    ``s <= w`` cover a window.  A max is exact, so this has the bits of any
+    other order of comparisons; with ``w == 1`` the result is ``a``."""
+    m, s = a, 1
+    while 2 * s <= w:
+        m = np.maximum(m[_along(axis, slice(None, -s))], m[_along(axis, slice(s, None))])
+        s *= 2
+    if s == w:
+        return m
+    count = a.shape[axis] - w + 1
+    return np.maximum(m[_along(axis, slice(count))], m[_along(axis, slice(w - s, None))])
+
+
+def _window_max_at_cells(sums: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """Best window sum, along ``axis``, among the length-w windows containing
+    each cell."""
+    pad = np.full(sums.shape[:axis] + (w - 1,) + sums.shape[axis + 1 :], -np.inf)
+    return _sliding_max(np.concatenate([pad, sums, pad], axis=axis), w, axis)
 
 
 def _window_max_all_axes(sums: np.ndarray, w: int) -> np.ndarray:
     """Best window sum among the ``w**n``-cell windows containing each cell."""
-    last_first = (sums.ndim - 1,) + tuple(range(sums.ndim - 1))
-    for _ in range(sums.ndim):
-        sums = _window_max_at_cells(np.ascontiguousarray(sums), w).transpose(last_first)
+    for axis in range(sums.ndim):
+        sums = _window_max_at_cells(sums, w, axis)
     return sums
+
+
+def _max_over_windows(a: np.ndarray, w: int) -> np.ndarray:
+    """Largest entry of every ``w**n``-entry window that fits in ``a``."""
+    for axis in range(a.ndim):
+        a = _sliding_max(a, w, axis)
+    return a
 
 
 def _prefix_sums(u: np.ndarray) -> np.ndarray:
@@ -107,23 +126,15 @@ def _sliding_sums(P: np.ndarray, corners, w: int) -> np.ndarray:
     return _window_sums(P, corners, (slice(None, -w),) * P.ndim, (slice(w, None),) * P.ndim)
 
 
-def _sweep(P: np.ndarray, widths, centred: bool) -> np.ndarray:
-    """Best window average at every cell over the windows of the given
-    widths (cells per axis), from the prefix sums ``P``: one pass over the
-    grid per width."""
+def _sweep(P: np.ndarray, widths) -> np.ndarray:
+    """Best uncentred window average at every cell over the windows of the
+    given widths (cells per axis), from the prefix sums ``P``: one pass
+    over the grid per width."""
     n = P.ndim
-    N = P.shape[0] - 1
     corners = _corners(n)
-    i = np.arange(N)
-    best = np.zeros((N,) * n)
+    best = np.zeros(tuple(s - 1 for s in P.shape))
     for w in widths:
-        if centred:
-            k = (w - 1) // 2
-            lo = np.ix_(*(np.maximum(i - k, 0),) * n)
-            hi = np.ix_(*(np.minimum(i + k + 1, N),) * n)
-            sums = _window_sums(P, corners, lo, hi)
-        else:
-            sums = _window_max_all_axes(_sliding_sums(P, corners, w), w)
+        sums = _window_max_all_axes(_sliding_sums(P, corners, w), w)
         np.maximum(best, sums / w**n, out=best)
     return best
 
@@ -258,30 +269,43 @@ def maximal_p(f: GridFunction, p: float) -> np.ndarray:
     N = f.spec.N
     P = _prefix_sums(np.abs(f.values) ** p)
     if f.spec.n == 1:
-        return np.maximum(_sweep(P, [1], False), _crossing_max(P)) ** (1.0 / p)
+        return np.maximum(_sweep(P, [1]), _crossing_max(P)) ** (1.0 / p)
     if N > _2D_EXHAUSTIVE_LIMIT:
         raise ValueError(f"2D uncentred maximal: at most {_2D_EXHAUSTIVE_LIMIT} cells per axis")
-    return _sweep(P, range(1, N + 1), False) ** (1.0 / p)
+    return _sweep(P, range(1, N + 1)) ** (1.0 / p)
 
 
 def centred_level_set(f: GridFunction, p: float, tau: float) -> np.ndarray:
     """The super-level set ``{centred p-maximal of f > tau}`` as a boolean
-    mask; empty when f vanishes.
+    mask; empty when f vanishes, for any ``tau >= 0``.
 
     A window of side ``w*h`` has p-average at most ``||f||_p**p / (w*h)**n``,
     so only sides with ``(w*h)**n <= ||f||_p**p / tau**p`` can exceed
-    ``tau``, and only those are swept: the mask is the full maximal's.
+    ``tau``, and only cells within half the widest such side of the support
+    of f see any mass: the widths and cells that ``_centred_mask`` reads.
+    The mask is the full sweep's over every width, bit for bit.
     """
-    if not np.any(f.values):
-        return np.zeros(f.spec.shape, dtype=bool)
     if not (0 < p < math.inf):
         raise ValueError("p must be finite and positive (the limit is the sup norm)")
-    if tau <= 0:
+    if not tau >= 0:
         raise ValueError("threshold must be positive")
-    n, h = f.spec.n, float(f.spec.h)
+    mask = np.zeros(f.spec.shape, dtype=bool)
+    if not np.any(f.values):
+        return mask
+    if tau == 0:
+        raise ValueError("threshold must be positive")
+    n, N, h = f.spec.n, f.spec.N, float(f.spec.h)
     u = np.abs(f.values) ** p
     cap = float(u.sum()) * h**n / tau**p
-    return _sweep(_prefix_sums(u), _centred_widths(f.spec.N, h, n, cap), True) ** (1.0 / p) > tau
+    widths = _centred_widths(N, h, n, cap)
+    if widths:  # then u has mass, and sits in the region
+        k = widths[-1] // 2
+        hits = np.nonzero(u)
+        region = tuple(slice(max(int(i.min()) - k, 0), min(int(i.max()) + 1 + k, N)) for i in hits)
+        # starting the prefix sums at the region adds exact zeros only: a
+        # clipped window reads the same values as on the whole grid
+        mask[region] = _centred_mask(_prefix_sums(u[region]), k, p, tau)
+    return mask
 
 
 def _centred_widths(N: int, h: float, n: int, cap: float) -> range:
@@ -290,6 +314,67 @@ def _centred_widths(N: int, h: float, n: int, cap: float) -> range:
     bisection on the same float expression (none when ``cap`` is NaN)."""
     count = bisect.bisect_left(range(N), True, key=lambda t: not (((2 * t + 1) * h) ** n <= cap))
     return range(1, 2 * count, 2)
+
+
+def _brackets(kmax: int):
+    """Half-widths ``0..kmax`` in brackets ``[k0, k1]`` with ``k1 < 2*k0``
+    past the first two: the widths of a bracket differ by less than 2x."""
+    k0 = 0
+    while k0 <= kmax:
+        k1 = min(max(2 * k0 - 1, k0), kmax)
+        yield k0, k1
+        k0 = k1 + 1
+
+
+def _centred_ends(cells, k, shape):
+    """Lower and upper ends per axis of the centred windows of half-width
+    ``k`` at ``cells`` (index arrays per axis that broadcast with ``k``),
+    clipped to ``shape``: the full sweep's windows."""
+    lo = tuple(np.maximum(i - k, 0) for i in cells)
+    hi = tuple(np.minimum(i + k + 1, s) for i, s in zip(cells, shape))
+    return lo, hi
+
+
+def _centred_mask(P: np.ndarray, kmax: int, p: float, tau: float) -> np.ndarray:
+    """``{best centred average ** (1/p) > tau}`` over the odd widths up to
+    ``2*kmax + 1``, from the prefix sums ``P`` of a nonnegative array, with
+    the bits of the sweep over every width, which computes the best average
+    and then one root per cell.
+
+    Half-widths go in brackets, and every cell takes the average of each
+    bracket's widest window.  Every computed window sum lies within
+    ``slack`` of the exact sum, which grows with the window: ``P`` is off by
+    at most ``n*N`` roundings of its total, and inclusion-exclusion adds
+    ``2**n - 1`` more.  So the widest window's sum plus ``slack``, over the
+    narrowest window's size, bounds every computed average in the bracket.
+    A cell evaluates the bracket's other widths only where that bound
+    exceeds ``cut`` and its best so far is under ``sure``: an average at or
+    under ``cut`` rounds to a root at or under ``tau``, one over ``sure``
+    to a root over ``tau`` (each a relative 2**-40 away), and larger
+    averages give larger roots, so the skipped work cannot change the mask.
+    """
+    n, shape = P.ndim, tuple(s - 1 for s in P.shape)
+    corners = _corners(n)
+    slack = 3 * 2**n * (n * max(shape) + 2**n) * 2.0**-52 * float(P[(-1,) * n])
+    cut = (tau * (1 - 2.0**-40)) ** p * (1 - 2.0**-50)
+    sure = (tau * (1 + 2.0**-40)) ** p * (1 + 2.0**-50)
+    grid = np.ix_(*(np.arange(s) for s in shape))
+    best = np.zeros(shape)
+    for k0, k1 in _brackets(kmax):
+        wide = _window_sums(P, corners, *_centred_ends(grid, k1, shape))
+        np.maximum(best, wide / (2 * k1 + 1) ** n, out=best)
+        at = np.nonzero(((wide + slack) / (2 * k0 + 1) ** n > cut) & ~(best > sure))
+        if k0 == k1 or not at[0].size:
+            continue
+        ks = np.arange(k0, k1)[:, None]
+        rows = max(1, _OSC_CHUNK // at[0].size)
+        top = best[at]
+        for i in range(0, len(ks), rows):
+            k = ks[i : i + rows]
+            sums = _window_sums(P, corners, *_centred_ends(at, k, shape))
+            np.maximum(top, (sums / (2 * k + 1) ** n).max(axis=0), out=top)
+        best[at] = top
+    return best ** (1.0 / p) > tau
 
 
 def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:
@@ -308,42 +393,127 @@ def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:
     return out
 
 
-def _osc(vals: np.ndarray, P: np.ndarray, corners, w: int) -> np.ndarray:
-    """Mean ``|f - window mean|`` for every ``w**n``-cell window that fits
-    in ``vals``, in blocks of about ``_OSC_CHUNK`` elements; ``P`` holds
-    the prefix sums of ``vals``.
+def _runs(flags: np.ndarray, gap: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` of the runs of True in ``flags``, with runs less
+    than ``gap`` apart joined."""
+    padded = np.concatenate(([False], flags, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, stops = edges[0::2], edges[1::2]
+    if not starts.size:
+        return []
+    split = np.flatnonzero(starts[1:] - stops[:-1] >= gap)
+    firsts, lasts = starts[np.r_[0, split + 1]], stops[np.r_[split, len(stops) - 1]]
+    return list(zip(firsts.tolist(), lasts.tolist()))
+
+
+def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.ndarray:
+    """Mean ``|f - window mean|`` for the ``w**n``-cell windows of ``vals``
+    whose means are ``means``, at the window starts whose first index is
+    ``busy``, and 0 at the others; in blocks of about ``_OSC_CHUNK``
+    elements.
 
     Every block is written into the same two buffers, laid out as numpy
     lays out ``view - means`` (position and window axes interleaved), so
-    the window means sum in one order, bit for bit, at any block size.
+    the window means sum in one order, bit for bit, at any block size and
+    for any set of blocks.
     """
     n = vals.ndim
-    means = _sliding_sums(P, corners, w) / w**n
-    out = np.empty(means.shape)
+    out = np.zeros(means.shape)
     view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
     step = max(1, min(len(out), _OSC_CHUNK // (w**n * math.prod(means.shape[1:]))))
     layout = sum(((m, w) for m in (step,) + means.shape[1:]), ())
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     diff = np.empty(layout, dtype=vals.dtype).transpose(axes)
     dev = diff if diff.dtype == np.float64 else np.empty(layout).transpose(axes)
-    for lo in range(0, len(out), step):
-        block = view[lo : lo + step]
-        k = len(block)
-        np.subtract(block, means[lo : lo + k][(...,) + (None,) * n], out=diff[:k])
-        np.abs(diff[:k], out=dev[:k])
-        out[lo : lo + k] = dev[:k].mean(axis=tuple(range(n, 2 * n)))
+    for start, stop in _runs(busy, step):
+        for lo in range(start, stop, step):
+            k = min(step, stop - lo)
+            np.subtract(view[lo : lo + k], means[lo : lo + k][(...,) + (None,) * n], out=diff[:k])
+            np.abs(diff[:k], out=dev[:k])
+            out[lo : lo + k] = dev[:k].mean(axis=tuple(range(n, 2 * n)))
     return out
 
 
-def _ladder(vals: np.ndarray, widths) -> np.ndarray:
+def _osc_bound(vals: np.ndarray, means: np.ndarray, w: int) -> np.ndarray:
+    """A bound on the computed oscillation of every ``w**n``-cell window of
+    ``vals`` whose computed mean is in ``means``; 0 only where the
+    oscillation is exactly 0.
+
+    Each ``|f - m|`` in a window is at most D, the sum over the real and
+    imaginary parts of the distance from the part of m to the far end of
+    the part's range in the window.  The computed mean of the ``w**n``
+    rounded terms is at most D times ``1 + w**n 2**-48``: the sum rounds
+    ``w**n - 1`` times, the difference, modulus and bound a few times more,
+    and the division by a power of two not at all.  D is 0 only where every
+    value equals m, whose oscillation is exactly 0.  A bound strictly under
+    a value leaves room for the one rounding of a subnormal mean.
+    """
+    parts = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals,)
+    mparts = (means.real, means.imag) if np.iscomplexobj(means) else (means,)
+    spread = 0.0
+    for v, m in zip(parts, mparts):
+        spread = spread + np.maximum(_max_over_windows(v, w) - m, m + _max_over_windows(-v, w))
+    return spread * (1 + w**vals.ndim * 2.0**-48)
+
+
+def _ladder(vals: np.ndarray, P: np.ndarray, widths) -> np.ndarray:
     """Sharp maximal of the array ``vals`` over the windows of the given
-    side lengths (cells per axis) that fit in it."""
-    P = _prefix_sums(vals)
-    corners = _corners(vals.ndim)
+    side lengths (cells per axis) that fit in it; the window means come
+    from ``P``, prefix sums of ``vals`` (any that give its window sums).
+
+    The rungs run widest first.  A window whose oscillation bound
+    (``_osc_bound``) is 0, or under the best value so far at each of its
+    cells, cannot change a value: its block of starts is skipped, a first
+    index at a time, and keeps 0.  Windows of exact zeros are among them.
+    """
+    n = vals.ndim
+    corners = _corners(n)
     best = np.zeros(vals.shape)
-    for w in widths:
-        np.maximum(best, _window_max_all_axes(_osc(vals, P, corners, w), w), out=best)
+    for w in sorted(widths, reverse=True):
+        means = _sliding_sums(P, corners, w) / w**n
+        bound = _osc_bound(vals, means, w)
+        idle = (bound == 0) | (bound < -_max_over_windows(-best, w))
+        osc = _osc(vals, means, ~idle.all(axis=tuple(range(1, n))), w)
+        np.maximum(best, _window_max_all_axes(osc, w), out=best)
     return best
+
+
+def _ladder_on(vals: np.ndarray, ranges, widths, P: np.ndarray | None = None) -> np.ndarray:
+    """The ladder at the cells ``ranges`` (``(start, stop)`` per axis) of
+    the grid array ``vals``, NaN elsewhere.  It runs on those cells dilated
+    by its widest window less one cell, clipped to the grid, which holds
+    every window that contains one of them.  The window means come from
+    ``P``, the whole grid's prefix sums, or without it from prefix sums
+    that start at the crop, so values move at rounding level unless the
+    crop is the whole grid."""
+    N = vals.shape[0]
+    reach = max(widths, default=1) - 1
+    crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, N)) for i0, i1 in ranges)
+    cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
+    out = np.full(vals.shape, np.nan)
+    read = tuple(slice(i0, i1) for i0, i1 in ranges)
+    if out[read].size:
+        part = vals[crop]
+        if P is None:
+            sums = _prefix_sums(part)
+        else:
+            sums = P[tuple(slice(c.start, c.stop + 1) for c in crop)]
+        out[read] = _ladder(part, sums, widths)[cells]
+    return out
+
+
+def _sharp_setup(f: GridFunction, radius_cap: float | None) -> tuple[np.ndarray, list[int]]:
+    """The values the ladder reads (real when ``f.values.imag`` is all
+    zero) and its widths under ``radius_cap``; an infinite cap is no cap."""
+    if radius_cap is not None and not radius_cap >= 0:
+        raise ValueError(f"radius_cap must be nonnegative or None, not {radius_cap!r}")
+    spec = f.spec
+    capped = radius_cap is not None and radius_cap < math.inf
+    cap_cells = int(math.floor(2.0 * radius_cap / float(spec.h))) if capped else None
+    vals = f.values
+    if not np.any(vals.imag):
+        vals = np.ascontiguousarray(vals.real)
+    return vals, ladder_widths(spec.N, cap_cells)
 
 
 def sharp_maximal(
@@ -363,25 +533,34 @@ def sharp_maximal(
     ``|x + 0j|`` is ``|x|``.
 
     Only the cells of ``region`` (a box or cube, through
-    ``GridSpec.cell_ranges``; by default the domain) are computed: the
-    ladder runs on them dilated by its widest window less one cell, clipped
-    to the grid, which holds every window that contains a region cell.
-    Prefix sums then start at the crop, so values move at rounding level
-    unless the crop is the whole grid.  The result is full-grid with NaN
-    outside the region.
+    ``GridSpec.cell_ranges``; by default the domain) are computed, by
+    ``_ladder_on`` with prefix sums that start at the crop.  The result is
+    full-grid with NaN outside the region.
     """
+    vals, widths = _sharp_setup(f, radius_cap)
     spec = f.spec
-    cap_cells = None if radius_cap is None else int(math.floor(2.0 * radius_cap / float(spec.h)))
-    widths = ladder_widths(spec.N, cap_cells)
-    vals = f.values
-    if not np.any(vals.imag):
-        vals = np.ascontiguousarray(vals.real)
-    ranges = spec.cell_ranges(spec.domain() if region is None else region)
-    reach = max(widths, default=1) - 1
-    crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, spec.N)) for i0, i1 in ranges)
-    cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
-    out = np.full(spec.shape, np.nan)
-    read = tuple(slice(i0, i1) for i0, i1 in ranges)
-    if out[read].size:
-        out[read] = _ladder(vals[crop], widths)[cells]
-    return out
+    return _ladder_on(vals, spec.cell_ranges(spec.domain() if region is None else region), widths)
+
+
+def _sharp_above(f: GridFunction, radius_cap: float | None, floor: float) -> np.ndarray:
+    """``sharp_maximal(f, radius_cap)`` with its bits on a box that holds
+    every cell where it exceeds ``floor``, and NaN outside the box.
+
+    A cell exceeds ``floor`` only inside a window whose oscillation bound
+    (``_osc_bound``) does; the box is the bounding box of those windows.
+    The ladder runs on it with the whole grid's prefix sums, so every value
+    keeps the whole grid's bits.
+    """
+    vals, widths = _sharp_setup(f, radius_cap)
+    n, N = vals.ndim, vals.shape[0]
+    P = _prefix_sums(vals)
+    corners = _corners(n)
+    lo, hi = [N] * n, [0] * n
+    for w in widths:
+        hit = _osc_bound(vals, _sliding_sums(P, corners, w) / w**n, w) > floor
+        for axis in range(n):
+            starts = np.flatnonzero(hit.any(axis=tuple(a for a in range(n) if a != axis)))
+            if starts.size:
+                lo[axis] = min(lo[axis], int(starts[0]))
+                hi[axis] = max(hi[axis], int(starts[-1]) + w)
+    return _ladder_on(vals, tuple((a, max(a, b)) for a, b in zip(lo, hi)), widths, P)

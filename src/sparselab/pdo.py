@@ -47,6 +47,7 @@ full operator exact on the grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -289,6 +290,15 @@ class OperatorHandle:
     mult: np.ndarray | None = None
     window: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        # read-only copies: ``_transfer`` is computed once from them
+        for name in ("mult", "window"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.array(arr)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+
     def __call__(self, f: GridFunction) -> GridFunction:
         """The operator applied to ``f`` after the support guard."""
         _guard_support(f)
@@ -307,7 +317,7 @@ class OperatorHandle:
         if f.spec != spec:
             raise ValueError(f"a function on {f.spec} given to an operator on {spec}")
         if self.a.structure != "general":
-            R, xf, real = self._transfer()
+            R, xf, real = self._transfer
             fft, ifft = _dft(spec.n)
             # named: on large grids numpy would compute R * fft(...) in place
             # as fhat * R, and complex products round by operand order
@@ -383,7 +393,7 @@ class OperatorHandle:
             M = self.matrix()
             return _dense_gram(M), not np.iscomplexobj(M)
         spec = self.spec
-        R, xf, _ = self._transfer()
+        R, xf, _ = self._transfer
         b = 1.0 if xf is None else np.abs(xf)
         if np.min(b) == np.max(b):
             d = (np.max(b) ** 2 * np.abs(R) ** 2).ravel()
@@ -489,12 +499,16 @@ class OperatorHandle:
         )
         return self._windowed(_rows(spec, amp[None])[0]), xf, real
 
+    @functools.cached_property
     def _transfer(self) -> tuple[np.ndarray, np.ndarray | None, bool]:
         """Transfer function ``R = h**n fft(row)`` of the windowed x-free
         kernel row, ``M = diag(b) ifft(R fft(.))``, the x-factor ``b`` and
-        whether the kernel is real (``_free_row``)."""
+        whether the kernel is real (``_free_row``); computed once per
+        handle."""
         row, xf, real = self._free_row()
-        return float(self.spec.h) ** self.spec.n * _dft(self.spec.n)[0](row), xf, real
+        R = float(self.spec.h) ** self.spec.n * _dft(self.spec.n)[0](row)
+        R.flags.writeable = False
+        return R, xf, real
 
     def _row_blocks(self):
         """Windowed kernel rows of all cells in C order, in blocks of at most

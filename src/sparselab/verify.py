@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import Box, CubePoset, DyadicCube
-from .maximal import maximal_p, sharp_maximal
+from .maximal import _sharp_above, maximal_p, sharp_maximal
 from .pdo import (
     OperatorHandle,
     PieceIndex,
@@ -608,7 +608,10 @@ def sharp_ratio_probe(
     maximized over a corpus of inputs.
 
     ``precomputed_max`` lets a sweep over localization scales reuse the
-    maximal evaluations, which do not depend on the scales.
+    maximal evaluations, which do not depend on the scales.  The sharp
+    image is evaluated only on a box that holds every cell where it can
+    exceed ``DENOM_FLOOR`` (``maximal._sharp_above``), with the whole
+    grid's bits, so the report is the full grid's.
     """
     if isinstance(fs, GridFunction):
         fs = [fs]
@@ -617,7 +620,7 @@ def sharp_ratio_probe(
     flagged = 0
     active_total = 0
     for k, f in enumerate(fs):
-        S = _sharp_image(op, ell2, f)
+        S = _sharp_above(op.apply(f), ell2, DENOM_FLOOR)
         Mp = maximal_p(f, p) if precomputed_max is None else precomputed_max[k]
         active = S > DENOM_FLOOR
         flagged += int(np.count_nonzero(active & (Mp <= DENOM_FLOOR)))

@@ -39,6 +39,17 @@ another way, or a piece of exact geometry that only the checks need:
   average in one call and adds every entry's cells at once.
 * ``third_partition_residual``: the central thirds of the three shift
   classes reassemble a function.
+* ``block_sliding_max``: window maxima by block prefix and suffix maxima;
+  the package takes them by doubling.
+* ``centred_sweep`` and ``sweep_level_set``: the centred maximal and its
+  level set by a sweep over every admissible width at every cell; the
+  package skips the cells and widths that cannot reach the threshold.
+* ``ladder_without_skips``: the sharp-maximal ladder with one numpy
+  expression over every window of each width; the package builds it in
+  blocks and skips the windows that cannot change a value.
+* ``full_grid_sharp_ratio``: ``verify.sharp_ratio_probe`` with the sharp
+  image on the whole grid; the package evaluates it only where it can
+  pass ``DENOM_FLOOR``.
 """
 
 from __future__ import annotations
@@ -61,8 +72,16 @@ from sparselab.dyadic import (
     third_dilate,
     whitney_decompose,
 )
-from sparselab.maximal import centred_level_set
-from sparselab.pdo import _BLOCK, OperatorHandle, _cell_rows, _dense_gram
+from sparselab.maximal import (
+    _centred_widths,
+    _corners,
+    _prefix_sums,
+    _sliding_sums,
+    _window_sums,
+    maximal_p,
+    sharp_maximal,
+)
+from sparselab.pdo import _BLOCK, OperatorHandle, _cell_rows, _dense_gram, localized_operator
 from sparselab.sample import ExponentPair, GridFunction, GridSpec, average_p
 from sparselab.sparse import (
     SparseCollection,
@@ -72,7 +91,7 @@ from sparselab.sparse import (
     WhitneyConfig,
 )
 from sparselab.symbol import SymbolClass
-from sparselab.verify import DENOM_FLOOR, DominationReport, _image_of
+from sparselab.verify import DENOM_FLOOR, DominationReport, SharpRatioReport, _image_of, _median
 
 
 def dfs_stopping_time(f: GridFunction, g: GridFunction, config: StoppingConfig) -> SparseCollection:
@@ -158,8 +177,8 @@ def dfs_whitney(f: GridFunction, g: GridFunction, config: WhitneyConfig) -> Spar
         q, parent_idx, rank = stack.pop()
         qbox = cube_box(q)
         tbox = concentric_dilate(qbox, 3)
-        mask = centred_level_set(f.restrict_box(tbox), r, cf * average_p(f, tbox, r))
-        mask |= centred_level_set(g.restrict_box(q), sp, cg * average_p(g, q, sp))
+        mask = sweep_level_set(f.restrict_box(tbox), r, cf * average_p(f, tbox, r))
+        mask |= sweep_level_set(g.restrict_box(q), sp, cg * average_p(g, q, sp))
         kids = [w for w in whitney_decompose(mask, zero, spec) if qbox.contains_box(cube_box(w))]
         kids.sort(key=lambda c: (c.k, c.m))
         survivor = spec.box_flat_cells(q)
@@ -431,3 +450,99 @@ def third_partition_residual(f: GridFunction, k: int) -> float:
             cells = spec.box_flat_cells(third_dilate(cube))
             acc.reshape(-1)[cells] += f.values.reshape(-1)[cells]
     return float(np.max(np.abs(acc - f.values)))
+
+
+def block_sliding_max(a: np.ndarray, w: int) -> np.ndarray:
+    """``out[..., i] = max(a[..., i:i+w])`` along the last axis, from the
+    prefix and suffix maxima of blocks of ``w`` entries."""
+    n = a.shape[-1]
+    if w == 1:
+        return a.copy()
+    nblocks = -(-n // w)
+    pad = nblocks * w - n
+    ap = np.concatenate([a, np.full(a.shape[:-1] + (pad,), -np.inf)], axis=-1)
+    blocks = ap.reshape(a.shape[:-1] + (nblocks, w))
+    pre = np.maximum.accumulate(blocks, axis=-1).reshape(a.shape[:-1] + (-1,))
+    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
+    suf = suf.reshape(a.shape[:-1] + (-1,))
+    return np.maximum(suf[..., : n - w + 1], pre[..., w - 1 : n])
+
+
+def _block_window_max_all_axes(sums: np.ndarray, w: int) -> np.ndarray:
+    """Best value among the ``w**n``-cell windows containing each cell, by
+    ``block_sliding_max`` over the windows padded with ``-inf``."""
+    for axis in range(sums.ndim):
+        moved = np.moveaxis(sums, axis, -1)
+        pad = np.full(moved.shape[:-1] + (w - 1,), -np.inf)
+        padded = np.concatenate([pad, moved, pad], axis=-1)
+        sums = np.moveaxis(block_sliding_max(padded, w), -1, axis)
+    return sums
+
+
+def centred_sweep(P: np.ndarray, widths) -> np.ndarray:
+    """Best centred window average at every cell over the odd ``widths``
+    from the prefix sums ``P``, windows clipped to the grid: one pass over
+    the grid per width."""
+    n = P.ndim
+    N = P.shape[0] - 1
+    corners = _corners(n)
+    i = np.arange(N)
+    best = np.zeros((N,) * n)
+    for w in widths:
+        k = (w - 1) // 2
+        lo = np.ix_(*(np.maximum(i - k, 0),) * n)
+        hi = np.ix_(*(np.minimum(i + k + 1, N),) * n)
+        np.maximum(best, _window_sums(P, corners, lo, hi) / w**n, out=best)
+    return best
+
+
+def sweep_level_set(f: GridFunction, p: float, tau: float) -> np.ndarray:
+    """``centred_level_set`` by ``centred_sweep`` over every admissible
+    width at every cell, for the arguments it accepts."""
+    if not np.any(f.values):
+        return np.zeros(f.spec.shape, dtype=bool)
+    n, h = f.spec.n, float(f.spec.h)
+    u = np.abs(f.values) ** p
+    cap = float(u.sum()) * h**n / tau**p
+    return centred_sweep(_prefix_sums(u), _centred_widths(f.spec.N, h, n, cap)) ** (1.0 / p) > tau
+
+
+def ladder_without_skips(vals: np.ndarray, widths) -> np.ndarray:
+    """The sharp-maximal ladder of the array ``vals`` from its own prefix
+    sums, with ``|view - means|`` over every window of each width in one
+    expression, and window maxima from ``block_sliding_max``."""
+    n = vals.ndim
+    P = _prefix_sums(vals)
+    corners = _corners(n)
+    best = np.zeros(vals.shape)
+    for w in widths:
+        means = _sliding_sums(P, corners, w) / w**n
+        view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
+        osc = np.abs(view - means[(...,) + (None,) * n]).mean(axis=tuple(range(n, 2 * n)))
+        np.maximum(best, _block_window_max_all_axes(osc, w), out=best)
+    return best
+
+
+def full_grid_sharp_ratio(
+    a: SymbolClass, fs: list[GridFunction], ell1: int, ell2: float, p: float
+) -> tuple[SharpRatioReport, list[np.ndarray]]:
+    """``verify.sharp_ratio_probe`` with the sharp image on the whole grid,
+    and those images."""
+    op = localized_operator(a, ell1, fs[0].spec)
+    ratios, images, flagged, active_total = [], [], 0, 0
+    for f in fs:
+        S = sharp_maximal(op.apply(f), radius_cap=ell2)
+        Mp = maximal_p(f, p)
+        images.append(S)
+        active = S > DENOM_FLOOR
+        flagged += int(np.count_nonzero(active & (Mp <= DENOM_FLOOR)))
+        ok = active & (Mp > DENOM_FLOOR)
+        active_total += int(np.count_nonzero(ok))
+        if np.any(ok):
+            ratios.append(S[ok] / Mp[ok])
+    if ratios:
+        cat = np.concatenate(ratios)
+        mx, med = float(np.max(cat)), _median(cat)
+    else:
+        mx = med = 0.0
+    return SharpRatioReport(mx, med, active_total, flagged), images

@@ -12,6 +12,7 @@ from sparselab import maximal
 from sparselab.maximal import (
     _ladder,
     _prefix_sums,
+    _sliding_max,
     _sweep,
     centred_level_set,
     ladder_widths,
@@ -19,6 +20,8 @@ from sparselab.maximal import (
     sharp_maximal,
 )
 from sparselab.sample import GridFunction, GridSpec, make_corpus
+
+from oracles import block_sliding_max, centred_sweep, ladder_without_skips
 
 SPEC = GridSpec(1, 2, 4)
 
@@ -35,7 +38,7 @@ def centred_maximal(f: GridFunction, p: float) -> np.ndarray:
     """The centred p-maximal over every odd width, extended by zero off the
     grid: the full sweep that ``centred_level_set`` prunes."""
     P = _prefix_sums(np.abs(f.values) ** p)
-    return _sweep(P, range(1, 2 * f.spec.N, 2), True) ** (1.0 / p)
+    return centred_sweep(P, range(1, 2 * f.spec.N, 2)) ** (1.0 / p)
 
 
 class TestMaximalP:
@@ -109,12 +112,13 @@ class TestMaximalP:
         full = centred_maximal(f, 1.0)
         t = float(np.quantile(full, 0.6))
         swept = []
+        widths = maximal._centred_widths
 
-        def spy(P, widths, centred):
-            swept.append(list(widths))
-            return _sweep(P, widths, centred)
+        def spy(*args):
+            swept.append(list(widths(*args)))
+            return widths(*args)
 
-        monkeypatch.setattr(maximal, "_sweep", spy)
+        monkeypatch.setattr(maximal, "_centred_widths", spy)
         mask = centred_level_set(f, 1.0, t)
         assert np.array_equal(mask, full > t)
         assert mask.any() and not mask.all()
@@ -131,9 +135,31 @@ class TestMaximalP:
             maximal_p(f, 0.0)
         with pytest.raises(ValueError, match="finite and positive"):
             centred_level_set(f, float("inf"), 1.0)
-        for tau in (-1.0, 0.0):
+        for tau in (-1.0, 0.0, math.nan, -math.inf):
             with pytest.raises(ValueError, match="threshold must be positive"):
                 centred_level_set(f, 1.0, tau)
+
+    def test_level_set_checks_p_before_the_zero_shortcut(self):
+        z = GridFunction.zeros(SPEC)
+        for p in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                centred_level_set(z, p, 1.0)
+
+    def test_level_set_rejects_nan_and_negative_tau_on_vanishing_data(self):
+        z = GridFunction.zeros(SPEC)
+        for tau in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                centred_level_set(z, 2.0, tau)
+
+    def test_sharp_maximal_rejects_nan_and_negative_caps(self):
+        f = indicator(SPEC, 0, 1)
+        for cap in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="radius_cap must be nonnegative"):
+                sharp_maximal(f, cap)
+
+    def test_sharp_maximal_infinite_cap_is_no_cap(self):
+        f = make_corpus(SPEC, seed=3, count=1)[0]
+        assert np.array_equal(sharp_maximal(f, math.inf), sharp_maximal(f))
 
     def test_2d_exhaustive_guard(self):
         spec = GridSpec(2, 1, 8)
@@ -184,6 +210,22 @@ class TestCentredLevelSet:
                 want = [w for w in range(1, 2 * N, 2) if (w * h) ** n <= cap]
                 assert list(maximal._centred_widths(N, h, n, cap)) == want, (kappa, cap)
 
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 6), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0])
+    def test_flat_indicators_match_the_sweep(self, spec, p):
+        # plateaus of the maximal, where windows tie, taken as the levels
+        n, L = spec.n, spec.halfwidth
+        boxes = [(Fraction(-1, 2), Fraction(1, 2)), (-L / 2, Fraction(0)), (Fraction(0), L / 4)]
+        for lo, hi in boxes:
+            f = GridFunction.indicator(spec, Box((lo,) * n, (hi,) * n))
+            full = centred_maximal(f, p)
+            avg = float(np.mean(np.abs(f.values) ** p)) ** (1.0 / p)
+            plateaus = np.unique(full)
+            levels = [float(v) for v in plateaus[:: max(1, len(plateaus) // 24)]]
+            levels += [avg, 3.0 ** (n / p) * avg, np.nextafter(1.0, 0.0), 1.0 / 3.0]
+            for tau in levels:
+                assert np.array_equal(centred_level_set(f, p, tau), full > tau), (lo, hi, tau)
+
     def test_vanishing_function_gives_empty_mask(self):
         for spec in (SPEC, GridSpec(2, 1, 3)):
             z = GridFunction.zeros(spec)
@@ -195,7 +237,7 @@ class TestCentredLevelSet:
 def sweep_maximal(f: GridFunction, p: float) -> np.ndarray:
     """The per-width sweep over every window width: the oracle for the 1D
     uncentred hull path."""
-    return _sweep(_prefix_sums(np.abs(f.values) ** p), range(1, f.spec.N + 1), False) ** (1.0 / p)
+    return _sweep(_prefix_sums(np.abs(f.values) ** p), range(1, f.spec.N + 1)) ** (1.0 / p)
 
 
 class TestHullPath:
@@ -391,6 +433,69 @@ class TestSharpMaximalRegion:
         assert np.all(np.isnan(got))
 
 
+class TestSlidingMax:
+    """Window maxima by doubling against the block prefix/suffix scheme."""
+
+    def test_every_width_with_ties_pads_and_stacked_rows(self):
+        rng = np.random.default_rng(3)
+        for length in (1, 2, 3, 5, 8, 16, 33, 100):
+            # few distinct values, so windows tie; -inf as the pads have it
+            a = rng.integers(0, 4, size=(3, length)).astype(float)
+            a[rng.random(a.shape) < 0.25] = -np.inf
+            for w in range(1, length + 1):
+                want = block_sliding_max(a, w)
+                assert np.array_equal(_sliding_max(a, w, 1), want), (length, w)
+                assert np.array_equal(_sliding_max(a.T, w, 0), want.T), (length, w)
+
+
+def _one_cell(spec: GridSpec, index: tuple) -> GridFunction:
+    vals = np.zeros(spec.shape, dtype=np.complex128)
+    vals[index] = 1.5
+    return GridFunction(spec, vals, f"cell{index}")
+
+
+def _ladder_inputs(spec: GridSpec) -> list[GridFunction]:
+    """The corpus (bumps, indicators, combs, band noise), one-cell supports
+    at each edge and corner, and the zero function."""
+    N, n = spec.N, spec.n
+    fs = make_corpus(spec, seed=6, count=4)
+    fs += [_one_cell(spec, c) for c in itertools.product((0, N // 2, N - 1), repeat=n)]
+    return fs + [GridFunction.zeros(spec)]
+
+
+class TestSharpMaximalAgainstOracle:
+    """The ladder with its skips against the ladder over every window, bit
+    for bit."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 6), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cap", [None, 0.25, 1.0])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_every_input(self, spec, cap, real):
+        cap_cells = None if cap is None else int(2.0 * cap / float(spec.h))
+        widths = ladder_widths(spec.N, cap_cells)
+        rng = np.random.default_rng(spec.N)
+        for f in _ladder_inputs(spec):
+            vals = f.values.real.copy()
+            if not real:
+                # a phase keeps the support, so zero windows stay zero
+                vals = vals * np.exp(1j * rng.uniform(0, 2 * np.pi, spec.shape))
+            got = sharp_maximal(f.with_values(vals), cap)
+            assert np.array_equal(got, ladder_without_skips(vals, widths)), f.name
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    def test_regions_read_crop_local_sums(self, spec):
+        f = _sharp_input(spec, True)
+        widths = ladder_widths(spec.N, int(2.0 / float(spec.h)))
+        reach = widths[-1] - 1
+        for region in _regions(spec):
+            ranges = spec.cell_ranges(region)
+            crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, spec.N)) for i0, i1 in ranges)
+            cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
+            got = sharp_maximal(f, 1.0, region=region)[spec.cell_slices(region)]
+            want = ladder_without_skips(f.values.real[crop], widths)[cells]
+            assert np.array_equal(got, want)
+
+
 class TestSharpMaximalBits:
     """Block size and real arithmetic leave every bit in place."""
 
@@ -412,7 +517,8 @@ class TestSharpMaximalBits:
             assert f.values.dtype == np.complex128
             cap_cells = None if cap is None else int(2.0 * cap / float(spec.h))
             widths = ladder_widths(spec.N, cap_cells)
-            assert np.array_equal(sharp_maximal(f, cap), _ladder(f.values, widths))
+            want = _ladder(f.values, _prefix_sums(f.values), widths)
+            assert np.array_equal(sharp_maximal(f, cap), want)
 
 
 def _brute_force(f: GridFunction, p: float) -> tuple[np.ndarray, ...]:

@@ -409,10 +409,48 @@ def _handles(a, spec: GridSpec) -> list:
     ]
 
 
+class TestHandleRecord:
+    """A handle's transfer function is computed once, from arrays that
+    cannot change after construction."""
+
+    def test_transfer_is_computed_once(self, monkeypatch):
+        spec = GridSpec(1, 2, 5)
+        calls = []
+        free_row = OperatorHandle._free_row
+
+        def counting(self):
+            calls.append(self)
+            return free_row(self)
+
+        monkeypatch.setattr(OperatorHandle, "_free_row", counting)
+        handle = band_operator(bessel(-0.25, 0.5, 0.5), FAM, 2, spec)
+        f = bump(spec)
+        first = handle.apply(f).values
+        handle.gram()
+        assert np.array_equal(handle.apply(f).values, first)
+        assert calls == [handle]
+        assert handle._transfer is handle._transfer
+
+    def test_mult_and_window_are_read_only_copies(self):
+        spec = GridSpec(1, 2, 5)
+        a = bessel(-0.25, 0.5, 0.5)
+        mult = np.ones(spec.shape)
+        window = localized_operator(a, 1, spec).window.copy()
+        handle = OperatorHandle(a, spec, mult, window)
+        before = handle.apply(bump(spec)).values
+        mult[:] = 0.0
+        window[:] = 0.0
+        assert np.array_equal(handle.apply(bump(spec)).values, before)
+        for arr in (handle.mult, handle.window, handle._transfer[0]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
 def _complex_image(handle, f: GridFunction) -> np.ndarray:
     """``b * ifft(R * fft(f))`` from the handle's transfer function, in
     complex arithmetic throughout."""
-    R, xf, _ = handle._transfer()
+    R, xf, _ = handle._transfer
     fft, ifft = (np.fft.fft, np.fft.ifft) if f.spec.n == 1 else (np.fft.fft2, np.fft.ifft2)
     fhat = fft(f.values)
     out = ifft(R * fhat)

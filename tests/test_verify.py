@@ -57,7 +57,13 @@ from sparselab.verify import (
     sparse_form_ratio,
 )
 
-from oracles import DenseMatrix, box_cell_count, dense_l2_norm, third_partition_residual
+from oracles import (
+    DenseMatrix,
+    box_cell_count,
+    dense_l2_norm,
+    full_grid_sharp_ratio,
+    third_partition_residual,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SPEC = GridSpec(1, 1, 4)
@@ -649,6 +655,31 @@ class TestSharpRatio:
         cached = sharp_ratio_probe(a, fs, ell1=1, ell2=1.0, p=2.0, precomputed_max=pre)
         assert cached.max_ratio == pytest.approx(direct.max_ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [GridSpec(1, 3, 6), GridSpec(2, 1, 4)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("ell2", [0.25, 1.0, 2.0])
+    def test_box_report_matches_the_full_grid(self, spec, ell2):
+        # a real kernel (bessel) and a complex one (oscillatory_ct)
+        fs = make_corpus(spec, seed=21, count=4)
+        for a in (bessel(-0.25, 0.5, 0.5, n=spec.n), oscillatory_ct(0.5, -1.0, n=spec.n)):
+            want, images = full_grid_sharp_ratio(a, fs, 1, ell2, 2.0)
+            assert sharp_ratio_probe(a, fs, ell1=1, ell2=ell2, p=2.0) == want
+            op = localized_operator(a, 1, spec)
+            for f, full in zip(fs, images):
+                got = maximal._sharp_above(op.apply(f), ell2, verify.DENOM_FLOOR)
+                inside = ~np.isnan(got)
+                assert np.array_equal(got[inside], full[inside])
+                # every cell the box leaves out is inactive on the full grid
+                assert np.all(full[~inside] <= verify.DENOM_FLOOR)
+
+    def test_box_is_a_strict_part_of_the_grid(self):
+        # compact supports leave cells outside the box in 1D
+        spec = GridSpec(1, 4, 6)
+        a = bessel(-0.25, 0.5, 0.5)
+        op = localized_operator(a, 1, spec)
+        f = make_corpus(spec, seed=21, count=1)[0]
+        got = maximal._sharp_above(op.apply(f), 1.0, verify.DENOM_FLOOR)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
     def test_composed_reach(self):
         spec = self.SPEC3
         vals = np.zeros(spec.shape, dtype=np.complex128)
@@ -667,14 +698,14 @@ class TestSharpRatio:
     def test_real_input_runs_the_real_ladder(self, spec, monkeypatch):
         ladder, ladder_dtypes = maximal._ladder, []
 
-        def recording_ladder(vals, widths):
+        def recording_ladder(vals, P, widths):
             ladder_dtypes.append(vals.dtype)
-            return ladder(vals, widths)
+            return ladder(vals, P, widths)
 
         monkeypatch.setattr(maximal, "_ladder", recording_ladder)
         a = bessel(-0.25, 0.5, 0.5, n=spec.n)
         op = localized_operator(a, 1, spec)
-        R, _, _ = op._transfer()
+        R, _, _ = op._transfer
         fft, ifft = (np.fft.fft, np.fft.ifft) if spec.n == 1 else (np.fft.fft2, np.fft.ifft2)
         for f in make_corpus(spec, seed=12, count=4):
             assert not np.any(op.apply(f).values.imag)
