@@ -542,6 +542,14 @@ def sharp_maximal(
     return _ladder_on(vals, spec.cell_ranges(spec.domain() if region is None else region), widths)
 
 
+def _sharp_at(f: GridFunction, radius_cap: float | None, ranges) -> np.ndarray:
+    """``sharp_maximal(f, radius_cap)`` with its bits at the cells
+    ``ranges`` (``(start, stop)`` per axis), NaN elsewhere: the ladder on
+    them with the whole grid's prefix sums."""
+    vals, widths = _sharp_setup(f, radius_cap)
+    return _ladder_on(vals, ranges, widths, _prefix_sums(vals))
+
+
 def _sharp_above(f: GridFunction, radius_cap: float | None, floor: float) -> np.ndarray:
     """``sharp_maximal(f, radius_cap)`` with its bits on a box that holds
     every cell where it exceeds ``floor``, and NaN outside the box.

@@ -36,7 +36,8 @@ bits, without the rounding noise of the imaginary part.  Bessel and
 real kernels in every piece; ``oscillatory_ct`` does not.  A general
 symbol's kernel rows are real under the same rule, block by block
 (``_cell_rows``), so its rows, matrix, norms and images are real where
-its amplitude is Hermitian and complex elsewhere.
+its amplitude is Hermitian and complex elsewhere; a symbol with real
+values builds them in real arithmetic from the start.
 
 Frequency truncation: band pieces are summed up to ``J = kappa + 3`` by
 default, the smallest truncation whose low-pass plateau covers every
@@ -213,7 +214,10 @@ def _cell_rows(
     grid in every row (``_hermitian``, the rule of ``_free_row``), the rows
     are real (float64): the real inverse transform of the half spectrum,
     equal to the real parts of the complex rows up to rounding.  Otherwise
-    they are complex."""
+    they are complex.  A symbol with real values (``SymbolClass.eval``
+    gives float64) has a real amplitude, so it is multiplied, tested (for
+    evenness only) and transformed in real arithmetic, with the bits of
+    the same values given as complex ones."""
     c, ones = spec.centers(), (1,) * spec.n
     xs = tuple(c[ix].reshape((-1,) + ones) for ix in cells)
     xi = tuple(q[None] for q in _freq_coords(spec))

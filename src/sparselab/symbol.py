@@ -68,14 +68,17 @@ class SymbolClass:
     xi_factor: Callable[[Coords], np.ndarray] | None = None
 
     def eval(self, x, xi) -> np.ndarray:
-        """``a(x, xi)`` as complex values.  The coordinates arrive as
+        """``a(x, xi)``: float64 when ``fn`` returns real values (of any
+        real or integer dtype), complex128 when it returns complex ones,
+        even with a zero imaginary part.  The coordinates arrive as
         mutually broadcastable arrays, one per axis (the operators pass x
         of shape ``(B, 1, ...)`` and xi of shape ``(1, N, ...)``), and the
         value need only broadcast to their common shape: a scalar, or an
         array that ignores x or xi, is fine."""
         xc = _as_coords(x, self.n)
         xic = _as_coords(xi, self.n)
-        return np.asarray(self.fn(xc, xic), dtype=np.complex128)
+        v = np.asarray(self.fn(xc, xic))
+        return v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
 
     @property
     def structure(self) -> str:
@@ -96,14 +99,15 @@ def _factored(
     x_fact: Callable[[Coords], np.ndarray] | None = None,
     xi_fact: Callable[[Coords], np.ndarray] | None = None,
 ) -> SymbolClass:
-    """Symbol ``x_fact(x) * xi_fact(xi)``; an absent factor stands for 1."""
+    """Symbol ``x_fact(x) * xi_fact(xi)``; an absent factor stands for 1.
+    Real factors give real values."""
 
     def fn(x: Coords, xi: Coords) -> np.ndarray:
         if x_fact is None:
-            return np.broadcast_arrays(x[0] * 0, xi_fact(xi))[1].astype(np.complex128)
+            return np.broadcast_arrays(x[0] * 0, xi_fact(xi))[1].copy()
         if xi_fact is None:
-            return np.broadcast_arrays(x_fact(x), xi[0] * 0)[0].astype(np.complex128)
-        return (x_fact(x) * xi_fact(xi)).astype(np.complex128)
+            return np.broadcast_arrays(x_fact(x), xi[0] * 0)[0].copy()
+        return x_fact(x) * xi_fact(xi)
 
     return SymbolClass(
         family=family, m=m, rho=rho, delta=delta, kind=kind, n=n, fn=fn,

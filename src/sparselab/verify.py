@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import Box, CubePoset, DyadicCube
-from .maximal import _sharp_above, maximal_p, sharp_maximal
+from .maximal import _sharp_above, _sharp_at, maximal_p, sharp_maximal
 from .pdo import (
     OperatorHandle,
     PieceIndex,
@@ -135,9 +135,11 @@ class NormEstimate:
     L^inf, the largest column norm from L^1), "iterated" (a converged
     2 -> 2 Lanczos estimate), "capped" (a 2 -> 2 estimate that reached the
     iteration cap first; still a lower bound) or "lower_bound" (the best
-    ratio over a set of test functions).  For the 2 -> 2 kinds, with
-    ``theta = value**2``, some eigenvalue of ``M^H M`` lies within
-    ``residual * theta`` of ``theta``.
+    ratio over a set of test functions).  For the 2 -> 2 kinds ``theta =
+    value**2`` is the top Ritz value of the Lanczos tridiagonal after
+    ``iterations`` steps (within one ulp of that tridiagonal's exact top
+    eigenvalue), and some eigenvalue of ``M^H M`` lies within ``residual *
+    theta`` of ``theta``.
     """
 
     value: float
@@ -152,6 +154,131 @@ class NormEstimate:
 _TRIALS = 12
 _TOL = 1e-8
 _MAX_ITER = 400
+_EPS = 2.0**-52  # double-precision epsilon
+
+
+def _pivot_moments(a: list[float], b: list[float], sigma: float) -> tuple[float, float] | None:
+    """Laguerre data of ``chi(sigma) = det(sigma I - T)`` for the symmetric
+    tridiagonal ``T`` with diagonal ``a`` and squared off-diagonal ``b``
+    (``b[i] = beta_(i-1)**2``, ``b[0] = 0``): ``(G, H)`` with ``G =
+    chi'/chi`` and ``H = G**2 - chi''/chi``, or None once a pivot is not
+    positive.
+
+    The pivots of ``sigma I - T = L D L^T`` are ``p_i = sigma - a_i - b_i /
+    p_(i-1)`` and ``chi = prod p_i``, so ``G`` and ``H`` sum ``r_i =
+    p_i'/p_i`` and ``r_i**2 - p_i''/p_i`` along the same recurrence.  By
+    Sylvester's law of inertia the pivots are all positive exactly when
+    sigma lies above T's top eigenvalue."""
+    G = H = r = s = 0.0
+    p = 1.0
+    for ai, bi in zip(a, b):
+        q = bi / p
+        p = sigma - ai - q
+        if not p > 0.0:
+            return None
+        dp = 1.0 + q * r  # p_i' = 1 + b_i p_(i-1)' / p_(i-1)**2
+        ddp = q * (s - 2.0 * r * r)  # and its derivative
+        r, s = dp / p, ddp / p
+        G += r
+        H += r * r - s
+    return G, H
+
+
+def _last_entry(a: list[float], bt: list[float], b: list[float], sigma: float) -> float:
+    """``|u_k|``, the last entry of the unit top eigenvector of the
+    tridiagonal of :func:`_pivot_moments` (``bt[i] = |beta_(i-1)|``, ``b =
+    bt**2``), from one solve with the twisted factorization of ``sigma I -
+    T`` at a sigma above its top eigenvalue (Dhillon and Parlett, 2004).
+
+    The pivots from the top (``p``, the same arithmetic as
+    ``_pivot_moments``) and from the bottom (``q``) give the diagonal of
+    ``(sigma I - T)^-1`` as ``1 / gamma_r`` with ``gamma_r = p_r - b_(r+1)
+    / q_(r+1)``; at the twist ``r`` with the least ``gamma_r``, ``x_r = 1``
+    and the ratios ``x_i / x_(i+1) = bt_(i+1) / p_i`` above it and
+    ``x_(i+1) / x_i = bt_(i+1) / q_(i+1)`` below it are products of
+    positive numbers, so a tiny ``u_k`` comes out with a small relative
+    error.  A trailing pivot that rounding leaves non-positive (a trailing
+    block whose top eigenvalue ties with sigma) counts as ``EPS**2``."""
+    k, tiny = len(a), _EPS * _EPS
+    p, q = [0.0] * k, [0.0] * k
+    prev = 1.0
+    for i in range(k):
+        prev = p[i] = sigma - a[i] - b[i] / prev
+    nxt, bn = 1.0, 0.0
+    for i in range(k - 1, -1, -1):
+        nxt = sigma - a[i] - bn / nxt
+        nxt = q[i] = nxt if nxt > 0.0 else tiny
+        bn = b[i]
+    gamma = [p[i] - b[i + 1] / q[i + 1] for i in range(k - 1)] + [p[-1]]
+    r = min(range(k), key=lambda i: abs(gamma[i]))
+    xs, x = [1.0], 1.0
+    for i in range(r - 1, -1, -1):
+        x *= bt[i + 1] / p[i]
+        xs.append(x)
+    x = 1.0
+    for i in range(r, k - 1):
+        x *= bt[i + 1] / q[i + 1]
+        xs.append(x)
+    return x / math.hypot(*xs)
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """Top eigenvalue ``theta`` of the symmetric tridiagonal with diagonal
+    ``alpha`` (k entries) and off-diagonal ``beta`` (k - 1), and ``|u_k|``,
+    the last entry of its unit eigenvector, in O(k) memory and
+    O(k) work per iteration; no k x k array is formed.
+
+    The entries are scaled by a power of two (exactly) so the largest lies
+    in [1/2, 1), and ``|beta|`` stands for ``beta``: a diagonal sign change
+    moves neither ``theta`` nor ``|u_k|``.  ``theta`` is kept in a bracket
+    ``lo <= theta < hi``: ``hi`` starts above the Gershgorin bound and
+    ``lo`` at the largest diagonal entry, and a point is above ``theta``
+    exactly when its pivots are all positive (:func:`_pivot_moments`).
+    Laguerre steps on ``det(sigma I - T)`` from ``hi``, which in exact
+    arithmetic stay above ``theta`` and converge to it, cubically for a
+    simple top eigenvalue, propose each next point; one that rounding puts
+    at or below ``lo`` becomes a search up from ``lo``, by a doubling
+    stride capped at the bracket's midpoint, and one under half an ulp
+    below ``hi`` the float below ``hi``.  The bracket closes when ``lo``
+    and ``hi`` are adjacent floats (or closer than ``EPS**2`` near 0), and
+    ``theta`` is the last Laguerre estimate from ``hi`` rounded into it.
+    ``|u_k|`` comes from :func:`_last_entry` at ``hi``.  For k = 1 the
+    result is ``(alpha_0, 1)`` exactly."""
+    k = len(alpha)
+    if k == 1:
+        return float(alpha[0]), 1.0
+    big = max(float(np.max(np.abs(alpha))), float(np.max(np.abs(beta))))
+    if not math.isfinite(big):  # no bracket would ever close
+        raise ValueError("the tridiagonal has non-finite entries")
+    e = math.frexp(big)[1]
+    a = np.ldexp(alpha, -e).tolist()
+    bt = [0.0] + np.ldexp(np.abs(beta), -e).tolist()
+    b = [x * x for x in bt]
+    lo = max(a)
+    top = max(ai + bl + br for ai, bl, br in zip(a, bt, bt[1:] + [0.0]))
+    hi, pad = top + _EPS, _EPS
+    while (d := _pivot_moments(a, b, hi)) is None:  # the bound's own rounding
+        pad *= 2.0
+        hi = top + pad
+    up = 1.0  # the search stride up from lo, in ulps of lo
+
+    def laguerre(G: float, H: float) -> float:
+        return k / (G + math.sqrt(max((k - 1) * (k * H - G * G), 0.0)))
+
+    while hi - lo > max(math.ulp(lo), math.ulp(hi), _EPS * _EPS):
+        c = hi - laguerre(*d)
+        if not c < hi:
+            c = math.nextafter(hi, -math.inf)
+        if not c > lo:
+            c = min(lo + up * max(math.ulp(lo), _EPS * _EPS), 0.5 * (lo + hi))
+            up *= 2.0
+        dc = _pivot_moments(a, b, c)
+        if dc is None:
+            lo = c
+        else:
+            hi, d = c, dc
+    theta = min(max(hi - laguerre(*d), lo), hi)
+    return math.ldexp(theta, e), _last_entry(a, bt, b, hi)
 
 
 def _lanczos_l2(gram, real: bool, N: int, pair: ExponentPair, seed: int) -> NormEstimate:
@@ -168,7 +295,9 @@ def _lanczos_l2(gram, real: bool, N: int, pair: ExponentPair, seed: int) -> Norm
     ``theta``.  Once it is at most ``_TOL * theta`` the estimate reads
     "iterated"; reaching ``_MAX_ITER`` steps first reads "capped".  The
     tridiagonal is solved every eighth step, or when ``beta_k`` alone
-    already meets the tolerance.
+    already meets the tolerance, by :func:`_top_ritz`: O(k) work per
+    Laguerre step and no k x k array, so the memory of a run is the basis
+    ``V`` and O(N + k) more.
     """
     steps = min(_MAX_ITER, N)
     rng = np.random.default_rng(seed)
@@ -187,9 +316,9 @@ def _lanczos_l2(gram, real: bool, N: int, pair: ExponentPair, seed: int) -> Norm
             alpha[k] += c[k].real
         beta[k] = np.linalg.norm(w)
         if k % 8 == 7 or k + 1 == steps or beta[k] <= _TOL * np.abs(alpha[: k + 1]).max():
-            evals, evecs = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1))
-            theta = max(float(evals[-1]), 0.0)
-            res = float(beta[k] * abs(evecs[-1, -1]))
+            theta, u_k = _top_ritz(alpha[: k + 1], beta[:k])
+            theta = max(theta, 0.0)
+            res = float(beta[k] * u_k)
             if res <= _TOL * theta or k + 1 == steps:
                 break
         V[k + 1] = w / beta[k]
@@ -721,7 +850,20 @@ def endpoint_audit(
     def T(u: GridFunction, region: Box | DyadicCube | None = None) -> np.ndarray:
         return _sharp_image(op, ell2, u, region)
 
-    T_global = T(f)  # full grid: the pairing reads every cell
+    # the composed image is read where g is nonzero (the pairing) and on the
+    # rank-0 cores (base_lhs): it is computed on the bounding box of those
+    # cells with the whole grid's bits, and is 0 outside it, where g is 0,
+    # so the pairing sums the whole grid's terms in the whole grid's order
+    need = g_abs > 0
+    for i in cores:
+        need[spec.cell_slices(coll.entries[i].cube)] = True
+    box = []
+    for axis in range(spec.n):
+        hit = np.flatnonzero(need.any(axis=tuple(b for b in range(spec.n) if b != axis)))
+        box.append((int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0))
+    read = tuple(slice(i0, i1) for i0, i1 in box)
+    T_global = np.zeros(spec.shape)
+    T_global[read] = _sharp_at(op.apply(f), ell2, box)[read]
     pairing = float(np.sum(np.abs(T_global) * g_abs) * hn)
     ranks = range(len(by_rank))
 

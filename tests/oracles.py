@@ -28,6 +28,11 @@ another way, or a piece of exact geometry that only the checks need:
 * ``dense_kernel_norms``: row and column norms reduced over the whole
   dense matrix; the package reduces its rows a block at a time.
 * ``dense_l2_norm``: the 2 -> 2 norm by a full SVD of the dense matrix.
+* ``dense_top_ritz``: the top eigenpair of a Lanczos tridiagonal by a
+  dense ``eigh`` of the k x k matrix; the package runs Laguerre steps on
+  its pivots and one twisted solve, in O(k) memory.
+* ``exact_count_above``: how many eigenvalues of a tridiagonal lie above
+  a float, exactly, by a Sturm sequence in integers.
 * ``DenseMatrix``: a raw matrix with the reads the norm probes take from
   an operator handle, so a handle's norms can be checked against its own
   dense form.
@@ -344,6 +349,39 @@ def dense_l2_norm(op, spec: GridSpec) -> float:
     if M.shape[0] > 1024:
         raise ValueError("dense SVD oracle is limited to 1024 cells")
     return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def dense_top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """The top eigenvalue of the symmetric tridiagonal with diagonal
+    ``alpha`` and off-diagonal ``beta``, and the modulus of the last entry
+    of its unit eigenvector, by ``np.linalg.eigh`` of the dense matrix."""
+    evals, evecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+    return float(evals[-1]), float(abs(evecs[-1, -1]))
+
+
+def exact_count_above(alpha: np.ndarray, beta: np.ndarray, sigma: float) -> int:
+    """The number of eigenvalues of the symmetric tridiagonal with diagonal
+    ``alpha`` and off-diagonal ``beta`` that lie above ``sigma``, exactly.
+
+    Every float is an integer over ``2**E`` for one ``E``, so ``chi_i =
+    det(sigma I - T_i) * 2**(i E)`` over the leading blocks ``T_i`` follow
+    ``chi_i = (S - A_i) chi_(i-1) - B_i chi_(i-2)`` in integers, and the
+    count is the number of sign changes along ``1, chi_1, ..., chi_k`` (the
+    negative pivots of ``sigma I - T``; a last ``chi_k = 0``, sigma an
+    eigenvalue of T, is no change).  A smaller leading block with sigma as
+    an eigenvalue would need a zero pivot and raises."""
+    vals = [Fraction(float(v)) for v in (sigma, *alpha, *beta)]
+    E = max(v.denominator.bit_length() - 1 for v in vals)
+    S, *rest = [int(v * 2**E) for v in vals]
+    A, B = rest[: len(alpha)], [b * b for b in rest[len(alpha) :]]
+    prev, cur = 1, S - A[0]
+    changes = int(cur < 0)
+    for i in range(1, len(A)):
+        if cur == 0:
+            raise ValueError("sigma is an eigenvalue of a leading block")
+        prev, cur = cur, (S - A[i]) * cur - B[i - 1] * prev
+        changes += cur != 0 and (cur < 0) != (prev < 0)
+    return changes
 
 
 @dataclass(frozen=True, eq=False)

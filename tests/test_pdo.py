@@ -634,6 +634,68 @@ class TestRealRows:
                     )
 
 
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRealSymbols:
+    """A symbol whose values are real evaluates in float64, and its kernel
+    rows are built in real arithmetic with the bits of the same values
+    given as complex ones."""
+
+    @staticmethod
+    def pair(a: SymbolClass) -> tuple[SymbolClass, SymbolClass]:
+        """``a`` and the same function returned as complex values."""
+        as_complex = custom_symbol(lambda x, xi: a.fn(x, xi) + 0j, a.m, a.rho, a.delta, a.n)
+        return a, as_complex
+
+    def test_eval_dtype_follows_the_values(self):
+        x, xi = (np.zeros((3, 1)),), (np.linspace(-4.0, 4.0, 8)[None],)
+        real, as_complex = self.pair(GENERAL_1D)
+        assert real.eval(x, xi).dtype == np.float64
+        assert as_complex.eval(x, xi).dtype == np.complex128
+        assert np.array_equal(real.eval(x, xi), as_complex.eval(x, xi))
+        integer = custom_symbol(lambda x, xi: np.ones(xi[0].shape, dtype=int), 0.0, 1.0, 0.0)
+        assert integer.eval(x, xi).dtype == np.float64
+        for a, dtype in [
+            (bessel(-1.0), np.float64),
+            (rough_bump(-0.5, 0.5), np.float64),
+            (multiplication("cosine"), np.float64),
+            (oscillatory_ct(0.5, -1.0), np.complex128),
+        ]:
+            assert a.eval(x, xi).dtype == dtype
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    def test_real_values_keep_the_complex_values_bits(self, spec):
+        real, as_complex = self.pair(GENERAL_1D if spec.n == 1 else GENERAL_2D)
+        f = make_corpus(spec, seed=4, count=4)[3]
+        inputs = [f, f.with_values(f.values * (0.5 - 2j))]
+        cell = (3,) * spec.n
+        for op_r, op_c in zip(_handles(real, spec), _handles(as_complex, spec)):
+            assert op_r.row(cell).dtype == np.float64
+            assert _same_bits(op_r.row(cell), op_c.row(cell))
+            assert _same_bits(op_r.matrix(), op_c.matrix())
+            for p in (1.0, 2.0, math.inf):
+                for got, want in zip(op_r.kernel_norms(p), op_c.kernel_norms(p)):
+                    assert _same_bits(got, want)
+            for g in inputs:
+                assert _same_bits(op_r.apply(g).values, op_c.apply(g).values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_symbol_odd_in_xi_has_complex_rows(self, n):
+        spec = GridSpec(1, 2, 5) if n == 1 else GridSpec(2, 1, 3)
+        odd = custom_symbol(
+            lambda x, xi: np.cos(x[0]) * np.arctan(xi[-1]) / (1.0 + xi[-1] ** 2), -1.0, 1.0, 0.0, n
+        )
+        assert odd.eval(spec.grid_coords(spec.centers()), spec.grid_coords(spec.freqs())).dtype == (
+            np.float64
+        )
+        op = symbol_operator(odd, spec)
+        assert op.row((3,) * n).dtype == np.complex128
+        assert op.matrix().dtype == np.complex128
+        assert np.any(op.apply(make_corpus(spec, seed=4, count=4)[3]).values.imag)
+
+
 class TestLocalized:
     def test_multiplication_unchanged(self):
         # a pointwise multiplier has zero kernel reach, so any window keeps it

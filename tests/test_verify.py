@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,8 @@ from oracles import (
     DenseMatrix,
     box_cell_count,
     dense_l2_norm,
+    dense_top_ritz,
+    exact_count_above,
     full_grid_sharp_ratio,
     third_partition_residual,
 )
@@ -174,6 +177,178 @@ class TestEmpiricalNorm:
     def test_dense_oracle_size_guard(self):
         with pytest.raises(ValueError, match="1024"):
             dense_l2_norm(np.zeros((2048, 2048)), GridSpec(1, 4, 6))
+
+
+def _tridiagonal(kind: str, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A k x k symmetric tridiagonal (diagonal, off-diagonal) whose top
+    eigenvalue is its largest in modulus, as for a Lanczos tridiagonal of
+    a Gram map.  Off-diagonals carry random signs where they are random."""
+    rng = np.random.default_rng(seed)
+    if kind in ("random", "zeros"):
+        # diagonally dominant, so positive semidefinite; "zeros" has about a
+        # quarter of its off-diagonal exactly 0
+        beta = rng.standard_normal(k - 1)
+        if kind == "zeros":
+            beta[rng.uniform(size=k - 1) < 0.25] = 0.0
+        ab = np.abs(np.concatenate(([0.0], beta, [0.0])))
+        return ab[:-1] + ab[1:] + rng.uniform(0.0, 1.0, k), beta
+    if kind == "diagonal":
+        return rng.uniform(0.0, 1.0, k), np.zeros(k - 1)
+    if kind in ("graded", "graded_up"):
+        # entries from 1 down to 1e-12 along the diagonal (or up to 1)
+        alpha = 10.0 ** (-12.0 * np.arange(k) / max(k - 1, 1)) * rng.uniform(1.0, 1.5, k)
+        beta = 0.4 * np.sqrt(alpha[:-1] * alpha[1:]) * rng.choice([-1.0, 1.0], k - 1)
+        return (alpha, beta) if kind == "graded" else (alpha[::-1].copy(), beta[::-1].copy())
+    # "cluster_<gap>" ("_top"): the first and last diagonal entries are
+    # 1 - gap and 1 (1 and 1 - gap), and a mirror-symmetric chain, diagonal
+    # in [0.3, 0.5] and off-diagonal in [0.05, 0.1], couples the ends.  From
+    # k = 50 the top two eigenvalues lie gap apart, with eigenvectors at
+    # opposite ends.  Shorter chains couple the ends more strongly than
+    # gap: the two eigenvectors then share their last entries, which no
+    # double-precision method (eigh included) resolves better than about
+    # 1e-16 / (their gap)
+    gap = float(kind.split("_")[1])
+    alpha, beta = rng.uniform(0.3, 0.5, k), rng.uniform(0.05, 0.1, k - 1)
+    alpha, beta = (alpha + alpha[::-1]) / 2, (beta + beta[::-1]) / 2
+    alpha[0], alpha[-1] = 1.0 - gap, 1.0
+    if kind.endswith("_top"):
+        return alpha[::-1].copy(), beta[::-1].copy()
+    return alpha, beta
+
+
+def _assert_top_ritz(alpha: np.ndarray, beta: np.ndarray) -> None:
+    """``_top_ritz`` against the exact top eigenvalue and the dense oracle.
+
+    theta lies within one ulp of the exact top eigenvalue: no eigenvalue
+    lies above the float after it, and one lies above the float before it
+    (exact Sturm counts).  The dense ``eigh`` misses that eigenvalue by up
+    to 9 ulp on the random diagonally dominant family, so theta is held to
+    1e-14 relative of it; ``|u_k|`` to 1e-12 absolute."""
+    theta, u = verify._top_ritz(alpha, beta)
+    assert exact_count_above(alpha, beta, math.nextafter(theta, math.inf)) == 0
+    assert exact_count_above(alpha, beta, math.nextafter(theta, -math.inf)) >= 1
+    want_theta, want_u = dense_top_ritz(alpha, beta)
+    assert abs(theta - want_theta) <= 1e-14 * abs(want_theta)
+    assert abs(u - want_u) <= 1e-12
+
+
+class TestTopRitz:
+    """The O(k) top Ritz pair of a Lanczos tridiagonal."""
+
+    SIZES = [1, 2, 3, 4, 5, 8, 13, 16, 31, 50, 64, 100, 128, 192, 255, 300, 400]
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["random", "zeros", "diagonal", "graded", "graded_up", "cluster_1e-4",
+         "cluster_1e-8", "cluster_1e-12", "cluster_1e-12_top"],
+    )
+    def test_families_match_exact_counts_and_the_dense_oracle(self, kind):
+        for k in self.SIZES:
+            if kind.startswith("cluster") and k < 50:
+                continue
+            for seed in range(2):
+                _assert_top_ritz(*_tridiagonal(kind, k, seed))
+
+    def test_cluster_gaps_are_as_built(self):
+        for gap in (1e-4, 1e-8, 1e-12):
+            for k in (50, 400):
+                alpha, beta = _tridiagonal(f"cluster_{gap:g}", k, 0)
+                w = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, -1))
+                assert w[-1] - w[-2] == pytest.approx(gap, rel=0.05, abs=0.0)
+
+    def test_one_by_one_is_exact(self):
+        for a0 in (0.0, 1.0, -2.5, 3e-300, 0.1):
+            assert verify._top_ritz(np.array([a0]), np.zeros(0)) == (a0, 1.0)
+
+    def test_zero_tridiagonal(self):
+        theta, u = verify._top_ritz(np.zeros(3), np.zeros(2))
+        assert abs(theta) <= 2.0**-104 and 0.0 <= u <= 1.0
+
+    def test_non_finite_entries_raise(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                verify._top_ritz(np.array([1.0, bad]), np.array([0.5]))
+
+    def test_tridiagonals_of_the_norms_workload(self, monkeypatch):
+        # every tridiagonal the 2 -> 2 estimates of perfbench's norms
+        # workload solve: the band fits j = 2..9 of bessel(-1, 0.5) at
+        # kappa 7 and rough_bump(-0.5, 0.5) at kappa 6, and the pieces
+        # (5, ell, 0.45), ell = 0..5, of cos(x) / sqrt(1 + xi**2) and
+        # bessel(-1, 0.5) at kappa 6; a check at Lanczos step k solves a
+        # k x k tridiagonal
+        seen = []
+        top_ritz = verify._top_ritz
+
+        def record(alpha, beta):
+            seen.append((alpha.copy(), beta.copy()))
+            return top_ritz(alpha, beta)
+
+        monkeypatch.setattr(verify, "_top_ritz", record)
+        js = list(range(2, 10))
+        norm_scaling_fit(bessel(-1.0, 0.5), GridSpec(1, 2, 7), "l2_l2", js=js)
+        norm_scaling_fit(rough_bump(-0.5, 0.5), GridSpec(1, 2, 6), "l2_l2", js=js)
+        general = custom_symbol(
+            lambda x, xi: np.cos(x[0]) / np.sqrt(1.0 + xi[0] ** 2), m=-1.0, rho=1.0, delta=1.0
+        )
+        spec6 = GridSpec(1, 2, 6)
+        for a in (general, bessel(-1.0, 0.5)):
+            for ell in range(6):
+                op = piece_operator(a, default_cutoffs(), PieceIndex(5, ell, 0.45), spec6)
+                empirical_norm(op, PAIR22, spec6)
+        monkeypatch.undo()
+        assert len(seen) == 143
+        assert max(len(alpha) for alpha, _ in seen) == 192
+        for alpha, beta in seen:
+            _assert_top_ritz(alpha, beta)
+
+
+class TestLanczosPins:
+    """What the 2 -> 2 Lanczos estimate reads, step for step."""
+
+    def test_bessel_band_iterations(self):
+        spec, fam = GridSpec(1, 2, 7), default_cutoffs()
+        ests = [
+            empirical_norm(band_operator(bessel(-1.0, 0.5), fam, j, spec), PAIR22, spec)
+            for j in range(2, 10)
+        ]
+        assert [e.iterations for e in ests] == [4, 8, 16, 24, 40, 64, 112, 192]
+        assert {e.kind for e in ests} == {"iterated"}
+
+    def test_identity_estimates_have_the_dense_solves_bits(self, monkeypatch):
+        # the identity stops after one step, at a 1 x 1 tridiagonal: its
+        # estimate is bit for bit the one the dense eigensolve gives
+        specs = (GridSpec(1, 1, 5), GridSpec(2, 1, 3))
+
+        def estimates():
+            return [
+                empirical_norm(symbol_operator(bessel(0.0, n=spec.n), spec), PAIR22, spec)
+                for spec in specs
+            ]
+
+        ests = estimates()
+        assert [(e.kind, e.iterations, e.value) for e in ests] == [("iterated", 1, 1.0)] * 2
+        monkeypatch.setattr(verify, "_top_ritz", dense_top_ritz)
+        assert ests == estimates()
+
+    def test_no_k_by_k_temporary(self):
+        # band 9 runs 192 steps; the basis V (400 x 1024 floats) is the one
+        # large array, and a dense eigensolve of the 192 x 192 tridiagonal
+        # would add at least three times 192**2 floats to the peak
+        spec = GridSpec(1, 2, 7)
+        gram, real = band_operator(bessel(-1.0, 0.5), default_cutoffs(), 9, spec).gram()
+        N = spec.N
+        # once untraced: a first call imports what numpy's seeding needs
+        verify._lanczos_l2(gram, real, N, PAIR22, 0)
+        tracemalloc.start()
+        try:
+            est = verify._lanczos_l2(gram, real, N, PAIR22, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = est.iterations
+        assert (real, k) == (True, 192)
+        basis = min(verify._MAX_ITER, N) * N * 8
+        assert peak - basis < 8 * k * k
 
 
 def _structured_symbol(kind: str, n: int):
@@ -853,6 +1028,45 @@ class TestEndpointAuditCrop:
             assert cropped.ok
             _assert_reports_close(
                 cropped, endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "grid, pairs",
+        [((1, 4, 7), [(0, 1), (2, 3), (6, 7)]), ((2, 3, 3), [(0, 1), (1, 0)])],
+        ids=["1d-k7", "2d-k3"],
+    )
+    def test_global_image_on_the_box_it_is_read_on(self, grid, pairs, monkeypatch):
+        # the composed image of f is computed on the bounding box of the
+        # cells where g is nonzero and of the rank-0 cores; the reports are
+        # those of the image on the whole grid, bit for bit
+        spec = GridSpec(*grid)
+        a = bessel(-0.25, 0.5, 0.5, n=spec.n)
+        corpus = make_corpus(spec, seed=11, count=8)
+        sharp_at, boxes = verify._sharp_at, []
+
+        def spy(f, radius_cap, ranges):
+            boxes.append(ranges)
+            return sharp_at(f, radius_cap, ranges)
+
+        def whole_grid(f, radius_cap, ranges):
+            return sharp_at(f, radius_cap, ((0, spec.N),) * spec.n)
+
+        for i, j in pairs:
+            f, g = corpus[i], corpus[j]
+            coll = build_whitney_sparse(f, g, WhitneyConfig(pair=self.P2I, ell1=1, ell2=1.0))
+            monkeypatch.setattr(verify, "_sharp_at", spy)
+            boxed = endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I)
+            (box,) = boxes[-1:]
+            need = np.abs(g.values) > 0
+            for e in coll.entries:
+                if e.rank == 0:
+                    need[spec.cell_slices(e.cube)] = True
+            cells = np.nonzero(need)
+            assert tuple(box) == tuple((int(c.min()), int(c.max()) + 1) for c in cells)
+            assert math.prod(i1 - i0 for i0, i1 in box) < spec.N**spec.n
+            monkeypatch.setattr(verify, "_sharp_at", whole_grid)
+            assert report_dict(boxed) == report_dict(
+                endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I)
             )
 
 
