@@ -26,10 +26,10 @@ The sharp maximal builds ``|f - window mean|`` in blocks of about
 ``_OSC_CHUNK`` elements, written into two buffers that stay in cache; the
 block size does not change a bit of the result.  Real data runs in real
 arithmetic, and the work is restricted to a region's cells plus the
-ladder's reach, the whole grid being one such region.  Within it, a window
-whose oscillation provably cannot raise a value is skipped (``_ladder``),
-and a caller that needs only the values above a floor gets them on the
-box where they can occur (``_sharp_above``).  No skip changes a bit.
+ladder's reach, the whole grid being one such region.  Within it, one rule
+skips a window (``_ladder``): its oscillation provably cannot raise a value,
+or cannot pass a floor under which the caller reads no value.  No skip
+changes a value above the floor by a bit.
 """
 
 from __future__ import annotations
@@ -393,24 +393,11 @@ def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:
     return out
 
 
-def _runs(flags: np.ndarray, gap: int) -> list[tuple[int, int]]:
-    """``[start, stop)`` of the runs of True in ``flags``, with runs less
-    than ``gap`` apart joined."""
-    padded = np.concatenate(([False], flags, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = edges[0::2], edges[1::2]
-    if not starts.size:
-        return []
-    split = np.flatnonzero(starts[1:] - stops[:-1] >= gap)
-    firsts, lasts = starts[np.r_[0, split + 1]], stops[np.r_[split, len(stops) - 1]]
-    return list(zip(firsts.tolist(), lasts.tolist()))
-
-
 def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.ndarray:
     """Mean ``|f - window mean|`` for the ``w**n``-cell windows of ``vals``
-    whose means are ``means``, at the window starts whose first index is
-    ``busy``, and 0 at the others; in blocks of about ``_OSC_CHUNK``
-    elements.
+    whose means are ``means``, in aligned blocks of about ``_OSC_CHUNK``
+    elements, each ``step`` first indices of the window starts; a block
+    with no ``busy`` first index is skipped and keeps 0.
 
     Every block is written into the same two buffers, laid out as numpy
     lays out ``view - means`` (position and window axes interleaved), so
@@ -425,12 +412,12 @@ def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.nd
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     diff = np.empty(layout, dtype=vals.dtype).transpose(axes)
     dev = diff if diff.dtype == np.float64 else np.empty(layout).transpose(axes)
-    for start, stop in _runs(busy, step):
-        for lo in range(start, stop, step):
-            k = min(step, stop - lo)
-            np.subtract(view[lo : lo + k], means[lo : lo + k][(...,) + (None,) * n], out=diff[:k])
-            np.abs(diff[:k], out=dev[:k])
-            out[lo : lo + k] = dev[:k].mean(axis=tuple(range(n, 2 * n)))
+    blocks = np.logical_or.reduceat(busy, np.arange(0, len(out), step))
+    for lo in (np.flatnonzero(blocks) * step).tolist():
+        k = min(step, len(out) - lo)
+        np.subtract(view[lo : lo + k], means[lo : lo + k][(...,) + (None,) * n], out=diff[:k])
+        np.abs(diff[:k], out=dev[:k])
+        out[lo : lo + k] = dev[:k].mean(axis=tuple(range(n, 2 * n)))
     return out
 
 
@@ -456,15 +443,19 @@ def _osc_bound(vals: np.ndarray, means: np.ndarray, w: int) -> np.ndarray:
     return spread * (1 + w**vals.ndim * 2.0**-48)
 
 
-def _ladder(vals: np.ndarray, P: np.ndarray, widths) -> np.ndarray:
+def _ladder(vals: np.ndarray, P: np.ndarray, widths, floor: float = 0.0) -> np.ndarray:
     """Sharp maximal of the array ``vals`` over the windows of the given
     side lengths (cells per axis) that fit in it; the window means come
     from ``P``, prefix sums of ``vals`` (any that give its window sums).
+    Every value above ``floor`` has the bits of the ladder over every
+    window, and every other value is at or under ``floor``.
 
-    The rungs run widest first.  A window whose oscillation bound
-    (``_osc_bound``) is 0, or under the best value so far at each of its
-    cells, cannot change a value: its block of starts is skipped, a first
-    index at a time, and keeps 0.  Windows of exact zeros are among them.
+    The rungs run widest first.  A window is idle when its oscillation
+    bound (``_osc_bound``) is at or under ``floor``, or under the best value
+    so far at each of its cells: then it cannot raise a value above
+    ``floor``.  Its block of starts is skipped (see ``_osc``) and keeps 0.
+    At ``floor = 0`` every value is the full ladder's, since a bound of 0
+    means an oscillation of exactly 0; windows of exact zeros are such.
     """
     n = vals.ndim
     corners = _corners(n)
@@ -472,20 +463,22 @@ def _ladder(vals: np.ndarray, P: np.ndarray, widths) -> np.ndarray:
     for w in sorted(widths, reverse=True):
         means = _sliding_sums(P, corners, w) / w**n
         bound = _osc_bound(vals, means, w)
-        idle = (bound == 0) | (bound < -_max_over_windows(-best, w))
+        idle = (bound <= floor) | (bound < -_max_over_windows(-best, w))
         osc = _osc(vals, means, ~idle.all(axis=tuple(range(1, n))), w)
         np.maximum(best, _window_max_all_axes(osc, w), out=best)
     return best
 
 
-def _ladder_on(vals: np.ndarray, ranges, widths, P: np.ndarray | None = None) -> np.ndarray:
-    """The ladder at the cells ``ranges`` (``(start, stop)`` per axis) of
-    the grid array ``vals``, NaN elsewhere.  It runs on those cells dilated
-    by its widest window less one cell, clipped to the grid, which holds
-    every window that contains one of them.  The window means come from
-    ``P``, the whole grid's prefix sums, or without it from prefix sums
-    that start at the crop, so values move at rounding level unless the
-    crop is the whole grid."""
+def _ladder_on(
+    vals: np.ndarray, ranges, widths, P: np.ndarray | None = None, floor: float = 0.0
+) -> np.ndarray:
+    """The ladder above ``floor`` at the cells ``ranges`` (``(start, stop)``
+    per axis) of the grid array ``vals``, NaN elsewhere.  It runs on those
+    cells dilated by its widest window less one cell, clipped to the grid,
+    which holds every window that contains one of them.  The window means
+    come from ``P``, the whole grid's prefix sums, or without it from
+    prefix sums that start at the crop, so values move at rounding level
+    unless the crop is the whole grid."""
     N = vals.shape[0]
     reach = max(widths, default=1) - 1
     crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, N)) for i0, i1 in ranges)
@@ -498,18 +491,19 @@ def _ladder_on(vals: np.ndarray, ranges, widths, P: np.ndarray | None = None) ->
             sums = _prefix_sums(part)
         else:
             sums = P[tuple(slice(c.start, c.stop + 1) for c in crop)]
-        out[read] = _ladder(part, sums, widths)[cells]
+        out[read] = _ladder(part, sums, widths, floor)[cells]
     return out
 
 
 def _sharp_setup(f: GridFunction, radius_cap: float | None) -> tuple[np.ndarray, list[int]]:
     """The values the ladder reads (real when ``f.values.imag`` is all
-    zero) and its widths under ``radius_cap``; an infinite cap is no cap."""
+    zero) and its widths under ``radius_cap``; a cap whose windows span the
+    domain, an infinite one among them, is no cap."""
     if radius_cap is not None and not radius_cap >= 0:
         raise ValueError(f"radius_cap must be nonnegative or None, not {radius_cap!r}")
     spec = f.spec
-    capped = radius_cap is not None and radius_cap < math.inf
-    cap_cells = int(math.floor(2.0 * radius_cap / float(spec.h))) if capped else None
+    cells = math.inf if radius_cap is None else 2.0 * radius_cap / float(spec.h)
+    cap_cells = math.floor(cells) if cells < spec.N else None
     vals = f.values
     if not np.any(vals.imag):
         vals = np.ascontiguousarray(vals.real)
@@ -542,33 +536,12 @@ def sharp_maximal(
     return _ladder_on(vals, spec.cell_ranges(spec.domain() if region is None else region), widths)
 
 
-def _sharp_at(f: GridFunction, radius_cap: float | None, ranges) -> np.ndarray:
-    """``sharp_maximal(f, radius_cap)`` with its bits at the cells
-    ``ranges`` (``(start, stop)`` per axis), NaN elsewhere: the ladder on
-    them with the whole grid's prefix sums."""
+def _sharp_at(
+    f: GridFunction, radius_cap: float | None, ranges, floor: float = 0.0
+) -> np.ndarray:
+    """``sharp_maximal(f, radius_cap)`` at the cells ``ranges`` (``(start,
+    stop)`` per axis), NaN elsewhere: the ladder on them with the whole
+    grid's prefix sums.  A value above ``floor`` has the whole grid's bits,
+    and every other value is at or under ``floor``."""
     vals, widths = _sharp_setup(f, radius_cap)
-    return _ladder_on(vals, ranges, widths, _prefix_sums(vals))
-
-
-def _sharp_above(f: GridFunction, radius_cap: float | None, floor: float) -> np.ndarray:
-    """``sharp_maximal(f, radius_cap)`` with its bits on a box that holds
-    every cell where it exceeds ``floor``, and NaN outside the box.
-
-    A cell exceeds ``floor`` only inside a window whose oscillation bound
-    (``_osc_bound``) does; the box is the bounding box of those windows.
-    The ladder runs on it with the whole grid's prefix sums, so every value
-    keeps the whole grid's bits.
-    """
-    vals, widths = _sharp_setup(f, radius_cap)
-    n, N = vals.ndim, vals.shape[0]
-    P = _prefix_sums(vals)
-    corners = _corners(n)
-    lo, hi = [N] * n, [0] * n
-    for w in widths:
-        hit = _osc_bound(vals, _sliding_sums(P, corners, w) / w**n, w) > floor
-        for axis in range(n):
-            starts = np.flatnonzero(hit.any(axis=tuple(a for a in range(n) if a != axis)))
-            if starts.size:
-                lo[axis] = min(lo[axis], int(starts[0]))
-                hi[axis] = max(hi[axis], int(starts[-1]) + w)
-    return _ladder_on(vals, tuple((a, max(a, b)) for a, b in zip(lo, hi)), widths, P)
+    return _ladder_on(vals, ranges, widths, _prefix_sums(vals), floor)

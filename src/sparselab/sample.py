@@ -152,18 +152,27 @@ class GridFunction:
     """Complex samples at the cell centers of a :class:`GridSpec`."""
 
     def __init__(self, spec: GridSpec, values: np.ndarray, name: str = ""):
-        values = np.asarray(values, dtype=np.complex128)
+        # one new array, converted in the copy: never the caller's
+        values = np.array(values, dtype=np.complex128)
         if values.shape != spec.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {spec.shape}")
-        values = values.copy()
         values.setflags(write=False)
         self.spec = spec
         self.values = values
         self.name = name
 
     @classmethod
+    def _adopt(cls, spec: GridSpec, values: np.ndarray, name: str = "") -> "GridFunction":
+        """A grid function that keeps ``values``, a grid-shaped complex128
+        array that no one else holds, without a copy."""
+        out = cls.__new__(cls)
+        values.setflags(write=False)
+        out.spec, out.values, out.name = spec, values, name
+        return out
+
+    @classmethod
     def zeros(cls, spec: GridSpec) -> "GridFunction":
-        return cls(spec, np.zeros(spec.shape, dtype=np.complex128))
+        return cls._adopt(spec, np.zeros(spec.shape, dtype=np.complex128))
 
     @classmethod
     def from_callable(
@@ -179,7 +188,7 @@ class GridFunction:
                   name: str = "") -> "GridFunction":
         vals = np.zeros(spec.shape, dtype=np.complex128)
         vals[spec.cell_slices(box)] = amplitude
-        return cls(spec, vals, name)
+        return cls._adopt(spec, vals, name)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.spec, values, self.name)
@@ -205,7 +214,7 @@ class GridFunction:
         vals = np.zeros(self.spec.shape, dtype=np.complex128)
         sl = self.spec.cell_slices(region)
         vals[sl] = self.values[sl]
-        return GridFunction(self.spec, vals, self.name)
+        return GridFunction._adopt(self.spec, vals, self.name)
 
 
 @dataclass(frozen=True)

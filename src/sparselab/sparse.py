@@ -543,15 +543,15 @@ def build_whitney_sparse(
     if not spec.central_half().contains_box(window):
         raise ValueError("wraparound risk: supports must sit in the central half")
 
-    # smallest core side 2**-k0 >= 1 that covers the reach
+    # smallest core side 2**-k0 >= 1 that covers the reach, at most 2**(K-1)
     reach = 2.0**config.ell1 + 2.0 * config.ell2
-    k0 = 0
-    while 2.0**-k0 < reach:
-        k0 -= 1
-    if Fraction(2) ** (-k0) > Fraction(2) ** (spec.K - 1):
+    if reach > 2.0 ** (spec.K - 1):
         raise ValueError(
             "domain too small for the requested locality; increase K or shrink the reach"
         )
+    k0 = 0
+    while 2.0**-k0 < reach:
+        k0 -= 1
 
     r = config.pair.r
     sp = config.pair.s_prime

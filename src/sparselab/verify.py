@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import Box, CubePoset, DyadicCube
-from .maximal import _sharp_above, _sharp_at, maximal_p, sharp_maximal
+from .maximal import _sharp_at, maximal_p, sharp_maximal
 from .pdo import (
     OperatorHandle,
     PieceIndex,
@@ -706,15 +706,7 @@ def composed_sharp_apply(
     symbol with a real kernel (bessel, ``rough_bump``, a real
     ``multiplication``) has a real image (``OperatorHandle.apply``), so the sharp maximal runs
     in real arithmetic."""
-    return _sharp_image(localized_operator(a, ell1, f.spec), ell2, f, region)
-
-
-def _sharp_image(
-    op: OperatorHandle, ell2: float, f: GridFunction, region: Box | DyadicCube | None = None
-) -> np.ndarray:
-    """``composed_sharp_apply`` with the localized operator built once by
-    the caller."""
-    return sharp_maximal(op.apply(f), radius_cap=ell2, region=region)
+    return sharp_maximal(localized_operator(a, ell1, f.spec).apply(f), ell2, region)
 
 
 @dataclass
@@ -738,9 +730,10 @@ def sharp_ratio_probe(
 
     ``precomputed_max`` lets a sweep over localization scales reuse the
     maximal evaluations, which do not depend on the scales.  The sharp
-    image is evaluated only on a box that holds every cell where it can
-    exceed ``DENOM_FLOOR`` (``maximal._sharp_above``), with the whole
-    grid's bits, so the report is the full grid's.
+    image skips the windows that cannot lift a value above ``DENOM_FLOOR``
+    (``maximal._ladder``): every value above it has the whole grid's bits,
+    and every other one stays at or under it, where the report reads no
+    value, so the report is the full grid's.
     """
     if isinstance(fs, GridFunction):
         fs = [fs]
@@ -749,7 +742,7 @@ def sharp_ratio_probe(
     flagged = 0
     active_total = 0
     for k, f in enumerate(fs):
-        S = _sharp_above(op.apply(f), ell2, DENOM_FLOOR)
+        S = _sharp_at(op.apply(f), ell2, f.spec.cell_ranges(f.spec.domain()), DENOM_FLOOR)
         Mp = maximal_p(f, p) if precomputed_max is None else precomputed_max[k]
         active = S > DENOM_FLOOR
         flagged += int(np.count_nonzero(active & (Mp <= DENOM_FLOOR)))
@@ -848,7 +841,7 @@ def endpoint_audit(
     op = localized_operator(a, ell1, spec)
 
     def T(u: GridFunction, region: Box | DyadicCube | None = None) -> np.ndarray:
-        return _sharp_image(op, ell2, u, region)
+        return sharp_maximal(op.apply(u), ell2, region)
 
     # the composed image is read where g is nonzero (the pairing) and on the
     # rank-0 cores (base_lhs): it is computed on the bounding box of those

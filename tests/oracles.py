@@ -51,10 +51,11 @@ another way, or a piece of exact geometry that only the checks need:
   package skips the cells and widths that cannot reach the threshold.
 * ``ladder_without_skips``: the sharp-maximal ladder with one numpy
   expression over every window of each width; the package builds it in
-  blocks and skips the windows that cannot change a value.
-* ``full_grid_sharp_ratio``: ``verify.sharp_ratio_probe`` with the sharp
-  image on the whole grid; the package evaluates it only where it can
-  pass ``DENOM_FLOOR``.
+  blocks and skips the windows that cannot raise a value above a floor
+  (0 unless the caller passes one).
+* ``full_grid_sharp_ratio``: ``verify.sharp_ratio_probe`` with every
+  window of the sharp image computed; the package skips the windows that
+  cannot lift a value above ``DENOM_FLOOR``.
 """
 
 from __future__ import annotations
@@ -564,8 +565,8 @@ def ladder_without_skips(vals: np.ndarray, widths) -> np.ndarray:
 def full_grid_sharp_ratio(
     a: SymbolClass, fs: list[GridFunction], ell1: int, ell2: float, p: float
 ) -> tuple[SharpRatioReport, list[np.ndarray]]:
-    """``verify.sharp_ratio_probe`` with the sharp image on the whole grid,
-    and those images."""
+    """``verify.sharp_ratio_probe`` with every value of the sharp image
+    (``sharp_maximal`` with no floor), and those images."""
     op = localized_operator(a, ell1, fs[0].spec)
     ratios, images, flagged, active_total = [], [], 0, 0
     for f in fs:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from sparselab.sample import load_grid_function
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
+CI_CONFIGS = sorted((SRC.parent / "tests" / "reports").glob("*.ini"))
 
 IDENTITY_INI = """\
 [grid]
@@ -463,6 +465,20 @@ class TestEveryOptionIsChecked:
         assert exc.value.code == 2
         assert "--seed: must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestCommittedConfigs:
+    """The configs that CI runs are committed files, and each loads and
+    passes the load checks, so a config that stops parsing fails here."""
+
+    def test_ci_runs_every_committed_config(self):
+        workflow = (SRC.parent / ".github" / "workflows" / "tier1.yml").read_text()
+        runs = set(re.findall(r"lab run tests/reports/(\w+)\.ini", workflow))
+        assert runs == {path.stem for path in CI_CONFIGS}
+
+    @pytest.mark.parametrize("path", CI_CONFIGS, ids=[path.stem for path in CI_CONFIGS])
+    def test_config_loads_and_passes_its_checks(self, path):
+        assert cli._checked_probes(load_config(str(path)), None)
 
 
 class TestCorpusBuilds:

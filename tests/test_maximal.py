@@ -158,8 +158,10 @@ class TestMaximalP:
                 sharp_maximal(f, cap)
 
     def test_sharp_maximal_infinite_cap_is_no_cap(self):
+        # so is any cap whose windows span the domain, however large
         f = make_corpus(SPEC, seed=3, count=1)[0]
-        assert np.array_equal(sharp_maximal(f, math.inf), sharp_maximal(f))
+        for cap in (math.inf, 1e308, float(SPEC.halfwidth)):
+            assert np.array_equal(sharp_maximal(f, cap), sharp_maximal(f)), cap
 
     def test_2d_exhaustive_guard(self):
         spec = GridSpec(2, 1, 8)
@@ -481,6 +483,29 @@ class TestSharpMaximalAgainstOracle:
                 vals = vals * np.exp(1j * rng.uniform(0, 2 * np.pi, spec.shape))
             got = sharp_maximal(f.with_values(vals), cap)
             assert np.array_equal(got, ladder_without_skips(vals, widths)), f.name
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2, 6), GridSpec(2, 1, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cap_cells", [None, 8])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_floor(self, spec, cap_cells, real):
+        # at floor 0 every value is the oracle's; above any floor every
+        # value is the oracle's, bit for bit, and every other value is at or
+        # under the floor; floors at oracle values test ties
+        widths = ladder_widths(spec.N, cap_cells)
+        rng = np.random.default_rng(spec.N + 1)
+        for f in _ladder_inputs(spec):
+            vals = f.values.real.copy()
+            if not real:
+                vals = vals * np.exp(1j * rng.uniform(0, 2 * np.pi, spec.shape))
+            want = ladder_without_skips(vals, widths)
+            P = _prefix_sums(vals)
+            assert np.array_equal(_ladder(vals, P, widths), want), f.name
+            top = float(want.max())
+            for floor in {1e-14, *np.quantile(want, [0.1, 0.5, 0.9]).tolist(), top / 3, top}:
+                got = _ladder(vals, P, widths, floor)
+                above = want > floor
+                assert np.array_equal(got[above], want[above]), (f.name, floor)
+                assert np.all(got[~above] <= floor), (f.name, floor)
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
     def test_regions_read_crop_local_sums(self, spec):

@@ -1,6 +1,7 @@
 """Grid, averages, exponent pairs, corpus, serialization."""
 
 import math
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -195,6 +196,45 @@ def test_restrict_box_zeroes_outside():
     g = f.restrict_box(box1(0, 1))
     assert g.lp_norm(1.0) == pytest.approx(1.0, abs=1e-14)
     assert np.all(g.values[: spec.N // 2] == 0)
+
+
+class TestGridFunctionValues:
+    """Each construction holds one new read-only grid array."""
+
+    SPEC = GridSpec(1, 2, 14)
+
+    def _constructions(self):
+        spec = self.SPEC
+        f = make_corpus(spec, seed=1, count=1)[0]
+        real = np.ascontiguousarray(f.values.real)
+        writable = f.values.copy()
+        return [
+            (real, lambda: f.with_values(real)),
+            (writable, lambda: f.with_values(writable)),
+            (writable, lambda: GridFunction(spec, writable)),
+            (f.values, lambda: f.restrict_box(box1(-1, 1))),
+            (None, lambda: GridFunction.zeros(spec)),
+            (None, lambda: GridFunction.indicator(spec, box1(-1, 1))),
+        ]
+
+    def test_values_are_read_only_and_not_the_callers(self):
+        for source, make in self._constructions():
+            g = make()
+            assert not g.values.flags.writeable
+            assert g.values.dtype == np.complex128 and g.values.shape == self.SPEC.shape
+            if source is not None:
+                assert not np.shares_memory(g.values, source)
+
+    def test_one_grid_array_per_construction(self):
+        limit = 1.5 * self.SPEC.N**self.SPEC.n * 16
+        for _, make in self._constructions():
+            tracemalloc.start()
+            try:
+                make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
 
 
 @st.composite

@@ -833,27 +833,33 @@ class TestSharpRatio:
     @pytest.mark.parametrize("spec", [GridSpec(1, 3, 6), GridSpec(2, 1, 4)], ids=["1d", "2d"])
     @pytest.mark.parametrize("ell2", [0.25, 1.0, 2.0])
     def test_box_report_matches_the_full_grid(self, spec, ell2):
-        # a real kernel (bessel) and a complex one (oscillatory_ct)
+        # the probe's image skips the windows under DENOM_FLOOR; its report
+        # is the full grid's, for a real kernel (bessel) and a complex one
+        # (oscillatory_ct)
         fs = make_corpus(spec, seed=21, count=4)
+        floor, grid = verify.DENOM_FLOOR, ((0, spec.N),) * spec.n
         for a in (bessel(-0.25, 0.5, 0.5, n=spec.n), oscillatory_ct(0.5, -1.0, n=spec.n)):
             want, images = full_grid_sharp_ratio(a, fs, 1, ell2, 2.0)
             assert sharp_ratio_probe(a, fs, ell1=1, ell2=ell2, p=2.0) == want
             op = localized_operator(a, 1, spec)
             for f, full in zip(fs, images):
-                got = maximal._sharp_above(op.apply(f), ell2, verify.DENOM_FLOOR)
-                inside = ~np.isnan(got)
-                assert np.array_equal(got[inside], full[inside])
-                # every cell the box leaves out is inactive on the full grid
-                assert np.all(full[~inside] <= verify.DENOM_FLOOR)
+                got = maximal._sharp_at(op.apply(f), ell2, grid, floor)
+                above = got > floor
+                assert np.array_equal(above, full > floor)
+                assert np.array_equal(got[above], full[above])
+                assert np.all(got[~above] <= floor)
 
-    def test_box_is_a_strict_part_of_the_grid(self):
-        # compact supports leave cells outside the box in 1D
+    def test_floor_skips_work_the_full_grid_does(self):
+        # compact supports leave a rounding-level image far from them in
+        # 1D: the floor skips its windows, which the full grid computes
         spec = GridSpec(1, 4, 6)
         a = bessel(-0.25, 0.5, 0.5)
-        op = localized_operator(a, 1, spec)
-        f = make_corpus(spec, seed=21, count=1)[0]
-        got = maximal._sharp_above(op.apply(f), 1.0, verify.DENOM_FLOOR)
-        assert np.isnan(got).any() and not np.isnan(got).all()
+        image = localized_operator(a, 1, spec).apply(make_corpus(spec, seed=21, count=1)[0])
+        full = sharp_maximal(image, 1.0)
+        got = maximal._sharp_at(image, 1.0, ((0, spec.N),), verify.DENOM_FLOOR)
+        above = full > verify.DENOM_FLOOR
+        assert above.any() and np.array_equal(got[above], full[above])
+        assert np.any(got[~above] < full[~above])
 
     def test_composed_reach(self):
         spec = self.SPEC3
@@ -873,9 +879,9 @@ class TestSharpRatio:
     def test_real_input_runs_the_real_ladder(self, spec, monkeypatch):
         ladder, ladder_dtypes = maximal._ladder, []
 
-        def recording_ladder(vals, P, widths):
+        def recording_ladder(vals, P, widths, floor=0.0):
             ladder_dtypes.append(vals.dtype)
-            return ladder(vals, P, widths)
+            return ladder(vals, P, widths, floor)
 
         monkeypatch.setattr(maximal, "_ladder", recording_ladder)
         a = bessel(-0.25, 0.5, 0.5, n=spec.n)
