@@ -1,5 +1,6 @@
 """Config-driven runner: exit codes, determinism, and report layout."""
 
+import functools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from sparselab.sample import load_grid_function
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 CI_CONFIGS = sorted((SRC.parent / "tests" / "reports").glob("*.ini"))
+REPORT_DIRS = sorted(p for p in (SRC.parent / "tests" / "reports").iterdir() if p.is_dir())
 
 IDENTITY_INI = """\
 [grid]
@@ -479,6 +481,68 @@ class TestCommittedConfigs:
     @pytest.mark.parametrize("path", CI_CONFIGS, ids=[path.stem for path in CI_CONFIGS])
     def test_config_loads_and_passes_its_checks(self, path):
         assert cli._checked_probes(load_config(str(path)), None)
+
+
+def _same_report(got, want) -> bool:
+    """Two reports agree: verdicts, integers and strings equal, and floats
+    within ``1e-12 * max(|a|, |b|) + 1e-15``, at every place."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same_report(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same_report, got, want))
+    if isinstance(want, float):
+        return abs(got - want) <= 1e-12 * max(abs(got), abs(want)) + 1e-15
+    return got == want
+
+
+def _float_places(rep, path=()):
+    """The paths to every float of a report."""
+    if isinstance(rep, dict):
+        rep = rep.items()
+    elif isinstance(rep, list):
+        rep = enumerate(rep)
+    else:
+        if isinstance(rep, float):
+            yield path
+        return
+    for key, value in rep:
+        yield from _float_places(value, path + (key,))
+
+
+class TestCommittedReports:
+    """A run of each config with committed reports
+    (``tests/reports/write_reports.py`` writes them) gives the same reports."""
+
+    @pytest.mark.parametrize("path", REPORT_DIRS, ids=[path.name for path in REPORT_DIRS])
+    def test_run_matches_the_committed_reports(self, path, tmp_path):
+        cfg = load_config(str(path.with_suffix(".ini")))
+        cli.run_probes(cfg, cli._checked_probes(cfg, None), tmp_path, None)
+        names = sorted(p.name for p in path.glob("*.json"))
+        assert names and sorted(p.name for p in tmp_path.glob("*.json")) == names
+        for name in names:
+            got, want = (json.loads((d / name).read_text()) for d in (tmp_path, path))
+            assert _same_report(got, want), name
+
+    def test_a_moved_value_differs(self):
+        # every float nudged by 1e-9 relative (by 1e-9 where it is under
+        # 1e-5, and the absolute 1e-15 would absorb the nudge), and the
+        # verdict flipped, one at a time
+        assert [path.name for path in REPORT_DIRS] == ["lab1dw", "lab2d"]
+        for path in REPORT_DIRS:
+            for report in path.glob("*.json"):
+                want = json.loads(report.read_text())
+                assert _same_report(json.loads(report.read_text()), want)
+                for place in _float_places(want):
+                    got = json.loads(report.read_text())
+                    *parents, last = place
+                    node = functools.reduce(lambda d, k: d[k], parents, got)
+                    v = node[last]
+                    node[last] = v * (1 + 1e-9) if abs(v) >= 1e-5 else v + 1e-9
+                    assert not _same_report(got, want), (report, place)
+                got = dict(want, passed=not want["passed"])
+                assert not _same_report(got, want), report
 
 
 class TestCorpusBuilds:
