@@ -23,13 +23,15 @@ widths and cells that can reach its threshold, in brackets of widths whose
 widest window bounds the rest (``_centred_mask``).
 
 The sharp maximal builds ``|f - window mean|`` in blocks of about
-``_OSC_CHUNK`` elements, written into two buffers that stay in cache; the
-block size does not change a bit of the result.  Real data runs in real
-arithmetic, and the work is restricted to a region's cells plus the
-ladder's reach, the whole grid being one such region.  Within it, one rule
-skips a window (``_ladder``): its oscillation provably cannot raise a value,
-or cannot pass a floor under which the caller reads no value.  No skip
-changes a value above the floor by a bit.
+``_OSC_CHUNK`` elements (in 2D, parts of a row of window starts when a row
+is larger), written into two buffers that stay in cache; the block size
+does not change a bit of the result.  Real data runs in real arithmetic,
+and the work is restricted to a region's cells plus the ladder's reach,
+with window means from the whole grid's prefix sums, so a region's values
+are the whole grid's bit for bit.  Within it, one rule skips a window
+(``_ladder``): its oscillation provably cannot raise a value, or cannot
+pass a floor under which the caller reads no value.  No skip changes a
+value above the floor by a bit.
 """
 
 from __future__ import annotations
@@ -396,28 +398,42 @@ def ladder_widths(N: int, cap_cells: int | None = None) -> list[int]:
 def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.ndarray:
     """Mean ``|f - window mean|`` for the ``w**n``-cell windows of ``vals``
     whose means are ``means``, in aligned blocks of about ``_OSC_CHUNK``
-    elements, each ``step`` first indices of the window starts; a block
-    with no ``busy`` first index is skipped and keeps 0.
+    elements; a block of window starts with no ``busy`` start is skipped and
+    keeps 0.  A block takes whole rows of starts while one fits, and in 2D
+    otherwise part of one row, at least two starts wide (a one-start tail
+    joins the block before it): one start wide, numpy sums its window in
+    another order.
 
     Every block is written into the same two buffers, laid out as numpy
     lays out ``view - means`` (position and window axes interleaved), so
     the window means sum in one order, bit for bit, at any block size and
     for any set of blocks.
     """
-    n = vals.ndim
-    out = np.zeros(means.shape)
+    n, shape = vals.ndim, means.shape
+    out = np.zeros(shape)
     view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
-    step = max(1, min(len(out), _OSC_CHUNK // (w**n * math.prod(means.shape[1:]))))
-    layout = sum(((m, w) for m in (step,) + means.shape[1:]), ())
+    per = _OSC_CHUNK // w**n  # window starts per block
+    if n == 2 and per < shape[1]:
+        steps = (1, min(shape[1], max(2, per)))
+    else:
+        steps = (max(1, min(shape[0], per // math.prod(shape[1:]))),) + shape[1:]
+    edges = [list(range(0, m, step)) + [m] for m, step in zip(shape, steps)]
+    if n == 2 and len(edges[1]) > 2 and edges[1][-1] - edges[1][-2] == 1:
+        del edges[1][-2]
+    layout = sum(((max(np.diff(e)), w) for e in edges), ())
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     diff = np.empty(layout, dtype=vals.dtype).transpose(axes)
     dev = diff if diff.dtype == np.float64 else np.empty(layout).transpose(axes)
-    blocks = np.logical_or.reduceat(busy, np.arange(0, len(out), step))
-    for lo in (np.flatnonzero(blocks) * step).tolist():
-        k = min(step, len(out) - lo)
-        np.subtract(view[lo : lo + k], means[lo : lo + k][(...,) + (None,) * n], out=diff[:k])
-        np.abs(diff[:k], out=dev[:k])
-        out[lo : lo + k] = dev[:k].mean(axis=tuple(range(n, 2 * n)))
+    blocks = busy
+    for axis, e in enumerate(edges):
+        blocks = np.logical_or.reduceat(blocks, e[:-1], axis=axis)
+    for block in np.argwhere(blocks).tolist():
+        at = tuple(slice(e[i], e[i + 1]) for i, e in zip(block, edges))
+        m = means[at]
+        part = tuple(slice(k) for k in m.shape)
+        np.subtract(view[at], m[(...,) + (None,) * n], out=diff[part])
+        np.abs(diff[part], out=dev[part])
+        out[at] = dev[part].mean(axis=tuple(range(n, 2 * n)))
     return out
 
 
@@ -464,50 +480,9 @@ def _ladder(vals: np.ndarray, P: np.ndarray, widths, floor: float = 0.0) -> np.n
         means = _sliding_sums(P, corners, w) / w**n
         bound = _osc_bound(vals, means, w)
         idle = (bound <= floor) | (bound < -_max_over_windows(-best, w))
-        osc = _osc(vals, means, ~idle.all(axis=tuple(range(1, n))), w)
+        osc = _osc(vals, means, ~idle, w)
         np.maximum(best, _window_max_all_axes(osc, w), out=best)
     return best
-
-
-def _ladder_on(
-    vals: np.ndarray, ranges, widths, P: np.ndarray | None = None, floor: float = 0.0
-) -> np.ndarray:
-    """The ladder above ``floor`` at the cells ``ranges`` (``(start, stop)``
-    per axis) of the grid array ``vals``, NaN elsewhere.  It runs on those
-    cells dilated by its widest window less one cell, clipped to the grid,
-    which holds every window that contains one of them.  The window means
-    come from ``P``, the whole grid's prefix sums, or without it from
-    prefix sums that start at the crop, so values move at rounding level
-    unless the crop is the whole grid."""
-    N = vals.shape[0]
-    reach = max(widths, default=1) - 1
-    crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, N)) for i0, i1 in ranges)
-    cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
-    out = np.full(vals.shape, np.nan)
-    read = tuple(slice(i0, i1) for i0, i1 in ranges)
-    if out[read].size:
-        part = vals[crop]
-        if P is None:
-            sums = _prefix_sums(part)
-        else:
-            sums = P[tuple(slice(c.start, c.stop + 1) for c in crop)]
-        out[read] = _ladder(part, sums, widths, floor)[cells]
-    return out
-
-
-def _sharp_setup(f: GridFunction, radius_cap: float | None) -> tuple[np.ndarray, list[int]]:
-    """The values the ladder reads (real when ``f.values.imag`` is all
-    zero) and its widths under ``radius_cap``; a cap whose windows span the
-    domain, an infinite one among them, is no cap."""
-    if radius_cap is not None and not radius_cap >= 0:
-        raise ValueError(f"radius_cap must be nonnegative or None, not {radius_cap!r}")
-    spec = f.spec
-    cells = math.inf if radius_cap is None else 2.0 * radius_cap / float(spec.h)
-    cap_cells = math.floor(cells) if cells < spec.N else None
-    vals = f.values
-    if not np.any(vals.imag):
-        vals = np.ascontiguousarray(vals.real)
-    return vals, ladder_widths(spec.N, cap_cells)
 
 
 def sharp_maximal(
@@ -527,21 +502,41 @@ def sharp_maximal(
     ``|x + 0j|`` is ``|x|``.
 
     Only the cells of ``region`` (a box or cube, through
-    ``GridSpec.cell_ranges``; by default the domain) are computed, by
-    ``_ladder_on`` with prefix sums that start at the crop.  The result is
-    full-grid with NaN outside the region.
+    ``GridSpec.cell_ranges``; by default the domain) are computed, with the
+    whole grid's bits (``_sharp_at``).  The result is full-grid with NaN
+    outside the region.
     """
-    vals, widths = _sharp_setup(f, radius_cap)
     spec = f.spec
-    return _ladder_on(vals, spec.cell_ranges(spec.domain() if region is None else region), widths)
+    return _sharp_at(f, radius_cap, spec.cell_ranges(spec.domain() if region is None else region))
 
 
 def _sharp_at(
     f: GridFunction, radius_cap: float | None, ranges, floor: float = 0.0
 ) -> np.ndarray:
     """``sharp_maximal(f, radius_cap)`` at the cells ``ranges`` (``(start,
-    stop)`` per axis), NaN elsewhere: the ladder on them with the whole
-    grid's prefix sums.  A value above ``floor`` has the whole grid's bits,
-    and every other value is at or under ``floor``."""
-    vals, widths = _sharp_setup(f, radius_cap)
-    return _ladder_on(vals, ranges, widths, _prefix_sums(vals), floor)
+    stop)`` per axis), NaN elsewhere.  The ladder runs on those cells
+    dilated by its widest window, clipped to the grid: that holds every
+    window that contains one of them, and two starts of each window row
+    where the grid has two (a row of one start sums in another order, see
+    ``_osc``).  It reads its window means from the whole grid's prefix
+    sums, so every value has the whole grid's bits whatever the cells.  A
+    value above ``floor`` is the full ladder's, and every other value is at
+    or under ``floor``."""
+    if radius_cap is not None and not radius_cap >= 0:
+        raise ValueError(f"radius_cap must be nonnegative or None, not {radius_cap!r}")
+    N = f.spec.N
+    # a cap whose windows span the domain, an infinite one among them, is no cap
+    span = math.inf if radius_cap is None else 2.0 * radius_cap / float(f.spec.h)
+    widths = ladder_widths(N, math.floor(span) if span < N else None)
+    vals = f.values
+    if not np.any(vals.imag):
+        vals = np.ascontiguousarray(vals.real)
+    reach = max(widths, default=0)
+    crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, N)) for i0, i1 in ranges)
+    cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
+    out = np.full(vals.shape, np.nan)
+    read = tuple(slice(i0, i1) for i0, i1 in ranges)
+    if out[read].size:
+        P = _prefix_sums(vals)[tuple(slice(c.start, c.stop + 1) for c in crop)]
+        out[read] = _ladder(vals[crop], P, widths, floor)[cells]
+    return out

@@ -584,7 +584,7 @@ def localized_operator(a: SymbolClass, ell1: int, spec: GridSpec) -> OperatorHan
     """
     if ell1 < 0:
         raise ValueError("localization exponent must be nonnegative")
-    if 2.0**ell1 > float(spec.halfwidth):
+    if ell1 > spec.K:  # 2**ell1 over the half-width 2**K, in integers
         raise ValueError("wraparound risk: the localization radius exceeds half the domain")
     return OperatorHandle(a, spec, window=CutoffFamily().psi0(_z_radius(spec) * 2.0**-ell1))
 

@@ -543,8 +543,10 @@ def build_whitney_sparse(
     if not spec.central_half().contains_box(window):
         raise ValueError("wraparound risk: supports must sit in the central half")
 
-    # smallest core side 2**-k0 >= 1 that covers the reach, at most 2**(K-1)
-    reach = 2.0**config.ell1 + 2.0 * config.ell2
+    # smallest core side 2**-k0 >= 1 that covers the reach, at most 2**(K-1);
+    # a radius 2**ell1 alone past that is decided in integers, before
+    # 2.0**ell1 can overflow
+    reach = 2.0**config.ell1 + 2.0 * config.ell2 if config.ell1 < spec.K else math.inf
     if reach > 2.0 ** (spec.K - 1):
         raise ValueError(
             "domain too small for the requested locality; increase K or shrink the reach"

@@ -65,7 +65,6 @@ __all__ = [
     "sparse_form_ratio",
     "pointwise_domination_check",
     "sharp_ratio_probe",
-    "composed_sharp_apply",
     "endpoint_audit",
     "report_dict",
 ]
@@ -695,20 +694,6 @@ def pointwise_domination_check(
 # composed sharp-maximal operator and its audits
 
 
-def composed_sharp_apply(
-    a: SymbolClass, ell1: int, ell2: float, f: GridFunction, region: Box | DyadicCube | None = None
-) -> np.ndarray:
-    """Values of the capped oscillation maximal applied to the image of the
-    operator localized at radius ``2**ell1``; the composition reaches
-    ``2**ell1 + 2*ell2``.  The operator is applied on the full grid; with a
-    ``region`` the sharp maximal computes that region's cells only and the
-    result is NaN elsewhere (see ``sharp_maximal``).  A real input under a
-    symbol with a real kernel (bessel, ``rough_bump``, a real
-    ``multiplication``) has a real image (``OperatorHandle.apply``), so the sharp maximal runs
-    in real arithmetic."""
-    return sharp_maximal(localized_operator(a, ell1, f.spec).apply(f), ell2, region)
-
-
 @dataclass
 class SharpRatioReport:
     max_ratio: float
@@ -831,13 +816,15 @@ def endpoint_audit(
     def pair_with_g(tvals: np.ndarray, cells: np.ndarray) -> float:
         return float(np.sum(tvals.reshape(-1)[cells] * g_abs.reshape(-1)[cells]) * hn)
 
-    # reach must fit into a core side, otherwise the identity is not exact
-    reach = 2.0**ell1 + 2.0 * ell2
+    # reach must fit into a core side, otherwise the identity is not exact;
+    # the smallest side is 2**-k at the largest level k, and a radius
+    # 2**ell1 above it is decided in integers, before 2.0**ell1 can overflow
     children, by_rank = coll.tree()
     cores = by_rank[0] if by_rank else []  # vanishing data gives an empty family
-    sides = {float(coll.entries[i].cube.side) for i in cores}
-    if sides and min(sides) < reach:
-        raise ValueError("core side is below the composed operator reach")
+    if cores:
+        k = max(coll.entries[i].cube.k for i in cores)
+        if ell1 > -k or 2.0**-k < 2.0**ell1 + 2.0 * ell2:
+            raise ValueError("core side is below the composed operator reach")
     op = localized_operator(a, ell1, spec)
 
     def T(u: GridFunction, region: Box | DyadicCube | None = None) -> np.ndarray:
@@ -845,8 +832,10 @@ def endpoint_audit(
 
     # the composed image is read where g is nonzero (the pairing) and on the
     # rank-0 cores (base_lhs): it is computed on the bounding box of those
-    # cells with the whole grid's bits, and is 0 outside it, where g is 0,
-    # so the pairing sums the whole grid's terms in the whole grid's order
+    # cells and is 0 outside it, where g is 0, so the pairing sums the whole
+    # grid's terms in the whole grid's order.  Like every image below
+    # (``sharp_maximal`` with a region), it has the whole grid's bits, so
+    # both sides of the localization identity read one convention
     need = g_abs > 0
     for i in cores:
         need[spec.cell_slices(coll.entries[i].cube)] = True

@@ -546,12 +546,14 @@ def sweep_level_set(f: GridFunction, p: float, tau: float) -> np.ndarray:
     return centred_sweep(_prefix_sums(u), _centred_widths(f.spec.N, h, n, cap)) ** (1.0 / p) > tau
 
 
-def ladder_without_skips(vals: np.ndarray, widths) -> np.ndarray:
-    """The sharp-maximal ladder of the array ``vals`` from its own prefix
-    sums, with ``|view - means|`` over every window of each width in one
-    expression, and window maxima from ``block_sliding_max``."""
+def ladder_without_skips(vals: np.ndarray, widths, P: np.ndarray | None = None) -> np.ndarray:
+    """The sharp-maximal ladder of the array ``vals`` from the prefix sums
+    ``P`` (by default its own), with ``|view - means|`` over every window
+    of each width in one expression, and window maxima from
+    ``block_sliding_max``."""
     n = vals.ndim
-    P = _prefix_sums(vals)
+    if P is None:
+        P = _prefix_sums(vals)
     corners = _corners(n)
     best = np.zeros(vals.shape)
     for w in widths:

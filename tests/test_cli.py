@@ -18,8 +18,9 @@ from sparselab.sample import load_grid_function
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
-CI_CONFIGS = sorted((SRC.parent / "tests" / "reports").glob("*.ini"))
-REPORT_DIRS = sorted(p for p in (SRC.parent / "tests" / "reports").iterdir() if p.is_dir())
+REPORTS = SRC.parent / "tests" / "reports"
+CI_CONFIGS = sorted(REPORTS.glob("*.ini"))
+REPORT_DIRS = sorted(p for p in REPORTS.iterdir() if p.is_dir())
 
 IDENTITY_INI = """\
 [grid]
@@ -744,6 +745,27 @@ def test_endpoint_audit_with_ell2_under_half_a_cell(tmp_path, capsys):
     assert run_cli("run", ini, "--out", str(out)) == 0
     rep = json.loads((out / "endpoint_audit.json").read_text())
     assert rep["constants"]["final_constant"] == 0.0
+
+
+def test_huge_ell1_fails_the_whitney_probes_with_their_reasons(tmp_path, capsys):
+    # 2**2000 overflows a float: each probe says which precondition fails
+    text = (REPORTS / "lab1dw.ini").read_text()
+    ini = write(tmp_path, text.replace("ell1 = 1\n", "ell1 = 2000\n"))
+    out = tmp_path / "reports"
+    assert run_cli("run", ini, "--out", str(out)) == 1
+    assert capsys.readouterr().out.split() == [
+        "endpoint_audit:", "FAIL", "pointwise_domination:", "pass",
+        "sharp_ratio:", "FAIL", "sparse_form_ratio:", "FAIL",
+    ]
+    small = "ValueError: domain too small for the requested locality"
+    errors = {
+        "endpoint_audit": small,
+        "sharp_ratio": "ValueError: wraparound risk: the localization radius",
+        "sparse_form_ratio": small,
+    }
+    for name, error in errors.items():
+        rep = json.loads((out / f"{name}.json").read_text())
+        assert rep["constants"]["error"].startswith(error), name
 
 
 def test_kernel_probes_pass_in_2d(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +375,20 @@ def _sharp_input(spec: GridSpec, real: bool) -> GridFunction:
     return f.with_values(f.values + 1j * rng.standard_normal(spec.shape))
 
 
+def _region_inputs(spec: GridSpec, real: bool) -> list[GridFunction]:
+    """``_sharp_input``, an indicator, with a bump and band noise, whose
+    window sums round, each with a random imaginary part or real."""
+    fs = make_corpus(spec, seed=4, count=4)
+    rng = np.random.default_rng(spec.N + 1)
+    out = [_sharp_input(spec, real)]
+    for f in (fs[0], fs[3]):
+        vals = f.values.real
+        if not real:
+            vals = vals + 1j * rng.standard_normal(spec.shape)
+        out.append(f.with_values(vals))
+    return out
+
+
 def _cell_box(spec: GridSpec, lo, hi) -> Box:
     """The box of the cells ``lo[i] .. hi[i] - 1`` on every axis."""
     h, L = spec.h, spec.halfwidth
@@ -417,15 +432,15 @@ class TestSharpMaximalRegion:
     @pytest.mark.parametrize("cap", [None, 0.25, 1.0, 0.01])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_matches_full_grid_on_the_region(self, spec, cap, real):
-        f = _sharp_input(spec, real)
-        full = sharp_maximal(f, cap)
-        for region in _regions(spec):
-            got = sharp_maximal(f, cap, region=region)
-            inside = np.zeros(spec.shape, dtype=bool)
-            inside[spec.cell_slices(region)] = True
-            assert inside.any()
-            assert np.all(np.isnan(got[~inside]))
-            np.testing.assert_allclose(got[inside], full[inside], rtol=1e-12, atol=0.0)
+        for f in _region_inputs(spec, real):
+            full = sharp_maximal(f, cap)
+            for region in _regions(spec):
+                got = sharp_maximal(f, cap, region=region)
+                inside = np.zeros(spec.shape, dtype=bool)
+                inside[spec.cell_slices(region)] = True
+                assert inside.any()
+                assert np.all(np.isnan(got[~inside]))
+                assert np.array_equal(got[inside], full[inside]), (f.name, region)
 
     def test_region_outside_the_domain_is_all_nan(self):
         spec = GridSpec(1, 2, 4)
@@ -508,17 +523,30 @@ class TestSharpMaximalAgainstOracle:
                 assert np.all(got[~above] <= floor), (f.name, floor)
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 2, 5), GridSpec(2, 1, 3)], ids=["1d", "2d"])
-    def test_regions_read_crop_local_sums(self, spec):
-        f = _sharp_input(spec, True)
-        widths = ladder_widths(spec.N, int(2.0 / float(spec.h)))
-        reach = widths[-1] - 1
-        for region in _regions(spec):
-            ranges = spec.cell_ranges(region)
-            crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, spec.N)) for i0, i1 in ranges)
-            cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
-            got = sharp_maximal(f, 1.0, region=region)[spec.cell_slices(region)]
-            want = ladder_without_skips(f.values.real[crop], widths)[cells]
-            assert np.array_equal(got, want)
+    @pytest.mark.parametrize("cap", [None, 1.0])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_regions_read_whole_grid_sums(self, spec, cap, real):
+        # a region's ladder runs on its crop with the whole grid's prefix
+        # sums; sums that start at the crop give other bits on some cell
+        # whenever a crop is a strict part of the grid
+        cap_cells = None if cap is None else int(2.0 * cap / float(spec.h))
+        widths = ladder_widths(spec.N, cap_cells)
+        reach = widths[-1]
+        moved = False
+        for f in _region_inputs(spec, real)[1:]:
+            vals = f.values.real if real else f.values
+            P = _prefix_sums(vals)
+            for region in _regions(spec):
+                ranges = spec.cell_ranges(region)
+                crop = tuple(slice(max(a - reach, 0), min(b + reach, spec.N)) for a, b in ranges)
+                cells = tuple(slice(a - c.start, b - c.start) for (a, b), c in zip(ranges, crop))
+                got = sharp_maximal(f, cap, region=region)[spec.cell_slices(region)]
+                sums = P[tuple(slice(c.start, c.stop + 1) for c in crop)]
+                want = ladder_without_skips(vals[crop], widths, sums)[cells]
+                assert np.array_equal(got, want), (f.name, region)
+                local = ladder_without_skips(vals[crop], widths)[cells]
+                moved |= not np.array_equal(local, want)
+        assert moved == (cap is not None)
 
 
 class TestSharpMaximalBits:
@@ -530,9 +558,22 @@ class TestSharpMaximalBits:
     def test_block_size(self, spec, cap, real, monkeypatch):
         f = _sharp_input(spec, real)
         ref = sharp_maximal(f, cap)
-        for chunk in (1 << 12, 1 << 21):
+        for chunk in (1 << 6, 1 << 9, 1 << 12, 1 << 21):
             monkeypatch.setattr(maximal, "_OSC_CHUNK", chunk)
             assert np.array_equal(sharp_maximal(f, cap), ref)
+
+    def test_2d_blocks_split_rows_of_window_starts(self):
+        # at 128**2 a row of the 64-cell windows' starts holds 65 * 64**2
+        # complex differences, 4.3 MB; blocks of about _OSC_CHUNK elements
+        # keep the whole uncapped ladder under 4 MB
+        f = _sharp_input(GridSpec(2, 2, 4), False)
+        tracemalloc.start()
+        try:
+            sharp_maximal(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 2, 6), GridSpec(2, 1, 3)], ids=["1d", "2d"])
     @pytest.mark.parametrize("cap", [None, 0.25, 1.0])

@@ -722,8 +722,12 @@ class TestLocalized:
     def test_domain_guard(self):
         with pytest.raises(ValueError, match="localization exponent must be nonnegative"):
             localized_operator(bessel(-1.0), -1, SPEC)
-        with pytest.raises(ValueError, match="wraparound risk: the localization radius"):
-            localized_operator(bessel(-1.0), 3, SPEC)
+        # the radius 2**ell1 against the half-width 2**K, in integers: 2**2000
+        # would overflow a float
+        localized_operator(bessel(-1.0), SPEC.K, SPEC)
+        for ell1 in (SPEC.K + 1, 2000):
+            with pytest.raises(ValueError, match="wraparound risk: the localization radius"):
+                localized_operator(bessel(-1.0), ell1, SPEC)
 
     def test_handle_matches_function(self):
         f = bump(SPEC)

@@ -477,11 +477,15 @@ class TestWhitneySparse:
         with pytest.raises(ValueError, match="domain too small"):
             build_whitney_sparse(f, f, config)
         # a reach past every float core side: the same error, not an overflow
-        config = WhitneyConfig(pair=ExponentPair(2.0, 2.0), ell1=1, ell2=1e308)
         spec = GridSpec(1, 3, 5)
         f = GridFunction.indicator(spec, box01(0, Fraction(1, 2)))
-        with pytest.raises(ValueError, match="domain too small"):
-            build_whitney_sparse(f, f, config)
+        for ell1, ell2 in ((1, 1e308), (2000, 1.0), (3, 0.0)):
+            config = WhitneyConfig(pair=ExponentPair(2.0, 2.0), ell1=ell1, ell2=ell2)
+            with pytest.raises(ValueError, match="domain too small"):
+                build_whitney_sparse(f, f, config)
+        # a radius 2**(K-1) alone fits the largest core
+        config = WhitneyConfig(pair=ExponentPair(2.0, 2.0), ell1=2, ell2=0.0)
+        assert len(build_whitney_sparse(f, f, config))
 
     def test_support_must_be_central(self):
         spec = self.SPEC3

@@ -42,7 +42,6 @@ from sparselab.symbol import (
 from sparselab.verify import (
     DecayProbeConfig,
     ProbeReport,
-    composed_sharp_apply,
     empirical_norm,
     endpoint_audit,
     form_threshold_order,
@@ -794,6 +793,11 @@ class TestSharpRatio:
         assert rep.max_ratio > 0.0
         assert rep.median_ratio <= rep.max_ratio
 
+    def test_huge_ell1_is_a_wraparound_risk(self):
+        fs = make_corpus(self.SPEC3, seed=12, count=1)
+        with pytest.raises(ValueError, match="wraparound risk"):
+            sharp_ratio_probe(bessel(-0.25, 0.5, 0.5), fs, ell1=2000, ell2=1.0, p=2.0)
+
     @pytest.mark.parametrize("size", [1, 2, 7, 8, 101, 1000])
     def test_median_has_the_bits_of_np_median(self, size):
         rng = np.random.default_rng(size)
@@ -866,7 +870,8 @@ class TestSharpRatio:
         vals = np.zeros(spec.shape, dtype=np.complex128)
         i0 = spec.N // 2
         vals[i0] = 1.0
-        S = composed_sharp_apply(bessel(-1.0), 1, 1.0, GridFunction(spec, vals))
+        image = localized_operator(bessel(-1.0), 1, spec).apply(GridFunction(spec, vals))
+        S = sharp_maximal(image, 1.0)
         c = spec.centers()
         dist = np.abs(c - c[i0])
         dist = np.minimum(dist, 2.0 * float(spec.halfwidth) - dist)
@@ -896,7 +901,7 @@ class TestSharpRatio:
             assert np.any(image.values.imag)
             want = sharp_maximal(image, radius_cap=1.0)
             ladder_dtypes.clear()
-            got = composed_sharp_apply(a, 1, 1.0, f)
+            got = sharp_maximal(op.apply(f), 1.0)
             assert ladder_dtypes == [np.float64]
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
@@ -985,23 +990,21 @@ class TestEndpointAudit:
         with pytest.raises(ValueError, match="reach"):
             endpoint_audit(f, f, coll, self.A, 2, 1.0, PAIR22)
 
-
-def _assert_reports_close(got, want, rtol: float) -> None:
-    """Every field of two audit reports, floats to ``rtol`` relative;
-    ``base_residual`` is itself a relative gap, so it is compared
-    absolutely."""
-    got, want = report_dict(got), report_dict(want)
-    assert got.keys() == want.keys()
-    for key in got:
-        u, v = got[key], want[key]
-        if key == "base_residual":
-            assert abs(u - v) <= rtol, key
-        elif isinstance(v, list) and v and isinstance(v[0], float):
-            np.testing.assert_allclose(u, v, rtol=rtol, atol=0.0, err_msg=key)
-        elif isinstance(v, float):
-            assert u == pytest.approx(v, rel=rtol, abs=0.0), key
-        else:
-            assert u == v, key
+    def test_reach_guard_decides_ell1_in_integers(self):
+        # the cores have side 4: a radius of 4 fits it, 8 does not, and
+        # 2**2000 is refused before it can overflow a float
+        f = unit_indicator(self.SPEC3)
+        coll = self.whitney_family(f, f)
+        assert {float(coll.entries[i].cube.side) for i in coll.tree()[1][0]} == {4.0}
+        assert endpoint_audit(f, f, coll, self.A, 2, 0.0, PAIR22).ok
+        for ell1 in (3, 2000):
+            with pytest.raises(ValueError, match="core side is below the composed operator reach"):
+                endpoint_audit(f, f, coll, self.A, ell1, 0.0, PAIR22)
+        # without cores the localization refuses the radius
+        z = GridFunction.zeros(self.SPEC3)
+        empty = self.whitney_family(z, z, ExponentPair(2.0, math.inf))
+        with pytest.raises(ValueError, match="wraparound risk"):
+            endpoint_audit(z, z, empty, self.A, 2000, 1.0, ExponentPair(2.0, math.inf))
 
 
 class TestEndpointAuditCrop:
@@ -1032,9 +1035,8 @@ class TestEndpointAuditCrop:
         monkeypatch.setattr(verify, "sharp_maximal", full_grid)
         for f, g, coll, cropped in cases:
             assert cropped.ok
-            _assert_reports_close(
-                cropped, endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I), rtol=1e-12
-            )
+            full = endpoint_audit(f, g, coll, a, 1, 1.0, self.P2I)
+            assert report_dict(cropped) == report_dict(full)
 
     @pytest.mark.parametrize(
         "grid, pairs",
