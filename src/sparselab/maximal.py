@@ -404,10 +404,11 @@ def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.nd
     joins the block before it): one start wide, numpy sums its window in
     another order.
 
-    Every block is written into the same two buffers, laid out as numpy
-    lays out ``view - means`` (position and window axes interleaved), so
-    the window means sum in one order, bit for bit, at any block size and
-    for any set of blocks.
+    Every block is written into the front of the same two buffers, laid
+    out as numpy lays out the block's ``view - means`` (position and window
+    axes interleaved), so the window means sum in one order, bit for bit,
+    at any block size and for any set of blocks; a block written into part
+    of a wider layout would run its element loops apart, at a cost.
     """
     n, shape = vals.ndim, means.shape
     out = np.zeros(shape)
@@ -420,20 +421,21 @@ def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.nd
     edges = [list(range(0, m, step)) + [m] for m, step in zip(shape, steps)]
     if n == 2 and len(edges[1]) > 2 and edges[1][-1] - edges[1][-2] == 1:
         del edges[1][-2]
-    layout = sum(((max(np.diff(e)), w) for e in edges), ())
+    size = math.prod(max(np.diff(e)) for e in edges) * w**n
+    buf = np.empty(size, dtype=vals.dtype)
+    buf_dev = buf if buf.dtype == np.float64 else np.empty(size)
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    diff = np.empty(layout, dtype=vals.dtype).transpose(axes)
-    dev = diff if diff.dtype == np.float64 else np.empty(layout).transpose(axes)
     blocks = busy
     for axis, e in enumerate(edges):
         blocks = np.logical_or.reduceat(blocks, e[:-1], axis=axis)
     for block in np.argwhere(blocks).tolist():
         at = tuple(slice(e[i], e[i + 1]) for i, e in zip(block, edges))
         m = means[at]
-        part = tuple(slice(k) for k in m.shape)
-        np.subtract(view[at], m[(...,) + (None,) * n], out=diff[part])
-        np.abs(diff[part], out=dev[part])
-        out[at] = dev[part].mean(axis=tuple(range(n, 2 * n)))
+        layout = sum(((k, w) for k in m.shape), ())
+        diff, dev = (b[: m.size * w**n].reshape(layout).transpose(axes) for b in (buf, buf_dev))
+        np.subtract(view[at], m[(...,) + (None,) * n], out=diff)
+        np.abs(diff, out=dev)
+        out[at] = dev.mean(axis=tuple(range(n, 2 * n)))
     return out
 
 
