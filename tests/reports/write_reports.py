@@ -20,7 +20,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from sparselab import cli  # noqa: E402
 
-CONFIGS = ("lab2d", "lab1dw")
+CONFIGS = ("lab2d", "lab1dw", "lab2dw4", "lab2dk", "lab1d10n")
 
 
 def write(name: str, out_dir: Path) -> None:

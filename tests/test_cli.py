@@ -530,7 +530,8 @@ class TestCommittedReports:
         # every float nudged by 1e-9 relative (by 1e-9 where it is under
         # 1e-5, and the absolute 1e-15 would absorb the nudge), and the
         # verdict flipped, one at a time
-        assert [path.name for path in REPORT_DIRS] == ["lab1dw", "lab2d"]
+        names = ["lab1d10n", "lab1dw", "lab2d", "lab2dk", "lab2dw4"]
+        assert [path.name for path in REPORT_DIRS] == names
         for path in REPORT_DIRS:
             for report in path.glob("*.json"):
                 want = json.loads(report.read_text())
