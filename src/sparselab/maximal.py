@@ -24,7 +24,8 @@ widest window bounds the rest (``_centred_mask``).
 
 The sharp maximal builds ``|f - window mean|`` in blocks of about
 ``_OSC_CHUNK`` elements (in 2D, parts of a row of window starts when a row
-is larger), written into two buffers that stay in cache; the block size
+is larger), written into two buffers that stay in cache, and sums each
+window one axis at a time, last axis first (``_osc``), so the block size
 does not change a bit of the result.  Real data runs in real arithmetic,
 and the work is restricted to a region's cells plus the ladder's reach,
 with window means from the whole grid's prefix sums, so a region's values
@@ -400,27 +401,24 @@ def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.nd
     whose means are ``means``, in aligned blocks of about ``_OSC_CHUNK``
     elements; a block of window starts with no ``busy`` start is skipped and
     keeps 0.  A block takes whole rows of starts while one fits, and in 2D
-    otherwise part of one row, at least two starts wide (a one-start tail
-    joins the block before it): one start wide, numpy sums its window in
-    another order.
+    otherwise part of one row.
 
-    Every block is written into the front of the same two buffers, laid
-    out as numpy lays out the block's ``view - means`` (position and window
-    axes interleaved), so the window means sum in one order, bit for bit,
-    at any block size and for any set of blocks; a block written into part
-    of a wider layout would run its element loops apart, at a cost.
+    A window sums its last axis, then the contiguous row sums along their
+    last axis, once per axis, and divides by ``w**n``: every sum runs along
+    one contiguous axis, so no bit depends on the blocks.  Each block is
+    written contiguously into the front of two buffers, position and window
+    axes interleaved as numpy lays out ``view - means``, only for speed:
+    the last window axis has stride 1, so the first sum runs contiguously.
     """
     n, shape = vals.ndim, means.shape
     out = np.zeros(shape)
     view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
-    per = _OSC_CHUNK // w**n  # window starts per block
+    per = max(1, _OSC_CHUNK // w**n)  # window starts per block
     if n == 2 and per < shape[1]:
-        steps = (1, min(shape[1], max(2, per)))
+        steps = (1, per)
     else:
         steps = (max(1, min(shape[0], per // math.prod(shape[1:]))),) + shape[1:]
     edges = [list(range(0, m, step)) + [m] for m, step in zip(shape, steps)]
-    if n == 2 and len(edges[1]) > 2 and edges[1][-1] - edges[1][-2] == 1:
-        del edges[1][-2]
     size = math.prod(max(np.diff(e)) for e in edges) * w**n
     buf = np.empty(size, dtype=vals.dtype)
     buf_dev = buf if buf.dtype == np.float64 else np.empty(size)
@@ -435,7 +433,9 @@ def _osc(vals: np.ndarray, means: np.ndarray, busy: np.ndarray, w: int) -> np.nd
         diff, dev = (b[: m.size * w**n].reshape(layout).transpose(axes) for b in (buf, buf_dev))
         np.subtract(view[at], m[(...,) + (None,) * n], out=diff)
         np.abs(diff, out=dev)
-        out[at] = dev.mean(axis=tuple(range(n, 2 * n)))
+        for _ in range(n):
+            dev = np.ascontiguousarray(np.add.reduce(dev, axis=-1))
+        out[at] = dev / w**n
     return out
 
 
@@ -517,13 +517,11 @@ def _sharp_at(
 ) -> np.ndarray:
     """``sharp_maximal(f, radius_cap)`` at the cells ``ranges`` (``(start,
     stop)`` per axis), NaN elsewhere.  The ladder runs on those cells
-    dilated by its widest window, clipped to the grid: that holds every
-    window that contains one of them, and two starts of each window row
-    where the grid has two (a row of one start sums in another order, see
-    ``_osc``).  It reads its window means from the whole grid's prefix
-    sums, so every value has the whole grid's bits whatever the cells.  A
-    value above ``floor`` is the full ladder's, and every other value is at
-    or under ``floor``."""
+    dilated by its widest window less one cell, clipped to the grid: that
+    holds every window that contains one of them.  It reads its window
+    means from the whole grid's prefix sums, so every value has the whole
+    grid's bits whatever the cells.  A value above ``floor`` is the full
+    ladder's, and every other value is at or under ``floor``."""
     if radius_cap is not None and not radius_cap >= 0:
         raise ValueError(f"radius_cap must be nonnegative or None, not {radius_cap!r}")
     N = f.spec.N
@@ -533,7 +531,7 @@ def _sharp_at(
     vals = f.values
     if not np.any(vals.imag):
         vals = np.ascontiguousarray(vals.real)
-    reach = max(widths, default=0)
+    reach = max(widths, default=1) - 1
     crop = tuple(slice(max(i0 - reach, 0), min(i1 + reach, N)) for i0, i1 in ranges)
     cells = tuple(slice(i0 - c.start, i1 - c.start) for (i0, i1), c in zip(ranges, crop))
     out = np.full(vals.shape, np.nan)

@@ -550,7 +550,9 @@ def ladder_without_skips(vals: np.ndarray, widths, P: np.ndarray | None = None) 
     """The sharp-maximal ladder of the array ``vals`` from the prefix sums
     ``P`` (by default its own), with ``|view - means|`` over every window
     of each width in one expression, and window maxima from
-    ``block_sliding_max``."""
+    ``block_sliding_max``.  A window sums its last axis first, then the
+    contiguous row sums along their last axis, once per axis, and divides
+    by ``w**n``: the package's order."""
     n = vals.ndim
     if P is None:
         P = _prefix_sums(vals)
@@ -559,8 +561,10 @@ def ladder_without_skips(vals: np.ndarray, widths, P: np.ndarray | None = None) 
     for w in widths:
         means = _sliding_sums(P, corners, w) / w**n
         view = np.lib.stride_tricks.sliding_window_view(vals, (w,) * n)
-        osc = np.abs(view - means[(...,) + (None,) * n]).mean(axis=tuple(range(n, 2 * n)))
-        np.maximum(best, _block_window_max_all_axes(osc, w), out=best)
+        dev = np.ascontiguousarray(np.abs(view - means[(...,) + (None,) * n]))
+        for _ in range(n):
+            dev = np.ascontiguousarray(np.add.reduce(dev, axis=-1))
+        np.maximum(best, _block_window_max_all_axes(dev / w**n, w), out=best)
     return best
 
 
