@@ -1,8 +1,8 @@
-"""Rewrite the committed reports of the sparse configs.
+"""Rewrite the committed reports of every committed config.
 
     PYTHONPATH=src python tests/reports/write_reports.py
 
-Runs each config in ``CONFIGS`` at its own seed, through the same
+Runs each ``tests/reports/<config>.ini`` at its own seed, through the same
 ``cli.run_probes`` as ``lab run``, and keeps its report JSONs in
 ``tests/reports/<config>/`` (``summary.csv`` repeats them, and
 ``timings.csv`` is not deterministic).  ``test_cli.TestCommittedReports``
@@ -20,7 +20,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from sparselab import cli  # noqa: E402
 
-CONFIGS = ("lab2d", "lab1dw", "lab2dw4", "lab2dk", "lab1d10n")
+CONFIGS = sorted(path.stem for path in HERE.glob("*.ini"))
 
 
 def write(name: str, out_dir: Path) -> None:
