@@ -23,6 +23,7 @@ slice of the mask.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -273,18 +274,17 @@ def enumerate_cubes(
     omega: tuple[int, ...],
     window: Box,
 ) -> Iterable[DyadicCube]:
-    """All scale-``k`` cubes of family ``omega`` meeting a window box."""
+    """All scale-``k`` cubes of family ``omega`` meeting a window box.
+
+    In sides, cube ``m`` spans ``[m + off, m + 1 + off)`` with ``off = s*omega/3``
+    per axis, so it meets ``[L, U)`` exactly when ``floor(L - off) <= m < ceil(U - off)``.
+    """
     scale = Fraction(2) ** (-k)
-    s = shift_sign(k)
     ranges = []
     for ax in range(window.n):
-        off = Fraction(s * omega[ax], 3)
+        off = Fraction(shift_sign(k) * omega[ax], 3)
         lo = window.lower[ax] / scale - off
         hi = window.upper[ax] / scale - off
-        first = lo.numerator // lo.denominator - 1
-        last = hi.numerator // hi.denominator + 1
-        ranges.append(range(first, last + 1))
+        ranges.append(range(math.floor(lo), math.ceil(hi)))
     for m in itertools.product(*ranges):
-        c = DyadicCube(k, tuple(m), omega)
-        if cube_box(c).intersects(window):
-            yield c
+        yield DyadicCube(k, m, omega)

@@ -123,15 +123,6 @@ class StoppingConfig:
             raise ValueError("threshold base must exceed 1")
 
 
-def _support_window(spec: GridSpec, *fns: GridFunction) -> Box | None:
-    boxes = [b for b in (f.support_box() for f in fns) if b is not None]
-    if not boxes:
-        return None
-    lo = tuple(min(b.lower[i] for b in boxes) for i in range(spec.n))
-    hi = tuple(max(b.upper[i] for b in boxes) for i in range(spec.n))
-    return Box(lo, hi)
-
-
 # np.power's root of a block mean came within 1 ulp (2**-52 relative) of the
 # scalar root on 3M test values, so an average farther than this from its
 # threshold lands on the same side of it either way; 2**-40 leaves about
@@ -475,7 +466,7 @@ def build_stopping_time(
     jump_g = base ** (1.0 / sp)
 
     coll = SparseCollection(spec, "stopping", Fraction(1, 2))
-    window = _support_window(spec, f, g)
+    window = f.with_values(np.abs(f.values) + np.abs(g.values)).support_box()
     if window is None:
         return coll
 
@@ -535,7 +526,7 @@ def build_whitney_sparse(
     spec = f.spec
     if g.spec != spec:
         raise ValueError("f and g must share a grid")
-    window = _support_window(spec, f, g)
+    window = f.with_values(np.abs(f.values) + np.abs(g.values)).support_box()
     coll_eta = config.eta * Fraction(3) ** (-spec.n)
     coll = SparseCollection(spec, "whitney", coll_eta)
     if window is None:

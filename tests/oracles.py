@@ -12,6 +12,9 @@ another way, or a piece of exact geometry that only the checks need:
   entries parents first and paints survivor labels, and must match it
   entry for entry.
 * ``parent`` and ``cube_containing_point``: exact Fraction geometry.
+* ``enumerate_cubes_by_test``: the cubes meeting a window by building
+  each candidate's box and testing it against the window; the package
+  reads the exact corner range.
 * ``box_cell_count``: in-domain cells of a box.
 * ``default_truncation``: the band count whose low-pass plateau covers
   every grid frequency.
@@ -60,6 +63,7 @@ another way, or a piece of exact geometry that only the checks need:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,6 +224,25 @@ def cube_containing_point(x: Sequence[Fraction], k: int, omega: tuple[int, ...])
     if not cube_box(c).contains_point(x):
         raise AssertionError("point landed outside its computed cube")
     return c
+
+
+def enumerate_cubes_by_test(k: int, omega: tuple[int, ...], window: Box):
+    """``enumerate_cubes`` by generate-and-test: every cube of a range one
+    wider than the window at each end, kept when its box meets the window."""
+    scale = Fraction(2) ** (-k)
+    s = shift_sign(k)
+    ranges = []
+    for ax in range(window.n):
+        off = Fraction(s * omega[ax], 3)
+        lo = window.lower[ax] / scale - off
+        hi = window.upper[ax] / scale - off
+        first = lo.numerator // lo.denominator - 1
+        last = hi.numerator // hi.denominator + 1
+        ranges.append(range(first, last + 1))
+    for m in itertools.product(*ranges):
+        c = DyadicCube(k, tuple(m), omega)
+        if cube_box(c).intersects(window):
+            yield c
 
 
 def box_cell_count(spec: GridSpec, box: Box) -> int:

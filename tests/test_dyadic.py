@@ -1,5 +1,6 @@
 """Exact-geometry tests: cube corners, thirds, children, Whitney, poset."""
 
+import itertools
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -20,7 +21,7 @@ from sparselab.dyadic import (
 )
 from sparselab.sample import GridSpec
 
-from oracles import cube_containing_point, parent
+from oracles import cube_containing_point, enumerate_cubes_by_test, parent
 
 
 def box1(lo, hi) -> Box:
@@ -139,6 +140,29 @@ class TestNesting:
         disjoint = not a.intersects(b)
         nested = a.contains_box(b) or b.contains_box(a)
         assert disjoint or nested
+
+
+class TestEnumerateCubes:
+    """The exact corner range gives the cubes that generate-and-test keeps,
+    in the same order."""
+
+    @pytest.mark.parametrize("n, draws", [(1, 40), (2, 3)])
+    def test_matches_generate_and_test(self, n, draws):
+        # corners at multiples of side/den, so edges fall on unshifted cube
+        # corners, on the thirds where shifted ones lie, and off both;
+        # windows span at most 12 sides per axis
+        rng = np.random.default_rng(n)
+        for k in range(-4, 4):
+            side = Fr(2) ** -k
+            for omega in itertools.product((0, 1, 2), repeat=n):
+                for den in (1, 2, 3, 7, 48):
+                    for _ in range(draws):
+                        lo = [side * Fr(int(a), den) for a in rng.integers(-6 * den, 6 * den, n)]
+                        width = [side * Fr(int(b), den) for b in rng.integers(1, 12 * den, n)]
+                        window = Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
+                        got = list(enumerate_cubes(k, omega, window))
+                        assert got == list(enumerate_cubes_by_test(k, omega, window)), window
+                        assert got
 
 
 class TestThirdTiling:

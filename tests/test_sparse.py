@@ -109,6 +109,16 @@ class TestStoppingTime:
         with pytest.raises(ValueError, match="share a grid"):
             build_stopping_time(f, other, StoppingConfig(pair=PAIR_1_INF))
 
+    def test_roots_cover_g_where_f_vanishes(self):
+        # the scale -3 root [0, 8) of the unshifted class meets g's support
+        # [1/2, 1) and not f's [-1, -1/2)
+        f = GridFunction.indicator(SPEC, box01(-1, Fraction(-1, 2)))
+        g = GridFunction.indicator(SPEC, box01(Fraction(1, 2), 1))
+        coll = build_stopping_time(f, g, StoppingConfig(pair=ExponentPair(2.0, 2.0)))
+        roots = [e.cube for e in coll.entries if e.rank == 0]
+        assert DyadicCube(-3, (0,), (0,)) in roots
+        assert roots == [c for w in range(3) for c in enumerate_cubes(-3, (w,), box01(-1, 1))]
+
     def test_empty_data_gives_empty_family(self):
         z = GridFunction.zeros(SPEC)
         coll = build_stopping_time(z, z, StoppingConfig(pair=PAIR_1_INF))
@@ -446,6 +456,13 @@ class TestWhitneySparse:
         # reach 2**1 + 2 = 4 forces cores of side 4; only [0, 4) meets f
         assert cube_box(e.cube) == box01(0, 4)
         assert e.survivor.size == box_cell_count(self.SPEC3, box01(0, 4))
+
+    def test_cores_cover_g_where_f_vanishes(self):
+        f = GridFunction.indicator(self.SPEC3, box01(-1, Fraction(-1, 2)))
+        g = GridFunction.indicator(self.SPEC3, box01(Fraction(1, 2), 1))
+        coll = build_whitney_sparse(f, g, self.flat()[1])
+        cores = [cube_box(e.cube) for e in coll.entries if e.rank == 0]
+        assert cores == [box01(-4, 0), box01(0, 4)]
 
     def test_eta_and_region_are_triple_based(self):
         f, config = self.flat()
